@@ -123,14 +123,12 @@ async def _latency_pass(
     his: np.ndarray,
     concurrency: int,
     max_batch: int,
-    max_delay: float,
     metrics: MetricsRegistry | None,
 ) -> tuple[list[float], np.ndarray]:
     """Closed-loop producers through the micro-batcher; per-request timings."""
     batcher = MicroBatcher(
         service.answer_batch,
         max_batch=max_batch,
-        max_delay=max_delay,
         metrics=metrics,
     )
     latencies: list[float] = []
@@ -164,7 +162,6 @@ def run_serve_bench(
     latency_requests: int = 256,
     concurrency: int = 16,
     max_batch: int = 64,
-    max_delay: float = 0.001,
     mode: str = "process",
     metrics: MetricsRegistry | None = None,
 ) -> dict:
@@ -230,7 +227,6 @@ def run_serve_bench(
                         his[:latency_count],
                         concurrency,
                         max_batch,
-                        max_delay,
                         metrics,
                     )
                 )
@@ -273,7 +269,6 @@ def run_serve_bench(
             "latency_requests": latency_count,
             "concurrency": concurrency,
             "max_batch": max_batch,
-            "max_delay_seconds": max_delay,
             "shard_counts": list(shard_counts),
         },
         "hardware": {
@@ -379,10 +374,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--max-batch", type=int, default=64)
     parser.add_argument(
-        "--max-delay", type=float, default=0.001,
-        help="micro-batcher flush delay in seconds",
-    )
-    parser.add_argument(
         "--inline", action="store_true",
         help="serve in-process (no worker processes; deterministic baseline)",
     )
@@ -424,7 +415,6 @@ def main(argv: list[str] | None = None) -> int:
         latency_requests=args.latency_requests,
         concurrency=args.concurrency,
         max_batch=args.max_batch,
-        max_delay=args.max_delay,
         mode="inline" if args.inline else "process",
         metrics=metrics,
     )

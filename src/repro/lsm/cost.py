@@ -18,6 +18,12 @@ way the RocksDB experiment does:
 the paper's Fig. 9 metric, and ``missed_reads`` is the zero-false-negative
 invariant — any nonzero entry means a filter rejected an SST that actually
 contained a matching key.
+
+Every routed (query, SST) pair is classified once, as a 3-bit code
+(:func:`classify`): was a filter consulted, did it answer positive (a
+block read was charged), does the SST truly hold a match.  All six
+accounting fields are sums over code classes (:func:`tally`), so per-query,
+per-level and per-SST totals are ``np.bincount`` histograms of the codes.
 """
 
 from __future__ import annotations
@@ -27,7 +33,42 @@ from typing import Any, Mapping
 
 import numpy as np
 
-__all__ = ["CostModel", "LevelStats", "ProbeResult", "SstStats"]
+__all__ = [
+    "CostModel",
+    "LevelStats",
+    "NUM_CODES",
+    "ProbeResult",
+    "SstStats",
+    "classify",
+    "tally",
+]
+
+#: Distinct pair classification codes: ``4 * filtered + 2 * positive + truth``.
+NUM_CODES = 8
+
+
+def classify(filtered: np.ndarray, positive: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Classification code of each routed pair (aligned boolean arrays in)."""
+    return 4 * filtered + 2 * positive + truth
+
+
+def tally(counts: np.ndarray) -> tuple:
+    """The six accounting fields from per-code counts on the last axis.
+
+    ``counts[..., code]`` (``NUM_CODES`` wide) in; ``(candidates,
+    filter_probes, blocks_read, required_reads, false_positive_reads,
+    missed_reads)`` out, each with the leading shape of ``counts``.
+    """
+    # Index the code's bits as [filtered, positive, truth].
+    bits = counts.reshape(*counts.shape[:-1], 2, 2, 2)
+    return (
+        counts.sum(axis=-1),
+        bits[..., 1, :, :].sum(axis=(-2, -1)),
+        bits[..., :, 1, :].sum(axis=(-2, -1)),
+        bits[..., :, :, 1].sum(axis=(-2, -1)),
+        bits[..., :, 1, 0].sum(axis=-1),
+        bits[..., :, 0, 1].sum(axis=-1),
+    )
 
 
 @dataclass(frozen=True)
@@ -117,6 +158,23 @@ class SstStats:
     def empty_trials(self) -> int:
         """Fence-surviving probes whose query had no matching entry here."""
         return self.candidates - self.required_reads
+
+    def add(
+        self,
+        candidates: int,
+        filter_probes: int,
+        blocks_read: int,
+        required_reads: int,
+        false_positive_reads: int,
+        missed_reads: int,
+    ) -> None:
+        """Accumulate one probe's counts for this SST (:func:`tally` order)."""
+        self.candidates += candidates
+        self.filter_probes += filter_probes
+        self.blocks_read += blocks_read
+        self.required_reads += required_reads
+        self.false_positive_reads += false_positive_reads
+        self.missed_reads += missed_reads
 
     def to_dict(self) -> dict:
         return {

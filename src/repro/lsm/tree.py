@@ -31,7 +31,15 @@ import numpy as np
 
 from repro.api import FilterSpec, Workload, build_filter, derive_sst_specs
 from repro.filters.base import ragged_ranges
-from repro.lsm.cost import CostModel, ProbeResult, SstStats
+from repro.lsm.cost import (
+    NUM_CODES,
+    CostModel,
+    LevelStats,
+    ProbeResult,
+    SstStats,
+    classify,
+    tally,
+)
 from repro.lsm.sstable import SSTable
 from repro.obs.metrics import timed
 from repro.obs.trace import ProbeTrace
@@ -199,9 +207,13 @@ class LSMTree:
         """Replay a query batch through the tree and return the accounting.
 
         Per level, each query's fence-surviving SSTs form a contiguous
-        interval (``first[q] <= j < last[q]``); per SST, the queries routed
-        to it are answered with one vectorised filter call and classified
-        against the SST's exact ground truth.
+        interval (``first[q] <= j < last[q]``).  The routed (query, SST)
+        pairs are flattened and grouped by SST; each group is answered
+        with one vectorised filter call and one search of the SST's exact
+        ground truth, and every pair is classified once
+        (:func:`~repro.lsm.cost.classify`).  The per-query arrays, the
+        per-level totals and the optional per-SST totals are all
+        ``np.bincount`` histograms of those codes.
 
         ``trace`` optionally records every routed (query, SST) pair as a
         :class:`~repro.obs.trace.ProbeEvent` — fence survival, filter
@@ -212,75 +224,66 @@ class LSMTree:
         (keyed by the SST object itself), the granularity the per-SST
         drift monitors consume — pass the same dict across probes to
         accumulate over a stream.  Both hooks cost one ``is None`` check
-        per routed SST group when unused.
+        per level when unused.
         """
         batch = coerce_query_batch(queries, self.width)
-        result = ProbeResult.zeros(len(batch), len(self.levels))
-        if len(batch) == 0:
-            return result
+        num_queries = len(batch)
+        if num_queries == 0:
+            return ProbeResult.zeros(0, len(self.levels))
+        level_counts = np.zeros((len(self.levels), NUM_CODES), dtype=np.int64)
+        # Per level, ``query * NUM_CODES + code`` of every routed pair; the
+        # empty seed keeps the final concatenate valid when nothing routes.
+        pair_keys = [np.empty(0, dtype=np.int64)]
         for level_index, level in enumerate(self.levels):
-            stats = result.per_level[level_index]
             mins, maxs = self._fences[level_index]
             # First SST whose max fence reaches lo; first whose min exceeds hi.
             first = np.searchsorted(maxs, batch.los, side="left")
-            last = np.searchsorted(mins, batch.his, side="right")
-            active = last > first
+            lengths = np.searchsorted(mins, batch.his, side="right") - first
+            active = lengths > 0
             if not active.any():
                 continue
             # Flatten the (query, SST) routing pairs and group them by SST,
             # so the work below is proportional to the routed pairs — not to
             # num_ssts * num_queries, which a point-heavy batch over a wide
             # bottom level would make mostly wasted all-False masks.
-            active_queries = np.nonzero(active)[0]
-            lengths = (last - first)[active]
+            lengths = lengths[active]
             flat_sst, _ = ragged_ranges(first[active], lengths)
-            flat_query = np.repeat(active_queries, lengths)
+            flat_query = np.repeat(np.flatnonzero(active), lengths)
             order = np.argsort(flat_sst, kind="stable")
             flat_sst = flat_sst[order]
             flat_query = flat_query[order]
-            boundaries = np.nonzero(np.diff(flat_sst))[0] + 1
-            starts = np.concatenate([[0], boundaries])
-            ends = np.concatenate([boundaries, [flat_sst.size]])
-            for start, end in zip(starts, ends):
-                sst = level[int(flat_sst[start])]
-                query_indices = flat_query[start:end]
-                sub = batch.select(query_indices)
-                truth = sst.matches_many(sub.los, sub.his)
-                positives = sst.probe_many(sub)
-                filtered = sst.filter is not None
-                result.candidates[query_indices] += 1
-                if filtered:
-                    result.filter_probes[query_indices] += 1
-                result.blocks_read[query_indices] += positives
-                result.required_reads[query_indices] += truth
-                result.false_positive_reads[query_indices] += positives & ~truth
-                result.missed_reads[query_indices] += truth & ~positives
-                if trace is not None:
-                    trace.record_sst(
-                        level_index,
-                        int(flat_sst[start]),
-                        query_indices,
-                        positives,
-                        truth,
-                        filtered,
-                    )
-                stats.candidates += int(query_indices.size)
-                stats.filter_probes += int(query_indices.size) if filtered else 0
-                stats.blocks_read += int(positives.sum())
-                stats.required_reads += int(truth.sum())
-                stats.false_positive_reads += int((positives & ~truth).sum())
-                stats.missed_reads += int((truth & ~positives).sum())
-                if sst_stats is not None:
-                    per_sst = sst_stats.setdefault(sst, SstStats())
-                    per_sst.candidates += int(query_indices.size)
-                    per_sst.filter_probes += (
-                        int(query_indices.size) if filtered else 0
-                    )
-                    per_sst.blocks_read += int(positives.sum())
-                    per_sst.required_reads += int(truth.sum())
-                    per_sst.false_positive_reads += int((positives & ~truth).sum())
-                    per_sst.missed_reads += int((truth & ~positives).sum())
-        return result
+            routed = batch.select(flat_query)
+            bounds = (np.flatnonzero(np.diff(flat_sst)) + 1).tolist()
+            starts = [0, *bounds]
+            ends = [*bounds, flat_sst.size]
+            sst_ids = flat_sst[starts].tolist()
+            positive = np.empty(flat_sst.size, dtype=bool)
+            truth = np.empty(flat_sst.size, dtype=bool)
+            group_filtered = []
+            for sst_id, start, end in zip(sst_ids, starts, ends):
+                sst = level[sst_id]
+                sub = routed.select(slice(start, end))
+                truth[start:end] = sst.matches_many(sub.los, sub.his)
+                positive[start:end] = sst.probe_many(sub)
+                group_filtered.append(sst.filter is not None)
+            filtered = np.repeat(group_filtered, np.subtract(ends, starts))
+            codes = classify(filtered, positive, truth)
+            level_counts[level_index] = np.bincount(codes, minlength=NUM_CODES)
+            pair_keys.append(flat_query * NUM_CODES + codes)
+            if sst_stats is not None:
+                sst_codes = flat_sst * NUM_CODES + codes
+                per_sst = np.bincount(sst_codes, minlength=len(level) * NUM_CODES)
+                per_sst = per_sst.reshape(len(level), NUM_CODES)
+                fields = [column.tolist() for column in tally(per_sst[sst_ids])]
+                for sst_id, counts in zip(sst_ids, zip(*fields)):
+                    sst_stats.setdefault(level[sst_id], SstStats()).add(*counts)
+            if trace is not None:
+                trace.record_level(level_index, flat_query, flat_sst, filtered, positive, truth)
+        per_query = np.bincount(np.concatenate(pair_keys), minlength=num_queries * NUM_CODES)
+        per_query = per_query.reshape(num_queries, NUM_CODES)
+        level_fields = zip(*(column.tolist() for column in tally(level_counts)))
+        per_level = [LevelStats(index, *counts) for index, counts in enumerate(level_fields)]
+        return ProbeResult(*tally(per_query), per_level=per_level)
 
     # ------------------------------------------------------------------ #
     # Accounting and introspection                                       #

@@ -17,7 +17,7 @@ Two kinds of state are kept deliberately separate:
   history scrolled away, and the totals stay exact regardless.
 
 Tracing is opt-in (``tree.probe(batch, trace=ProbeTrace())``); the
-untraced probe path pays one ``is None`` check per routed SST group.
+untraced probe path pays one ``is None`` check per level.
 """
 
 from __future__ import annotations
@@ -68,33 +68,38 @@ class ProbeTrace:
         self.totals: dict[str, int] = {name: 0 for name in TRACE_FIELDS}
 
     # ------------------------------------------------------------------ #
-    # Recording (called by LSMTree.probe per routed SST group)           #
+    # Recording (called by LSMTree.probe once per level)                 #
     # ------------------------------------------------------------------ #
 
-    def record_sst(
-        self, level: int, sst: int, query_indices, positives, truth, filtered: bool
-    ) -> None:
-        """Record one SST's routed sub-batch.
+    def record_level(self, level: int, queries, ssts, filtered, positives, truth) -> None:
+        """Record one level's routed (query, SST) pairs, in probe order.
 
-        ``query_indices``/``positives``/``truth`` are the aligned arrays
-        the probe loop already has in hand; totals update with vectorised
-        sums, then each pair is appended to the ring.
+        The five arrays are aligned, one entry per fence-surviving pair,
+        grouped by SST as the probe answered them; totals update with
+        vectorised sums, then the pairs the ring can retain are appended.
         """
-        count = int(len(query_indices))
+        count = int(len(queries))
         totals = self.totals
         totals["candidates"] += count
-        if filtered:
-            totals["filter_probes"] += count
+        totals["filter_probes"] += int(filtered.sum())
         totals["blocks_read"] += int(positives.sum())
         totals["required_reads"] += int(truth.sum())
         totals["false_positive_reads"] += int((positives & ~truth).sum())
         totals["missed_reads"] += int((truth & ~positives).sum())
         self.num_events += count
-        append = self._events.append
-        for query, positive, matched in zip(
-            query_indices.tolist(), positives.tolist(), truth.tolist()
-        ):
-            append(ProbeEvent(query, level, sst, filtered, positive, matched))
+        # Older pairs would be evicted by the newest ``capacity`` anyway.
+        tail = slice(max(0, count - self.capacity), count)
+        pairs = zip(
+            queries[tail].tolist(),
+            ssts[tail].tolist(),
+            filtered[tail].tolist(),
+            positives[tail].tolist(),
+            truth[tail].tolist(),
+        )
+        self._events.extend(
+            ProbeEvent(query, level, sst, filt, positive, matched)
+            for query, sst, filt, positive, matched in pairs
+        )
 
     # ------------------------------------------------------------------ #
     # Inspection                                                         #

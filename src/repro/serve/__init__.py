@@ -4,8 +4,8 @@ This package turns the batch-probe substrate into a lookup *service* —
 the ROADMAP's production-shaped tier:
 
 * :class:`~repro.serve.batcher.MicroBatcher` — coalesce awaited single
-  lookups into :class:`~repro.workloads.batch.QueryBatch` groups under a
-  max-batch/max-delay policy and fan the answers back, caller by caller;
+  lookups into one backend call whenever none is in flight (at most
+  ``max_batch`` each) and fan the answers back, caller by caller;
 * :mod:`repro.serve.shard` — partition the sorted key space into
   contiguous shards and route query batches to them with the same
   two-``searchsorted`` fence trick the LSM levels use;

@@ -34,6 +34,7 @@ crash ordering can leak one (the lifecycle the tests pin).
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import queue as queue_module
 import threading
 import weakref
@@ -48,7 +49,7 @@ from repro.lsm.tree import DEFAULT_FANOUT, DEFAULT_SST_KEYS, LSMTree
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.shard import build_shard_trees, route_queries, shard_fences, split_key_set
 from repro.serve.shm import snapshot_tree
-from repro.serve.worker import probe_stats, worker_main
+from repro.serve.worker import probe_shard, worker_main
 from repro.workloads.batch import QueryBatch, coerce_keys
 from repro.workloads.bytekeys import ByteQueryBatch
 from repro.workloads.keyset import KeySet
@@ -61,6 +62,13 @@ _STAT_KEYS = ("blocks_read", "required_reads", "false_positive_reads", "filter_p
 
 class ServeError(RuntimeError):
     """A serving-layer failure: worker startup, death, timeout, or probe error."""
+
+
+def _add_shard_stats(stats: dict, shard_id: int, shard_stats: dict) -> None:
+    """Fold one shard's :func:`~repro.serve.worker.probe_shard` stats in."""
+    for key in _STAT_KEYS:
+        stats[key] += shard_stats[key]
+    stats["shard_probe_s"][shard_id] = shard_stats["probe_s"]
 
 
 class _ShardWorker:
@@ -252,13 +260,15 @@ class ShardedLookupService:
             for shard_id, tree in enumerate(trees):
                 spec, segments, filters = snapshot_tree(tree)
                 try:
+                    # Pickled up front: a filter that cannot pickle fails
+                    # here, before any child exists.
+                    pickled_filters = pickle.dumps(filters)
                     request_queue = context.Queue()
                     process = context.Process(
                         target=worker_main,
                         args=(
                             shard_id,
                             spec,
-                            filters,
                             self.max_length,
                             request_queue,
                             self._reply_queue,
@@ -275,6 +285,10 @@ class ShardedLookupService:
                         segment.unlink()
                     raise
                 self._workers.append(_ShardWorker(process, request_queue, segments))
+                # Filters go down the queue once the child runs, never as a
+                # spawn argument (see repro.serve.worker: a child dying
+                # mid-read would hang start()).
+                request_queue.put(pickled_filters)
             self._finalizer = weakref.finalize(
                 self, _reap, self._workers, self._reply_queue
             )
@@ -327,9 +341,12 @@ class ShardedLookupService:
         ``his=None`` makes every request a point lookup.  ``answers`` is
         ground truth — one bool per request, in order — and ``stats``
         aggregates the cost-model accounting (blocks read, false
-        positives, filter probes) plus routing detail across the fleet.
-        A range spanning several shards fans out and ORs; a range in a
-        fence gap is answered negative without touching any worker.
+        positives, filter probes) plus routing detail across the fleet:
+        ``shard_queries`` and ``shard_probe_s`` (seconds each shard spent
+        in ``tree.probe``; 0 for shards the batch did not touch), one
+        entry per shard.  A range spanning several shards fans out and
+        ORs; a range in a fence gap is answered negative without touching
+        any worker.
         """
         if his is None:
             his = los
@@ -337,6 +354,7 @@ class ShardedLookupService:
         answers = np.zeros(len(batch), dtype=bool)
         stats = {key: 0 for key in _STAT_KEYS}
         stats["shard_queries"] = [0] * self.num_shards
+        stats["shard_probe_s"] = [0.0] * self.num_shards
         stats["routed_none"] = 0
         if len(batch) == 0:
             return answers, stats
@@ -358,12 +376,9 @@ class ShardedLookupService:
                         f"serve.shard.{shard_id}.queries", int(indices.size)
                     )
                 if self._trees is not None:
-                    result = self._trees[shard_id].probe(sub)
-                    answers[indices] |= np.asarray(
-                        result.required_reads > 0, dtype=bool
-                    )
-                    for key, value in probe_stats(result).items():
-                        stats[key] += value
+                    shard_answers, shard_stats = probe_shard(self._trees[shard_id], sub)
+                    answers[indices] |= shard_answers
+                    _add_shard_stats(stats, shard_id, shard_stats)
                 else:
                     request_id = self._request_counter
                     self._request_counter += 1
@@ -379,8 +394,7 @@ class ShardedLookupService:
                     continue  # stale reply from an aborted earlier batch
                 shard_answers, shard_stats = payload
                 answers[pending.pop(request_id)] |= shard_answers
-                for key in _STAT_KEYS:
-                    stats[key] += shard_stats[key]
+                _add_shard_stats(stats, shard_id, shard_stats)
         if self.metrics is not None:
             self.metrics.inc("serve.batches")
             self.metrics.inc("serve.requests", len(batch))

@@ -3,20 +3,30 @@
 The worker protocol is deliberately tiny — one request queue in, one
 shared reply queue out:
 
-* parent → worker: ``(request_id, los, his)`` with numpy bound arrays
-  already validated by the parent's router (the worker rebuilds the
-  sub-batch with the validated flag set, so no re-validation cost), or
-  ``None`` as the shutdown sentinel;
+* parent → worker: first the shard's filter list as pickled bytes, then
+  ``(request_id, los, his)`` with numpy bound arrays already validated
+  by the parent's router (the worker rebuilds the sub-batch with the
+  validated flag set, so no re-validation cost), or ``None`` as the
+  shutdown sentinel;
 * worker → parent: uniform ``(kind, request_id, shard_id, payload)``
   tuples — ``("ready", -1, shard_id, None)`` once the snapshot is
   attached, then ``("ok", request_id, shard_id, (answers, stats))`` per
   request or ``("error", request_id, shard_id, message)`` if a probe
   raised (``request_id`` is ``-1`` for a startup failure).
 
+The filters travel on the request queue rather than as a ``spawn``
+argument: the spawn launcher writes its arguments down a pipe whose read
+end the parent itself holds open, so a child that died before reading
+hundreds of KB of filters would block ``Process.start()`` forever.  On the
+queue, the same death surfaces in the parent's liveness-checked wait for
+``ready``.
+
 Answers are ground truth (``required_reads > 0``) — the filter decides
 what gets *charged*, never what is *answered* — and ``stats`` carries the
-cost-model aggregates (blocks read, false positives, filter probes) so
-the service can expose fleet-wide accounting through :mod:`repro.obs`.
+cost-model aggregates (blocks read, false positives, filter probes) plus
+``probe_s``, the seconds the worker spent in ``tree.probe``, so the
+service can expose fleet-wide accounting through :mod:`repro.obs` and
+split its reply wait into worker compute versus dispatch and IPC.
 
 Lifecycle: the worker only ever *attaches* segments (through
 :func:`~repro.serve.shm.attach_segment`, which opts out of resource
@@ -27,13 +37,16 @@ segment.  See :mod:`repro.serve.shm` for the full ownership rules.
 
 from __future__ import annotations
 
+import pickle
+from time import perf_counter
+
 import numpy as np
 
 from repro.serve.shm import attach_tree
 from repro.workloads.batch import QueryBatch
 from repro.workloads.bytekeys import ByteQueryBatch
 
-__all__ = ["rebuild_batch", "worker_main"]
+__all__ = ["probe_shard", "rebuild_batch", "worker_main"]
 
 
 def rebuild_batch(
@@ -54,27 +67,37 @@ def rebuild_batch(
     return batch
 
 
-def probe_stats(result) -> dict:
-    """Cost-model aggregates of one :class:`~repro.lsm.cost.ProbeResult`."""
-    return {
+def probe_shard(tree, batch: QueryBatch) -> tuple[np.ndarray, dict]:
+    """Probe one shard's sub-batch: ground-truth answers and cost stats.
+
+    ``stats`` holds the cost-model aggregates of the
+    :class:`~repro.lsm.cost.ProbeResult` and ``probe_s``, the wall time of
+    the ``tree.probe`` call itself.
+    """
+    start = perf_counter()
+    result = tree.probe(batch)
+    probe_s = perf_counter() - start
+    answers = np.asarray(result.required_reads > 0, dtype=bool)
+    return answers, {
         "blocks_read": int(result.blocks_read.sum()),
         "required_reads": int(result.required_reads.sum()),
         "false_positive_reads": int(result.false_positive_reads.sum()),
         "filter_probes": int(result.filter_probes.sum()),
+        "probe_s": probe_s,
     }
 
 
 def worker_main(
     shard_id: int,
     snapshot_spec: dict,
-    filters: list,
     max_length: int | None,
     request_queue,
     reply_queue,
 ) -> None:
     """Worker entry point: attach the snapshot, answer until the sentinel.
 
-    Runs in a spawned child.  Any exception while answering one request is
+    Runs in a spawned child.  The first request-queue message is the
+    shard's filter list.  Any exception while answering one request is
     reported as an ``("error", ...)`` reply and the loop continues — a
     malformed batch must not take the shard down; only the ``None``
     sentinel (or queue breakage at parent death) ends the worker.
@@ -83,7 +106,7 @@ def worker_main(
     segments = []
     try:
         try:
-            tree, segments = attach_tree(snapshot_spec, filters)
+            tree, segments = attach_tree(snapshot_spec, pickle.loads(request_queue.get()))
         except BaseException as exc:  # report, then die: parent sees non-ready
             reply_queue.put(("error", -1, shard_id, repr(exc)))
             raise
@@ -96,11 +119,7 @@ def worker_main(
             request_id, los, his = message
             try:
                 batch = rebuild_batch(los, his, width, max_length)
-                result = tree.probe(batch)
-                answers = np.asarray(result.required_reads > 0, dtype=bool)
-                reply_queue.put(
-                    ("ok", request_id, shard_id, (answers, probe_stats(result)))
-                )
+                reply_queue.put(("ok", request_id, shard_id, probe_shard(tree, batch)))
             except Exception as exc:
                 reply_queue.put(("error", request_id, shard_id, repr(exc)))
     finally:

@@ -293,7 +293,7 @@ class QueryBatch:
         return list(self.pairs())
 
     def select(self, indices: np.ndarray) -> "QueryBatch":
-        """Return the sub-batch selected by ``indices`` (boolean or integer).
+        """Return the sub-batch selected by ``indices`` (boolean, integer or a slice).
 
         The sub-batch inherits this batch's validation state — selecting
         rows cannot introduce an invalid query — so consumers that carve

@@ -331,7 +331,7 @@ class TestDisabledOverhead:
         self, filtered_tree, workload
     ):
         # The overhead contract: with instrumentation off (the defaults),
-        # the probe path pays one `is None` check per routed SST group.
+        # the probe path pays one `is None` check per level.
         # Results must be identical; wall-clock must be statistically
         # indistinguishable (min-of-5, generous 1.5x bound for CI noise).
         batch = workload.queries

@@ -2,8 +2,10 @@
 
 Four clusters of coverage:
 
-* **MicroBatcher** — unit behaviour (size flush, delay flush, close
-  flush, point = degenerate range) plus a seeded concurrency stress:
+* **MicroBatcher** — unit behaviour (idle flush of one loop turn's
+  lookups, coalescing behind an in-flight batch, closed-loop batches of
+  exactly N, size flush, close flush, point = degenerate range) plus a
+  seeded concurrency stress:
   many async producers interleaving point and range lookups against a
   ground truth, asserting every caller got exactly *its* answer (no
   cross-talk, no drops) across forced batch-boundary races;
@@ -28,6 +30,8 @@ import asyncio
 import os
 import random
 import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -35,11 +39,13 @@ import pytest
 from repro.api import FilterSpec, derive_shard_specs
 from repro.lsm.online import OnlineLSMTree
 from repro.lsm.tree import LSMTree
+from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
     MicroBatcher,
     ServeError,
     ShardedLookupService,
     attach_tree,
+    build_shard_trees,
     plan_shard_bounds,
     route_queries,
     shard_fences,
@@ -86,31 +92,105 @@ def test_batcher_size_flush_coalesces_exactly_max_batch():
     backend = RecordingBackend(keys)
 
     async def run():
-        async with MicroBatcher(backend, max_batch=8, max_delay=60.0) as batcher:
-            # max_delay is effectively "never": only the size trigger can
-            # flush, so issuing exactly max_batch lookups must release
-            # them all as one batch.
-            lookups = [
-                batcher.lookup(key - 5, key + 5) for key in keys[:8]
-            ]
+        async with MicroBatcher(backend, max_batch=8) as batcher:
+            # Twelve lookups in one loop turn: the eighth fills max_batch
+            # and flushes at once; the other four wait for that batch.
+            lookups = [batcher.lookup(key - 5, key + 5) for key in keys[:12]]
             return await asyncio.gather(*lookups)
 
     answers = asyncio.run(run())
-    assert answers == [True] * 8
-    assert backend.batches[0] == 8
+    assert answers == [True] * 12
+    assert backend.batches == [8, 4]
 
 
-def test_batcher_delay_flush_releases_partial_batch():
+def test_batcher_idle_flush_sends_one_loop_turn_as_one_batch():
     keys = _population()
     backend = RecordingBackend(keys)
+    metrics = MetricsRegistry()
 
     async def run():
-        async with MicroBatcher(backend, max_batch=1000, max_delay=0.005) as b:
-            return await asyncio.gather(b.point(keys[0]), b.point(keys[0] + 1))
+        async with MicroBatcher(backend, max_batch=1000, metrics=metrics) as b:
+            lookups = [b.point(key) for key in keys[:5]] + [b.point(keys[0] + 1)]
+            return await asyncio.gather(*lookups)
 
     answers = asyncio.run(run())
-    assert answers[0] is True
-    assert backend.batches == [2]  # delay fired well below max_batch
+    assert answers == [True] * 5 + [False]
+    assert backend.batches == [6]  # released far below max_batch
+    assert metrics.to_dict()["counters"]["serve.batcher.flush.idle"] == 1
+
+
+class GatedBackend(RecordingBackend):
+    """A RecordingBackend whose calls block until ``release`` is set."""
+
+    def __init__(self, keys):
+        super().__init__(keys)
+        self.calls = 0
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, los, his):
+        self.calls += 1
+        self.started.set()
+        assert self.release.wait(10), "the test never released the backend"
+        return super().__call__(los, his)
+
+
+class SlowBackend(RecordingBackend):
+    """A RecordingBackend taking 2 ms per call that records call overlap."""
+
+    def __init__(self, keys):
+        super().__init__(keys)
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.peak = 0
+
+    def __call__(self, los, his):
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(0.002)
+            return super().__call__(los, his)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+def test_batcher_coalesces_lookups_made_while_a_batch_is_in_flight():
+    keys = _population()
+    backend = GatedBackend(keys)
+
+    async def run():
+        async with MicroBatcher(backend, max_batch=1000) as b:
+            first = asyncio.ensure_future(b.point(keys[0]))
+            assert await asyncio.to_thread(backend.started.wait, 10)
+            later = [asyncio.ensure_future(b.point(key)) for key in keys[1:6]]
+            await asyncio.sleep(0.05)
+            # Still one call in flight; the five wait behind it.
+            assert b.num_pending == 5 and backend.calls == 1
+            backend.release.set()
+            return await asyncio.gather(first, *later)
+
+    assert asyncio.run(run()) == [True] * 6
+    assert backend.batches == [1, 5]
+
+
+def test_batcher_closed_loop_callers_form_batches_of_exactly_n():
+    keys = _population()
+    backend = SlowBackend(keys)
+    callers, rounds = 6, 8
+
+    async def caller(b, offset):
+        return [await b.point(keys[offset + callers * r]) for r in range(rounds)]
+
+    async def run():
+        async with MicroBatcher(backend, max_batch=64) as b:
+            return await asyncio.gather(*(caller(b, i) for i in range(callers)))
+
+    assert all(answers == [True] * rounds for answers in asyncio.run(run()))
+    assert sum(backend.batches) == callers * rounds
+    assert backend.batches[1:] == [callers] * (len(backend.batches) - 1)
+    assert backend.peak == 1  # below max_batch, never two calls in flight
 
 
 def test_batcher_close_flushes_pending_and_rejects_new_lookups():
@@ -118,7 +198,7 @@ def test_batcher_close_flushes_pending_and_rejects_new_lookups():
     backend = RecordingBackend(keys)
 
     async def run():
-        batcher = MicroBatcher(backend, max_batch=1000, max_delay=60.0)
+        batcher = MicroBatcher(backend, max_batch=1000)
         pending = asyncio.ensure_future(batcher.lookup(keys[0], keys[0]))
         await asyncio.sleep(0)  # let the lookup enqueue
         await batcher.close()
@@ -135,7 +215,7 @@ def test_batcher_backend_failure_propagates_to_every_waiter():
         raise RuntimeError("backend down")
 
     async def run():
-        async with MicroBatcher(exploding, max_batch=4, max_delay=0.001) as b:
+        async with MicroBatcher(exploding, max_batch=4) as b:
             lookups = [b.point(i) for i in range(4)]
             return await asyncio.gather(*lookups, return_exceptions=True)
 
@@ -179,7 +259,7 @@ def test_batcher_concurrency_stress_no_crosstalk_no_drops():
         return answers
 
     async def run():
-        async with MicroBatcher(backend, max_batch=16, max_delay=0.001) as b:
+        async with MicroBatcher(backend, max_batch=16) as b:
             return await asyncio.gather(
                 *[producer(b, plan, i) for i, plan in enumerate(plans)]
             )
@@ -279,6 +359,8 @@ def test_service_matches_monolithic_tree_int_keys(mode):
         assert (answers == expected).all()
         assert stats["filter_probes"] > 0
         assert sum(stats["shard_queries"]) + stats["routed_none"] >= los.size
+        touched = [count > 0 for count in stats["shard_queries"]]
+        assert [probe_s > 0 for probe_s in stats["shard_probe_s"]] == touched
         assert service.describe()["num_shards"] == 3
     assert monolith.num_keys == sum(service.shard_sizes)
 
@@ -427,6 +509,70 @@ def test_failed_worker_spawn_unlinks_the_orphaned_segments(monkeypatch):
     after = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
     leaked = [name for name in after - before if name.startswith("psm_")]
     assert not leaked, leaked
+
+
+class ExitOnUnpickle:
+    """Stand-in filter: whichever process unpickles it exits on the spot."""
+
+    def __reduce__(self):
+        return (os._exit, (3,))
+
+    def size_in_bits(self) -> int:
+        return 0
+
+
+def test_worker_dying_at_startup_raises_instead_of_hanging():
+    """A worker that dies while loading its filters must not hang start-up.
+
+    Regression: the filters used to travel as ``spawn`` arguments, which
+    the parent writes down a pipe whose read end it holds itself, so a
+    child dying before reading them all (here: on the first filter, ahead
+    of ~160 KB of Bloom filters) blocked ``ShardedLookupService(...)``
+    forever.  The constructor runs in a daemon thread so that regression
+    fails the test instead of hanging the suite.
+    """
+    keys = sorted(random.Random(71).sample(range(1 << WIDTH), 20_000))
+    shards = split_key_set(coerce_keys(keys, WIDTH), 1)
+    trees = build_shard_trees(shards, spec=FilterSpec("bloom", 64.0))
+    trees[0].levels[0][0].filter = ExitOnUnpickle()
+    before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+    outcome = []
+
+    def start():
+        try:
+            ShardedLookupService(trees, shards, reply_timeout=10.0).close()
+        except Exception as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=start, daemon=True)
+    thread.start()
+    thread.join(30.0)
+    assert not thread.is_alive(), "ShardedLookupService(...) hung on a dead worker"
+    assert len(outcome) == 1 and isinstance(outcome[0], ServeError), outcome
+    assert "died" in str(outcome[0])
+    after = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+    assert not [name for name in after - before if name.startswith("psm_")]
+
+
+def test_process_mode_reports_worker_probe_time_per_shard():
+    keys = _population(seed=73, size=2000)
+    los, his = _eval_queries(keys, seed=9, count=300)
+    with ShardedLookupService.build(
+        coerce_keys(keys, WIDTH), num_shards=3, spec=FilterSpec("bloom", 10.0)
+    ) as service:
+        service.serve_batch(los, his)  # warm the workers
+        start = time.perf_counter()
+        _, stats = service.serve_batch(los, his)
+        wall = time.perf_counter() - start
+        touched = [count > 0 for count in stats["shard_queries"]]
+        assert any(touched)
+        for shard_id, probe_s in enumerate(stats["shard_probe_s"]):
+            if touched[shard_id]:
+                assert 0.0 < probe_s <= wall
+            else:
+                assert probe_s == 0.0
+        _, point_stats = service.serve_batch([keys[0]])  # one shard touched
+        assert sum(probe_s > 0 for probe_s in point_stats["shard_probe_s"]) == 1
 
 
 def test_snapshot_attach_roundtrip_zero_copy():
