@@ -2,8 +2,7 @@
 
 The paper's protean range filters are AMQ-agnostic (Section 4.3); this
 package provides the standard Bloom filter used by the reference
-implementation plus a counting Bloom filter (needed to support range counts,
-as noted in Section 4.1) and a blocked Bloom filter used in ablations.
+implementation.
 
 All AMQs here share the :class:`~repro.amq.interface.AMQ` interface and hash
 arbitrary-precision integer items (key prefixes) through the functions in
@@ -11,9 +10,7 @@ arbitrary-precision integer items (key prefixes) through the functions in
 """
 
 from repro.amq.bitarray import BitArray
-from repro.amq.blocked_bloom import BlockedBloomFilter
 from repro.amq.bloom import BloomFilter, bloom_fpr, bloom_hash_count
-from repro.amq.counting_bloom import CountingBloomFilter
 from repro.amq.hashing import hash_bytes_64, hash_int_64, hash_pair, mix64
 from repro.amq.interface import AMQ
 
@@ -21,8 +18,6 @@ __all__ = [
     "AMQ",
     "BitArray",
     "BloomFilter",
-    "BlockedBloomFilter",
-    "CountingBloomFilter",
     "bloom_fpr",
     "bloom_hash_count",
     "hash_bytes_64",

@@ -86,6 +86,17 @@ class MemTable:
         """``True`` if buffered live, ``False`` if tombstoned, ``None`` if absent."""
         return self._entries.get(self._check_key(key))
 
+    def get_many(self, keys: list) -> np.ndarray:
+        """Buffered state per key as ``int8``: 1 live, 0 tombstoned, -1 absent.
+
+        The batch form of :meth:`get` for keys that are already validated
+        and canonical — the elements of a
+        :func:`~repro.workloads.batch.probe_key_array` result — so each
+        key costs one plain dict lookup.
+        """
+        get = self._entries.get
+        return np.fromiter((get(key, -1) for key in keys), dtype=np.int8, count=len(keys))
+
     def sample_key(self):
         """Any one buffered key, or ``None`` when empty.
 

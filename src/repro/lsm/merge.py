@@ -66,6 +66,19 @@ class EntryRun:
         self.keys = keys
         self.tombstones = tombstones
 
+    @classmethod
+    def _trusted(cls, keys: KeySet, tombstones: np.ndarray | None) -> "EntryRun":
+        """Wrap ``keys`` and a tombstone mask without checking them again.
+
+        The caller vouches for what the constructor enforces: the mask
+        matches ``keys`` and is ``None`` when no entry is a tombstone, as
+        an :class:`~repro.lsm.sstable.SSTable`'s mask always is.
+        """
+        run = cls.__new__(cls)
+        run.keys = keys
+        run.tombstones = tombstones
+        return run
+
     def __len__(self) -> int:
         return len(self.keys)
 

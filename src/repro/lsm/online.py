@@ -23,11 +23,20 @@ as it evolves.  :meth:`set_design_queries` swaps the shared design sample
 (the drift actuator's lever: after a redesign the *next* flush and
 compaction also build against the fresh sample, not the stale one).
 
-Reads: :meth:`probe` runs the standard cost-model accounting over a
+Reads: every deep level keeps the :class:`~repro.lsm.merge.EntryRun` its
+last merge produced (its SSTs are zero-copy slices of that run), so
+:meth:`runs` lists the tree's sorted runs newest first — each level-0 SST
+is its own run, then one run per populated deep level.  Those runs are
+the single source for reads and merges alike: compactions and
+``ShardedLookupService.from_online`` merge them, and :meth:`lookup_many`
+resolves live-vs-deleted truth by recency with one dict pass over the
+memtable plus one ``searchsorted`` per run over the probes still
+unresolved.  It probes no filter: the runs are resident arrays, and one
+filter call on one SST costs about ten times a search of a whole level.
+:meth:`probe` runs the standard cost-model accounting over a
 :meth:`snapshot` (a plain :class:`~repro.lsm.tree.LSMTree` sharing this
 tree's SST objects — each level-0 run is its own single-SST level, deep
-levels carry over, empty ones included); :meth:`lookup_many` resolves
-live-vs-deleted truth by recency, memtable first.
+levels carry over, empty ones included).
 """
 
 from __future__ import annotations
@@ -90,6 +99,9 @@ class OnlineLSMTree:
         #: Deep levels: ``deep_levels[i]`` is level ``i + 1`` — disjoint,
         #: sorted SSTs (possibly an empty, compacted-away level).
         self.deep_levels: list[list[SSTable]] = []
+        #: ``deep_runs[i]`` is the merged run whose slices are level
+        #: ``i + 1``'s SSTs, or ``None`` while that level is empty.
+        self.deep_runs: list[EntryRun | None] = []
         self._sst_counter = 0
         self.stats = {
             "flushes": 0,
@@ -158,19 +170,35 @@ class OnlineLSMTree:
         """Entry capacity of deep level ``depth`` (1-based)."""
         return self.sst_keys * self.fanout**depth
 
+    def runs(self) -> list[EntryRun]:
+        """Every sorted run, newest first: level-0 SSTs, then deep levels.
+
+        Each level-0 SST is its own run; each populated deep level is the
+        one merge output its SSTs slice (empty levels contribute none).
+        Reads and merges both consume these, so a deep level is searched
+        and merged as one array rather than SST by SST.
+        """
+        runs = [EntryRun._trusted(sst.keys, sst.tombstones) for sst in self.level0]
+        runs.extend(run for run in self.deep_runs if run is not None)
+        return runs
+
     def _entries_below(self, depth: int) -> int:
         """Total entries strictly deeper than deep level ``depth``."""
-        return sum(
-            len(sst) for level in self.deep_levels[depth:] for sst in level
-        )
+        return sum(len(run) for run in self.deep_runs[depth:] if run is not None)
 
-    def _merge_into(self, runs: list[EntryRun], depth: int) -> list[SSTable]:
-        """Merge ``runs`` (newest first) into deep level ``depth``'s SSTs.
+    def _merge_into(self, runs: list[EntryRun], depth: int) -> None:
+        """Merge ``runs`` (newest first) and deep level ``depth`` into that level.
 
-        Tombstones are dropped exactly when nothing lives below the target
-        level; the merged run is chopped into ``sst_keys``-entry SSTs that
-        are zero-copy slices of one merged array.
+        The level's own run is the oldest input.  Tombstones are dropped
+        exactly when nothing lives below the target level.  The merged run
+        becomes the level's run, chopped into ``sst_keys``-entry SSTs that
+        are zero-copy slices of it.
         """
+        if depth > len(self.deep_runs):
+            self.deep_levels.append([])
+            self.deep_runs.append(None)
+        elif self.deep_runs[depth - 1] is not None:
+            runs = [*runs, self.deep_runs[depth - 1]]
         drop = self._entries_below(depth) == 0
         merged = merge_entry_runs(runs, drop_tombstones=drop)
         in_entries = sum(len(run) for run in runs)
@@ -184,8 +212,8 @@ class OnlineLSMTree:
         if self.metrics is not None:
             self.metrics.inc("online.compactions")
             self.metrics.inc("online.entries_merged", in_entries)
+        tombstones = merged.tombstones
         ssts = []
-        tombstones = merged.tombstone_mask() if merged.tombstones is not None else None
         for start in range(0, len(merged), self.sst_keys):
             stop = min(start + self.sst_keys, len(merged))
             ssts.append(
@@ -196,37 +224,25 @@ class OnlineLSMTree:
                     tombstones[start:stop] if tombstones is not None else None,
                 )
             )
-        return ssts
+        self.deep_levels[depth - 1] = ssts
+        self.deep_runs[depth - 1] = merged if ssts else None
 
     def _compact_level0(self) -> None:
-        """Merge every level-0 run with level 1 into a fresh level 1."""
-        runs = [EntryRun(sst.keys, sst.tombstones) for sst in self.level0]
-        if self.deep_levels:
-            runs.extend(
-                EntryRun(sst.keys, sst.tombstones) for sst in self.deep_levels[0]
-            )
-        else:
-            self.deep_levels.append([])
+        """Merge every level-0 run with level 1's run into a fresh level 1."""
+        runs = self.runs()[: len(self.level0)]
         self.level0 = []
-        self.deep_levels[0] = self._merge_into(runs, 1)
+        self._merge_into(runs, 1)
         self._cascade(1)
 
     def _cascade(self, depth: int) -> None:
         """Spill any over-capacity deep level wholesale into the next one."""
-        while depth <= len(self.deep_levels):
-            level = self.deep_levels[depth - 1]
-            entries = sum(len(sst) for sst in level)
-            if entries <= self._level_capacity(depth):
+        while depth <= len(self.deep_runs):
+            run = self.deep_runs[depth - 1]
+            if run is None or len(run) <= self._level_capacity(depth):
                 break
-            if depth == len(self.deep_levels):
-                self.deep_levels.append([])
-            runs = [EntryRun(sst.keys, sst.tombstones) for sst in level]
-            runs.extend(
-                EntryRun(sst.keys, sst.tombstones)
-                for sst in self.deep_levels[depth]
-            )
             self.deep_levels[depth - 1] = []
-            self.deep_levels[depth] = self._merge_into(runs, depth + 1)
+            self.deep_runs[depth - 1] = None
+            self._merge_into([run], depth + 1)
             depth += 1
 
     # ------------------------------------------------------------------ #
@@ -351,62 +367,53 @@ class OnlineLSMTree:
         """
         return self.snapshot().probe(queries, trace=trace, sst_stats=sst_stats)
 
-    def _probe_array(self, keys) -> np.ndarray:
-        """Probe keys as a numpy array in the tree's native key order.
-
-        Delegates to :func:`~repro.workloads.batch.probe_key_array` — the
-        same representation dispatch ``coerce_keys`` gives the static
-        build path, but order- and duplicate-preserving, with over-length
-        byte probes rejected (truncation could fabricate a hit) and
-        probes of the wrong representation rejected against what the
-        tree actually holds (first SST, else the buffered memtable kind).
-        """
-        expect_bytes: bool | None = None
-        ssts = self.sstables()
-        if ssts:
-            expect_bytes = ssts[0].keys.is_bytes
-        else:
-            sample = self.memtable.sample_key()
-            if sample is not None:
-                expect_bytes = isinstance(sample, bytes)
-        return probe_key_array(keys, self.width, expect_bytes=expect_bytes)
-
     def lookup_many(self, keys) -> np.ndarray:
         """Live membership per key: the newest entry wins, tombstones hide.
 
-        Resolution order is recency: the memtable, then level-0 runs
-        newest first, then the deep levels downward (within a deep level
-        the SSTs are disjoint, so order is immaterial).  Returns one bool
-        per key — ``True`` iff the key's newest entry is a live put.
+        Resolution order is recency: one dict pass over the memtable, then
+        one ``searchsorted`` per run of :meth:`runs` — level-0 SSTs newest
+        first, then one run per deep level downward — over the probes no
+        newer run has answered, stopping once none are left.  A hit on a
+        tombstone answers ``False``.  Returns one bool per key — ``True``
+        iff the key's newest entry is a live put.
 
-        Byte probes become an ``S``-dtype array so the per-SST bisection
-        runs in the tables' native (``memcmp``) order; integer probes keep
-        the int64/object path.
+        No filter is probed: the runs are resident arrays, and one filter
+        call on one SST costs about ten times a search of a whole level.
+
+        Probes go through :func:`~repro.workloads.batch.probe_key_array`,
+        which validates them once and keeps their order and duplicates:
+        byte probes become an ``S``-dtype array (the runs' ``memcmp``
+        order), integer probes stay int64 (``object`` past 63 bits), and
+        probes of the other representation than the tree holds (first
+        run, else the buffered memtable kind) are rejected.
         """
-        arr = self._probe_array(keys)
-        found = np.zeros(arr.size, dtype=bool)
-        resolved = np.zeros(arr.size, dtype=bool)
-        for position, key in enumerate(arr.tolist()):
-            state = self.memtable.get(key)
-            if state is not None:
-                resolved[position] = True
-                found[position] = state
-        for sst in self.sstables():
-            unresolved = np.nonzero(~resolved)[0]
-            if unresolved.size == 0:
+        runs = self.runs()
+        if runs:
+            expect_bytes = runs[0].keys.is_bytes
+        else:
+            sample = self.memtable.sample_key()
+            expect_bytes = None if sample is None else isinstance(sample, bytes)
+        probes = probe_key_array(keys, self.width, expect_bytes=expect_bytes)
+        state = self.memtable.get_many(probes.tolist())
+        found = state == 1
+        pending = np.flatnonzero(state < 0)
+        wanted = probes[pending]
+        for run in runs:
+            if pending.size == 0:
                 break
-            table = sst.keys.keys
-            pos = np.searchsorted(table, arr[unresolved])
-            safe = np.minimum(pos, len(table) - 1)
-            hit = (pos < len(table)) & np.asarray(
-                table[safe] == arr[unresolved], dtype=bool
-            )
-            hit_rows = unresolved[hit]
-            if hit_rows.size == 0:
+            table = run.keys.keys
+            pos = np.searchsorted(table, wanted)
+            # A probe above every key gets pos == len(table); clipping it to
+            # the last key cannot fake a hit, as that key is smaller.
+            hit = table.take(pos, mode="clip") == wanted
+            if not hit.any():
                 continue
-            resolved[hit_rows] = True
-            live = ~sst.tombstone_mask()[safe[hit]]
-            found[hit_rows] = live
+            if run.tombstones is None:
+                found[pending[hit]] = True
+            else:
+                found[pending[hit]] = ~run.tombstones[pos[hit]]
+            pending = pending[~hit]
+            wanted = wanted[~hit]
         return found
 
     def describe(self) -> dict:

@@ -43,7 +43,7 @@ from time import monotonic
 import numpy as np
 
 from repro.api import FilterSpec, Workload
-from repro.lsm.merge import EntryRun, merge_entry_runs
+from repro.lsm.merge import merge_entry_runs
 from repro.lsm.online import OnlineLSMTree
 from repro.lsm.tree import DEFAULT_FANOUT, DEFAULT_SST_KEYS, LSMTree
 from repro.obs.metrics import MetricsRegistry
@@ -222,16 +222,17 @@ class ShardedLookupService:
     ) -> "ShardedLookupService":
         """Serve a point-in-time live snapshot of an online tree.
 
-        The live key set is recovered by merging every SST newest-first
-        with tombstones dropped — exactly the deepest-level compaction
-        semantics — then sharded and rebuilt under the tree's own spec,
-        design sample, geometry and policy.  The snapshot *copies* into
-        shared memory, so the parent tree is free to keep ingesting and
-        compacting; serving answers stay frozen at snapshot time.
-        Unflushed memtable writes are not part of the snapshot — call
-        ``tree.flush()`` first to include them.
+        The live key set is recovered by merging the tree's runs
+        (:meth:`OnlineLSMTree.runs`, newest first) with tombstones
+        dropped — exactly the deepest-level compaction semantics — then
+        sharded and rebuilt under the tree's own spec, design sample,
+        geometry and policy.  The snapshot *copies* into shared memory,
+        so the parent tree is free to keep ingesting and compacting;
+        serving answers stay frozen at snapshot time.  Unflushed memtable
+        writes are not part of the snapshot — call ``tree.flush()`` first
+        to include them.
         """
-        runs = [EntryRun(sst.keys, sst.tombstones) for sst in tree.sstables()]
+        runs = tree.runs()
         if not runs:
             raise ValueError("cannot snapshot an online tree with no SSTs")
         live = merge_entry_runs(runs, drop_tombstones=True)

@@ -387,7 +387,9 @@ def probe_key_array(
     duplicate-preserving** — lookups are positional, so probes must never
     be sorted or deduplicated.  Byte probes longer than the key space
     raise (silent ``S``-dtype truncation could fabricate a membership
-    answer for a key that cannot exist); ``expect_bytes`` lets a caller
+    answer for a key that cannot exist), and so do integer probes outside
+    ``[0, 2**width)`` — this is the one place lookups validate, so the
+    result's elements are canonical keys; ``expect_bytes`` lets a caller
     that knows its tree's representation reject mismatched probes with a
     clear error instead of a downstream dtype failure.
     """
@@ -415,13 +417,32 @@ def probe_key_array(
         else:
             if expect_bytes:
                 raise ValueError("integer probes against a byte-keyed tree")
-            return as_key_array(concrete)
+            probes = as_key_array(concrete)
+            _check_int_probes(probes, width)
+            return probes
     if expect_bytes is not None and not expect_bytes:
         raise ValueError("byte-keyed probes against an integer-keyed tree")
     longest = max((len(probe) for probe in probes), default=0)
     if longest > num_bytes:
         raise ValueError(f"key of length {longest} exceeds maximum {num_bytes}")
     return np.array(probes, dtype=f"S{num_bytes}")
+
+
+def _check_int_probes(probes: np.ndarray, width: int) -> None:
+    """Raise unless every integer probe lies in the ``width``-bit key space."""
+    top = (1 << width) - 1
+    if probes.dtype == object:
+        bad = next((key for key in probes.tolist() if not 0 <= key <= top), None)
+        if bad is None:
+            return
+    else:
+        # Viewed as uint64, negative int64 probes exceed every limit up to
+        # 2**63 - 1, so one comparison catches both ends of the space.
+        outside = probes.view(np.uint64) > np.uint64(min(top, np.iinfo(np.int64).max))
+        if not outside.any():
+            return
+        bad = int(probes[np.argmax(outside)])
+    raise ValueError(f"key {bad} outside the {width}-bit key space")
 
 
 def as_key_array(keys) -> np.ndarray:

@@ -8,9 +8,7 @@ import pytest
 
 from repro.amq import (
     BitArray,
-    BlockedBloomFilter,
     BloomFilter,
-    CountingBloomFilter,
     bloom_fpr,
     bloom_hash_count,
     hash_int_64,
@@ -119,23 +117,3 @@ class TestBloomFilters:
         theoretical = bloom.theoretical_fpr()
         assert empirical < 3 * theoretical + 0.002
         assert theoretical < 3 * empirical + 0.002
-
-    def test_counting_bloom_remove(self):
-        bloom = CountingBloomFilter(4000, 300, seed=7)
-        bloom.add(42)
-        bloom.add(42)
-        assert bloom.contains(42)
-        assert bloom.count(42) >= 2
-        bloom.remove(42)
-        assert bloom.contains(42)
-        bloom.remove(42)
-        assert not bloom.contains(42)
-        with pytest.raises(KeyError):
-            bloom.remove(42)
-
-    def test_blocked_bloom_no_false_negatives(self):
-        rng = random.Random(14)
-        items = rng.sample(range(1 << 40), 1000)
-        blocked = BlockedBloomFilter(1000 * 12, 1000, seed=9)
-        blocked.add_many(items)
-        assert all(blocked.contains(item) for item in items)

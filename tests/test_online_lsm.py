@@ -476,3 +476,17 @@ class TestLookupProbeDispatch:
         tree = self._byte_tree()
         answers = tree.lookup_many([b"cat", b"cat", b"nope", b"cat"])
         assert answers.tolist() == [True, True, False, True]
+
+    @pytest.mark.parametrize("bad", [-1, 2**32, 2**70])
+    @pytest.mark.parametrize("flushed", [False, True])
+    def test_out_of_range_integer_probes_raise(self, bad, flushed):
+        # probe_key_array is the only range check on this path: with the
+        # memtable emptied by flush() no per-key MemTable.get runs.
+        tree = OnlineLSMTree(WIDTH, sst_keys=32, memtable_capacity=16)
+        tree.put(7)
+        if flushed:
+            tree.flush()
+            assert tree.memtable.is_empty
+        with pytest.raises(ValueError, match=f"key {bad} outside the 32-bit key space"):
+            tree.lookup_many([7, bad])
+        assert tree.lookup_many([7, 2**32 - 1]).tolist() == [True, False]

@@ -23,6 +23,7 @@ from repro.workloads import (
     random_keys,
     zipf_keys,
 )
+from repro.workloads.batch import probe_key_array
 
 WIDTH = 32
 
@@ -200,3 +201,16 @@ class TestGenerators:
             generate_workload(10, 10, 8, key_dist="nope")
         with pytest.raises(ValueError, match="query family"):
             generate_workload(10, 10, 8, query_family="nope")
+
+
+@pytest.mark.parametrize("width", [8, 32, 63, 64, 80])
+def test_probe_key_array_checks_the_integer_range(width):
+    """Both ends of the space pass; one past either end raises, int64 or object."""
+    top = (1 << width) - 1
+    probes = probe_key_array([top, 0, top], width)
+    assert probes.tolist() == [top, 0, top]
+    assert probes.dtype == (np.int64 if top < 2**63 else object)
+    assert probe_key_array(np.array([0, 1, 0], dtype=np.uint8), width).tolist() == [0, 1, 0]
+    for bad in (-1, top + 1, -(2**70)):
+        with pytest.raises(ValueError, match=f"key {bad} outside the {width}-bit key space"):
+            probe_key_array([0, bad, 0], width)
