@@ -36,18 +36,17 @@ The package is organised as a set of small, focused subpackages:
     compaction in ``OnlineLSMTree``, with ``FilterLifecycle`` rebuilding
     drifted filters from a rolling query sample).
 ``repro.evaluation``
-    Benchmark harness (``python -m repro.evaluation.bench``), the
-    FPR-vs-bits-per-key sweep driver (``python -m repro.evaluation.sweep``)
-    that regenerates the paper's core figure family, and the LSM end-to-end
-    driver (``python -m repro.evaluation.lsm_bench``) that reproduces the
-    Fig. 9-style I/O comparison.
+    The FPR-vs-bits-per-key sweep driver (``python -m
+    repro.evaluation.sweep``) that regenerates the paper's core figure
+    family, and the LSM end-to-end driver (``python -m
+    repro.evaluation.lsm_bench``) that reproduces the Fig. 9-style I/O
+    comparison.
 ``repro.kernels``
     Compiled hot kernels behind a pluggable backend registry: fused Bloom
     probe/insert, the fused LOUDS get+rank1 traversal step and the bulk
-    trie-build level pass, served by the numpy reference backend or an
-    optional compiled backend (numba JIT, on-demand C via the system
-    compiler) selected with ``REPRO_KERNEL_BACKEND``; every backend is
-    pinned bit-identical to numpy.
+    trie-build level pass, served by the numpy reference backend or the
+    compiled ``cc`` backend (on-demand C via the system compiler) selected
+    with ``REPRO_KERNEL_BACKEND``; both are pinned bit-identical.
 ``repro.obs``
     Dependency-free observability: the ``MetricsRegistry`` of counters /
     gauges / histograms threaded through builds and probes (``metrics=``),

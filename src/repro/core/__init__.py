@@ -8,8 +8,7 @@
   one- and two-layer protean prefix Bloom filters.
 * :class:`~repro.core.proteus.Proteus` — the self-designing trie + Bloom
   hybrid; build through :func:`repro.api.build_filter` or
-  ``Proteus.from_spec`` (the legacy ``.build`` classmethods are deprecated
-  shims that route there).
+  ``Proteus.from_spec``.
 """
 
 from repro.core.cpfpr import CPFPRModel

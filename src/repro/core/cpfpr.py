@@ -30,34 +30,46 @@ signal.
 
 Execution model
     For word-sized key spaces (width <= 63) the per-query ``(lo, hi, L)``
-    triples live in numpy ``int64`` arrays and every design evaluator runs a
-    handful of array operations over *all* sample queries at once — this is
-    what makes Algorithm 1's sweep over ~10^3 candidate designs tractable.
-    Wider key spaces (or ``vectorize=False``) use the scalar per-query
-    reference paths; both paths are held equal by the parity test-suite.
-    The trie-gated probe count is the one subtle vector step: the number of
-    ``l2``-slots of a query that extend a *stored* ``l1``-prefix is computed
-    as a difference of two "covered slots below x" prefix sums, each a
-    single ``searchsorted`` over the ``l1``-prefix array.
+    triples live in numpy ``int64`` arrays, and Algorithm 1 evaluates one
+    trie depth ``l1`` at a time: every ``l2`` candidate of that depth in
+    one ``(l2 x query)`` pass (:meth:`CPFPRModel.proteus_fpr_row`).  The
+    trie gate needs no search.  An empty query contains no key, so no
+    stored ``l1``-prefix lies strictly inside its ``l1``-slot interval
+    ``[blo, bhi]`` — its keys would fall inside the query.  Only the two
+    boundary blocks can be stored: ``blo`` iff ``a >= l1`` and ``bhi``
+    iff ``b >= l1``, where ``a`` is the LCP of ``lo`` with its predecessor
+    key and ``b`` that of ``hi`` with its successor (``L(q) = max(a,
+    b)``).  So the gate is ``L(q) >= l1``, and a gated query probes the
+    ``l2``-slots of its stored boundary blocks (all of its slots when
+    ``blo == bhi``).  The model derives ``a`` and ``b`` once, from the
+    same two searches that give ``L``.
+
+    Gated queries never probe more than ``max_probes`` slots, so each pass
+    gathers ``1 - (1 - p)^k`` from one table per ``l2`` instead of raising
+    a power per query.  Each candidate's probabilities are then summed
+    with its own 1-D ``.sum()`` over its active queries in query order:
+    numpy's pairwise summation depends on the length and order it is
+    given, and a 2-D ``sum(axis=1)`` rounds differently.  This keeps every
+    prediction, and so every design Algorithm 1 picks, equal bit for bit
+    to the per-candidate evaluation the test-suite keeps as its oracle.
+    Byte-string key spaces run the same pass over their slot counts.
+    Wider integer key spaces (or ``vectorize=False``) use the scalar
+    per-query reference path; the parity test-suite holds both paths
+    equal.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from time import perf_counter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.amq.bloom import bloom_fpr
 from repro.filters.prefix_bloom import DEFAULT_MAX_PROBES
-from repro.keys.bytestr import (
-    byte_slot_bounds,
-    lcp_bits_rows,
-    mask_rows,
-    rows_as_strings,
-)
-from repro.keys.lcp import MAX_VECTOR_WIDTH, query_set_lcp_many
+from repro.keys.bytestr import byte_slot_bounds, lcp_bits_rows
+from repro.keys.lcp import MAX_VECTOR_WIDTH, query_neighbour_lcps_many
 from repro.workloads.batch import (
     EncodedKeySet,
     QueryBatch,
@@ -78,7 +90,7 @@ class CPFPRModel:
     of inclusive ``(lo, hi)`` pairs or a
     :class:`~repro.workloads.batch.QueryBatch`.  ``vectorize=False`` forces
     the scalar reference paths even for word-sized key spaces (used by the
-    benchmark harness and the parity tests).  ``metrics`` optionally names
+    parity tests).  ``metrics`` optionally names
     a :class:`~repro.obs.metrics.MetricsRegistry` that counts model
     constructions and per-candidate design evaluations (one ``is not
     None`` check per evaluation when disabled).
@@ -123,11 +135,16 @@ class CPFPRModel:
         if self.is_bytes:
             self._setup_bytes(keyset, batch)
         elif self._vector:
-            lcps = query_set_lcp_many(keyset.keys, batch.los, batch.his, width)
+            lo_lcps, hi_lcps = query_neighbour_lcps_many(keyset.keys, batch.los, batch.his, width)
+            lcps = np.maximum(lo_lcps, hi_lcps)
             empty = lcps < width
             self._empty_lo = batch.los[empty]
             self._empty_hi = batch.his[empty]
             self._empty_lcp = lcps[empty]
+            # The two halves of L(q) decide which boundary l1-blocks of a
+            # query hold a stored prefix (see the module docstring).
+            self._empty_lo_lcp = lo_lcps[empty]
+            self._empty_hi_lcp = hi_lcps[empty]
             histogram = np.bincount(self._empty_lcp, minlength=width + 1) if (
                 self._empty_lcp.size
             ) else np.zeros(width + 1, dtype=np.int64)
@@ -157,10 +174,9 @@ class CPFPRModel:
             metrics.inc("cpfpr.empty_queries", self.num_empty_queries)
             metrics.observe("cpfpr.setup_seconds", perf_counter() - setup_start)
         self._prefix_cache: dict[int, list[int]] = {}
-        # Per-layer masks the design sweep re-uses across candidates: the
-        # trie gate depends only on l1, the slot interval and the certainty
-        # mask only on l2 — Algorithm 1 revisits each dozens of times.
-        self._gate_cache: dict[int, tuple] = {}
+        # Per-length slot intervals and certainty masks: the 2PBF sweep
+        # revisits them for every pair of layers it combines, and byte-mode
+        # rows re-read the slot counts at every trie depth.
         self._slot_cache: dict[int, tuple] = {}
         self._certain_cache: dict[int, np.ndarray] = {}
 
@@ -275,9 +291,6 @@ class CPFPRModel:
             self._prefix_cache[length] = cached
         return cached
 
-    def _prefix_arr(self, length: int) -> np.ndarray:
-        return self._keyset.prefixes(length)
-
     def bloom_probe_fpr(self, num_bits: int, length: int) -> float:
         """Single-probe FPR of a Bloom filter over the ``length``-prefix set."""
         return bloom_fpr(num_bits, self.prefix_counts[length])
@@ -297,18 +310,91 @@ class CPFPRModel:
         self._validate_layers(l1, l2)
         if self.metrics is not None:
             self.metrics.inc("cpfpr.evaluations")
+        if l2 == 0:
+            # Trie-only design: deterministic, every gated query is a FP.
+            return self.certain_fp_fraction(l1)
+        return self.proteus_fpr_row(l1, [l2], bloom_bits)[0]
+
+    def proteus_fpr_row(
+        self, trie_depth: int, bloom_prefix_lens: Sequence[int], bloom_bits: int
+    ) -> list[float]:
+        """Expected FPRs of the designs ``(trie_depth, l2, bloom_bits)``.
+
+        One value per ``l2`` in ``bloom_prefix_lens``, each equal bit for
+        bit to :meth:`proteus_fpr` on that design, computed in one pass
+        over the queries the trie gate admits.  Every ``l2`` must lie in
+        ``(trie_depth, width]``.  Unlike :meth:`proteus_fpr`, this counts
+        no ``cpfpr.evaluations``: Algorithm 1 counts the candidates it
+        reads, which may be fewer.
+        """
+        l1, lens = trie_depth, list(bloom_prefix_lens)
+        if not lens:
+            return []
+        if not 0 <= l1 < min(lens) or max(lens) > self.width:
+            raise ValueError(f"Bloom prefix lengths {lens} must lie in ({l1}, {self.width}]")
         if not self.num_empty_queries:
-            return 0.0
+            return [0.0] * len(lens)
+        if not (self._vector or self.is_bytes):
+            return [self._proteus_fpr_scalar(l1, l2, bloom_bits) for l2 in lens]
+        admitted = np.flatnonzero(self._empty_lcp >= l1)  # the trie gate
+        if not admitted.size:
+            return [0.0] * len(lens)
+        l2 = np.array(lens, dtype=np.int64)[:, None]
+        uncertain = self._empty_lcp[admitted] < l2
         if self.is_bytes:
-            return self._proteus_fpr_bytes(l1, l2, bloom_bits)
-        if self._vector:
-            return self._proteus_fpr_vector(l1, l2, bloom_bits)
-        return self._proteus_fpr_scalar(l1, l2, bloom_bits)
+            # The byte filter probes every slot once its gate passes.
+            slots = [self._byte_slot_info(length) for length in lens]
+            probes = np.stack([count[admitted] for count, _ in slots])
+            clamped = np.stack([clamp[admitted] for _, clamp in slots])
+            return self._row_fprs(lens, bloom_bits, probes, uncertain & ~clamped)
+        lo, hi = self._empty_lo[admitted], self._empty_hi[admitted]
+        shift = self.width - l2
+        plo, phi = lo >> shift, hi >> shift
+        span = phi - plo
+        # span + 1 wraps only for a full-space query at width 63, which the
+        # clamp leaves inactive.
+        probes = span + 1
+        if l1:
+            # A query spanning two or more l1-blocks probes the slots of
+            # whichever boundary block is stored, and nothing in between.
+            shift1 = self.width - l1
+            split = np.flatnonzero((lo >> shift1) != (hi >> shift1))
+            if split.size:
+                low = (np.int64(1) << (l2 - l1)) - 1
+                lo_stored = self._empty_lo_lcp[admitted[split]] >= l1
+                hi_stored = self._empty_hi_lcp[admitted[split]] >= l1
+                probes[:, split] = lo_stored * (low + 1 - (plo[:, split] & low))
+                probes[:, split] += hi_stored * ((phi[:, split] & low) + 1)
+        active = uncertain & (span < self.max_probes)
+        return self._row_fprs(lens, bloom_bits, probes, active)
+
+    def _row_fprs(
+        self, lens: list[int], bloom_bits: int, probes: np.ndarray, active: np.ndarray
+    ) -> list[float]:
+        """Finish a row pass from its ``(l2 x query)`` probe counts.
+
+        An inactive (certain) query counts 1; an active one ``1 - (1 -
+        p)^k`` for its ``k`` probes, gathered from a per-``l2`` table.  Each
+        candidate's sum is a 1-D ``.sum()`` over its active entries in
+        query order, the summation the per-candidate evaluator performs.
+        """
+        admitted = active.shape[1]
+        counts = active.sum(axis=1)
+        probes = probes[active]
+        size = int(probes.max(initial=0)) + 1  # at most max_probes + 1
+        keep = np.array([1.0 - self.bloom_probe_fpr(bloom_bits, length) for length in lens])
+        table = 1.0 - keep[:, None] ** np.arange(size)
+        probes += np.repeat(np.arange(0, len(lens) * size, size), counts)
+        values = table.ravel().take(probes)
+        ends = np.cumsum(counts).tolist()
+        sums = [values[start:end].sum() for start, end in zip([0] + ends, ends)]
+        fprs = (admitted - counts + np.array(sums)) / self.num_empty_queries
+        return fprs.tolist()
 
     def _proteus_fpr_scalar(self, l1: int, l2: int, bloom_bits: int) -> float:
         width = self.width
         cap = self.max_probes
-        probe_fpr = self.bloom_probe_fpr(bloom_bits, l2) if l2 else 0.0
+        probe_fpr = self.bloom_probe_fpr(bloom_bits, l2)
         trie_prefixes = self.prefixes(l1) if l1 else None
         total = 0.0
         for lo, hi, lcp in self.empty_queries:
@@ -319,7 +405,7 @@ class CPFPRModel:
                 j = bisect_right(trie_prefixes, hi >> shift1, lo=i)
                 if i == j:
                     continue  # trie gate rejects: no stored l1-prefix in Q_l1
-            if l2 == 0 or lcp >= l2:
+            if lcp >= l2:
                 total += 1.0
                 continue
             shift2 = width - l2
@@ -341,32 +427,6 @@ class CPFPRModel:
             total += 1.0 - (1.0 - probe_fpr) ** probes
         return total / len(self.empty_queries)
 
-    def _trie_gate_info(
-        self, l1: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-query trie-intersection indices at depth ``l1`` (cached).
-
-        With ``blo``/``bhi`` the query's l1-slot interval and ``T`` the
-        stored l1-prefix array, returns ``(gate, strict_lo, strict_hi,
-        has_lo, has_hi)`` where ``gate`` is "some stored prefix intersects",
-        ``strict_lo``/``strict_hi`` bracket the stored prefixes *strictly
-        inside* ``(blo, bhi)``, and ``has_lo``/``has_hi`` say whether the
-        boundary slots themselves are stored.  Everything here depends only
-        on ``l1``, so Algorithm 1's inner loop over ``l2`` reuses it — the
-        per-candidate cost is pure arithmetic, no searches.
-        """
-        info = self._gate_cache.get(l1)
-        if info is None:
-            trie = self._prefix_arr(l1)
-            blo, bhi, _ = self._slot_info(l1)
-            i_l = np.searchsorted(trie, blo, side="left")
-            i_r = np.searchsorted(trie, blo, side="right")
-            j_l = np.searchsorted(trie, bhi, side="left")
-            j_r = np.searchsorted(trie, bhi, side="right")
-            info = (j_r > i_l, i_r, j_l, i_r > i_l, j_r > j_l)
-            self._gate_cache[l1] = info
-        return info
-
     def _slot_info(self, l2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-query ``(plo, phi, clamped)`` at prefix length ``l2`` (cached)."""
         info = self._slot_cache.get(l2)
@@ -385,116 +445,32 @@ class CPFPRModel:
             self._certain_cache[l2] = certain
         return certain
 
-    def _proteus_fpr_vector(self, l1: int, l2: int, bloom_bits: int) -> float:
-        num_empty = self._empty_lo.size
-        gate = None
-        if l1:
-            gate, strict_lo, strict_hi, has_lo, has_hi = self._trie_gate_info(l1)
-        if l2 == 0:
-            # Trie-only design: deterministic, every gated query is a FP.
-            return 1.0 if gate is None else float(gate.sum() / num_empty)
-        plo, phi, clamped = self._slot_info(l2)
-        certain = self._certain_mask(l2) | clamped
-        if gate is not None:
-            sure = gate & certain
-            active = gate & ~certain
-        else:
-            sure = certain
-            active = ~certain
-        total = float(sure.sum())
-        if active.any():
-            plo_a, phi_a = plo[active], phi[active]
-            if l1:
-                # Probe count = l2-slots of the query under a stored
-                # l1-prefix: full middle blocks (2^gap slots each) plus the
-                # partial boundary blocks, all from the cached per-l1 trie
-                # indices — no per-candidate searches.
-                gap = l2 - l1
-                mask = np.int64((1 << gap) - 1)
-                blo, bhi, _ = self._slot_info(l1)
-                blo_a, bhi_a = blo[active], bhi[active]
-                middle = np.maximum(strict_hi[active] - strict_lo[active], 0)
-                first = np.where(
-                    has_lo[active],
-                    np.minimum(phi_a, (blo_a << gap) + mask) - plo_a + 1,
-                    0,
-                )
-                last = np.where(
-                    has_hi[active],
-                    phi_a - np.maximum(plo_a, bhi_a << gap) + 1,
-                    0,
-                )
-                probes = np.where(
-                    blo_a == bhi_a,
-                    np.where(has_lo[active], phi_a - plo_a + 1, 0),
-                    middle * np.int64(1 << gap) + first + last,
-                )
-            else:
-                probes = phi_a - plo_a + 1
-            probe_fpr = self.bloom_probe_fpr(bloom_bits, l2)
-            total += float((1.0 - (1.0 - probe_fpr) ** probes).sum())
-        return total / num_empty
-
     # ------------------------------------------------------------------ #
     # Byte-mode evaluators                                               #
     # ------------------------------------------------------------------ #
     #
     # Byte-string key spaces run the same contextual decomposition over
-    # the uint8 matrix views: the trie gate is exact (masked-prefix
-    # searchsorted over the stored prefix rows) and the slot interval
-    # comes from the shared low-64 window machinery, mirroring the byte
-    # filters' clamp rule exactly.  One deliberate difference from the
-    # int64 evaluator: a gated query is charged its *whole* slot interval,
-    # because the byte-mode Proteus filter probes every l2-slot once its
-    # trie gate passes (it has no per-l1-block slot pruning) — the model
-    # mirrors the filter it predicts, not the int64 one.
+    # the uint8 matrix views: the trie gate is the same ``L(q) >= l1`` and
+    # the slot interval comes from the shared low-64 window machinery,
+    # mirroring the byte filters' clamp rule exactly.  One deliberate
+    # difference from the int64 evaluator: a gated query is charged its
+    # *whole* slot interval, because the byte-mode Proteus filter probes
+    # every l2-slot once its trie gate passes (it has no per-l1-block slot
+    # pruning) — the model mirrors the filter it predicts, not the int64 one.
 
     def _byte_slot_info(self, length: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-query ``(num_slots, clamped)`` at prefix length ``length``.
 
-        ``num_slots`` is float64 — slot counts only feed probability
-        arithmetic here, and every unclamped count is far below 2**53.
+        ``num_slots`` is valid where unclamped (clamped queries read 1).
         """
         info = self._slot_cache.get(length)
         if info is None:
             _, _, span, clamped = byte_slot_bounds(
                 self._empty_lo_m, self._empty_hi_m, length, self.max_probes
             )
-            info = (span.astype(np.float64) + 1.0, clamped)
+            info = (span + 1, clamped)
             self._slot_cache[length] = info
         return info
-
-    def _byte_gate(self, l1: int) -> np.ndarray:
-        """Exact trie gate: does a stored ``l1``-prefix intersect ``Q_l1``?"""
-        gate = self._gate_cache.get(l1)
-        if gate is None:
-            stored = rows_as_strings(self._keyset.prefixes(l1))
-            plo = rows_as_strings(mask_rows(self._empty_lo_m, l1))
-            phi = rows_as_strings(mask_rows(self._empty_hi_m, l1))
-            i = np.searchsorted(stored, plo, side="left")
-            j = np.searchsorted(stored, phi, side="right")
-            gate = j > i
-            self._gate_cache[l1] = gate
-        return gate
-
-    def _proteus_fpr_bytes(self, l1: int, l2: int, bloom_bits: int) -> float:
-        num_empty = self.num_empty_queries
-        gate = self._byte_gate(l1) if l1 else None
-        if l2 == 0:
-            return 1.0 if gate is None else float(gate.sum() / num_empty)
-        slots, clamped = self._byte_slot_info(l2)
-        certain = self._certain_mask(l2) | clamped
-        if gate is not None:
-            sure = gate & certain
-            active = gate & ~certain
-        else:
-            sure = certain
-            active = ~certain
-        total = float(sure.sum())
-        if active.any():
-            probe_fpr = self.bloom_probe_fpr(bloom_bits, l2)
-            total += float((1.0 - (1.0 - probe_fpr) ** slots[active]).sum())
-        return total / num_empty
 
     def _layer_pass_probability_bytes(self, length: int, bits: int) -> np.ndarray:
         """Byte-mode :meth:`_layer_pass_probability` (certain => probability 1)."""

@@ -22,10 +22,22 @@ A third shortcut is unconditional: an incumbent with expected FPR 0 cannot
 be improved, so the walk stops outright (common on workloads whose sample
 queries are all far from the key set).
 
-Each candidate evaluation is one call into the CPFPR model, which for
-word-sized key spaces is a handful of numpy operations over *all* sample
-queries (see :mod:`repro.core.cpfpr`) — the sweep is vectorised over
-queries, and these prunes bound how many sweeps run.
+Each trie depth ``l1`` is one evaluation pass.  The certain-FP floor does
+not rise with ``l2``, so the ``l2`` values it has not pruned at the start
+of a depth form a suffix of the depth's range; the CPFPR model evaluates
+that suffix in one numpy pass
+(:meth:`~repro.core.cpfpr.CPFPRModel.proteus_fpr_row`) over the queries
+its closed-form trie gate ``L(q) >= l1`` admits, with no searches.  Each
+candidate's FPR is still its own 1-D sum in query order: numpy's pairwise
+summation rounds by length and order, so summing the pass as one 2-D
+array would move ``expected_fpr`` in its last bits and could flip a tie.
+The walk then reads the depth's values in ``l2`` order under the same
+rules as a walk that evaluated each candidate in turn: the dominance
+prune against the current incumbent, the zero-FPR break and the
+strict-``<`` tie-break.  Values computed for candidates that a newer
+incumbent prunes are dropped, so the design, the
+``design.candidates``/``design.pruned_dominated`` counts and the
+``cpfpr.evaluations`` count all equal that walk's.
 
 Layer depths advance in ``model.design_step``-bit increments: 1 for
 integer key spaces, 8 for byte-string ones (where the structures index at
@@ -109,6 +121,7 @@ def design_proteus(
     candidates = pruned = 0
     best: FilterDesign | None = None
     step = getattr(model, "design_step", 1)
+    floor = [model.certain_fp_fraction(length) for length in range(width + 1)]
     for trie_depth in range(0, width + 1, step):
         if best is not None and best.expected_fpr == 0.0:
             break  # nothing can beat a zero-FPR incumbent
@@ -117,7 +130,7 @@ def design_proteus(
             break  # trieMem is non-decreasing in the depth: nothing deeper fits
         bloom_budget = total_bits - trie_bits
         # Trie-only candidate (l2 = 0): deterministic, certain_fp_fraction(l1).
-        trie_only_fpr = model.certain_fp_fraction(trie_depth)
+        trie_only_fpr = floor[trie_depth]
         candidates += 1
         if best is None or trie_only_fpr < best.expected_fpr:
             best = FilterDesign(
@@ -125,18 +138,27 @@ def design_proteus(
             )
         if bloom_budget < MIN_BLOOM_BITS:
             continue
-        for bloom_len in range(trie_depth + step, width + 1, step):
+        lens = range(trie_depth + step, width + 1, step)
+        first = 0
+        while first < len(lens) and floor[lens[first]] >= best.expected_fpr:
+            first += 1
+        fprs = model.proteus_fpr_row(trie_depth, lens[first:], bloom_budget)
+        evaluated = 0
+        for index, bloom_len in enumerate(lens):
             if best.expected_fpr == 0.0:
                 break
-            if model.certain_fp_fraction(bloom_len) >= best.expected_fpr:
+            if floor[bloom_len] >= best.expected_fpr:
                 pruned += 1
                 continue  # dominated: the certain-FP floor alone is no better
             candidates += 1
-            fpr = model.proteus_fpr(trie_depth, bloom_len, bloom_budget)
+            evaluated += 1
+            fpr = fprs[index - first]
             if fpr < best.expected_fpr:
                 best = FilterDesign(
                     "proteus", trie_depth, bloom_len, trie_bits, bloom_budget, fpr
                 )
+        if evaluated and model.metrics is not None:
+            model.metrics.inc("cpfpr.evaluations", evaluated)
     assert best is not None
     if metrics is not None:
         _emit_design_metrics(metrics, "proteus", best, candidates, pruned, start)

@@ -10,14 +10,14 @@ positively only when *both* layers do.  Proteus (in
 completing the design space.
 
 Both classes can be constructed directly from an explicit design point, or
-self-designed via :meth:`~OnePBF.build` /`` TwoPBF.build`` which runs the
-CPFPR model + Algorithm 1 first.
+self-designed through the registry (``build_filter`` or ``from_spec`` on a
+:class:`~repro.api.Workload`), which runs the CPFPR model + Algorithm 1
+first.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -25,106 +25,9 @@ from repro.core.cpfpr import DEFAULT_MAX_PROBES, CPFPRModel
 from repro.core.design import FilterDesign, design_one_pbf, design_two_pbf
 from repro.filters.base import RangeFilter, check_spec_params, resolve_spec_inputs
 from repro.filters.prefix_bloom import PrefixBloomFilter
-from repro.keys.keyspace import IntegerKeySpace, KeySpace, StringKeySpace
 from repro.obs.metrics import timed
-from repro.workloads.batch import (
-    EncodedKeySet,
-    QueryBatch,
-    as_key_array,
-    coerce_keys,
-    coerce_query_batch,
-)
+from repro.workloads.batch import as_key_array, coerce_keys, coerce_query_batch
 from repro.workloads.keyset import KeySet
-
-
-def prepare_workload(
-    keys: Sequence,
-    sample_queries: Iterable[tuple],
-    key_space: KeySpace | None,
-    bits_per_key: float,
-) -> tuple[KeySpace, EncodedKeySet, QueryBatch, int]:
-    """Encode a raw workload into a shared key space, shared by every builder.
-
-    Returns ``(space, key_set, query_batch, total_bits)`` where the bit
-    budget is ``bits_per_key`` times the number of *distinct* keys.  A
-    :class:`~repro.workloads.keyset.KeySet` / :class:`QueryBatch` passed in
-    is adopted as-is (already encoded — ``key_space`` then defaults to an
-    integer or string space of the matching width); raw iterables dispatch
-    on their first element: byte/str keys become a
-    :class:`~repro.workloads.ByteKeySet` under a
-    :class:`~repro.keys.keyspace.StringKeySpace`, integers are encoded
-    through ``key_space``.
-    """
-    if isinstance(keys, KeySet):
-        if key_space is not None:
-            space = key_space
-        elif keys.is_bytes:
-            space = StringKeySpace((keys.width + 7) // 8)
-        else:
-            space = IntegerKeySpace(keys.width)
-        if space.width != keys.width:
-            raise ValueError(
-                f"key set width {keys.width} does not match key space width {space.width}"
-            )
-        key_set = keys
-    else:
-        concrete = keys if isinstance(keys, np.ndarray) else list(keys)
-        sample = concrete[0] if len(concrete) else None
-        if isinstance(sample, (bytes, str, np.bytes_)):
-            space = (
-                key_space
-                if key_space is not None
-                else StringKeySpace.for_keys(list(concrete))
-            )
-            key_set = coerce_keys(concrete, space.width)
-        else:
-            space = key_space if key_space is not None else IntegerKeySpace(64)
-            key_set = EncodedKeySet(space.encode_many(concrete), space.width)
-    if isinstance(sample_queries, QueryBatch):
-        if sample_queries.width != space.width:
-            raise ValueError(
-                f"query batch width {sample_queries.width} does not match "
-                f"key space width {space.width}"
-            )
-        query_batch = sample_queries
-    elif key_set.is_bytes:
-        # Raw byte/str pairs become a ByteQueryBatch; padded-integer pairs
-        # stay a scalar-contract QueryBatch — coerce_query_batch dispatches.
-        query_batch = coerce_query_batch(list(sample_queries), space.width)
-    else:
-        query_batch = QueryBatch.from_pairs(
-            [(space.encode(lo), space.encode(hi)) for lo, hi in sample_queries],
-            space.width,
-        )
-    total_bits = max(1, int(bits_per_key * len(key_set)))
-    return space, key_set, query_batch, total_bits
-
-
-def _build_via_spec(
-    cls,
-    family: str,
-    keys: Sequence,
-    sample_queries: Iterable[tuple],
-    bits_per_key: float,
-    key_space: KeySpace | None,
-    max_probes: int,
-    seed: int,
-):
-    """Shared body of the legacy ``build`` classmethods: encode the raw
-    workload once and delegate to the registry protocol's ``from_spec``."""
-    from repro.api import FilterSpec, Workload  # api sits above core
-
-    warnings.warn(
-        f"{cls.__name__}.build is deprecated; construct through "
-        f"repro.api.build_filter or {cls.__name__}.from_spec instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    space, key_set, query_batch, _ = prepare_workload(
-        keys, sample_queries, key_space, bits_per_key
-    )
-    spec = FilterSpec(family, bits_per_key, {"max_probes": max_probes, "seed": seed})
-    return cls.from_spec(spec, key_set, Workload(key_set, query_batch, key_space=space))
 
 
 class OnePBF(PrefixBloomFilter):
@@ -162,28 +65,9 @@ class OnePBF(PrefixBloomFilter):
         instance.key_space = workload.key_space
         return instance
 
-    @classmethod
-    def build(
-        cls,
-        keys: Sequence,
-        sample_queries: Iterable[tuple],
-        bits_per_key: float = 16.0,
-        key_space: KeySpace | None = None,
-        max_probes: int = DEFAULT_MAX_PROBES,
-        seed: int = 0,
-    ) -> "OnePBF":
-        """Self-design over a query sample and instantiate the chosen 1PBF.
-
-        A shim over :meth:`from_spec` (see :meth:`Proteus.build
-        <repro.core.proteus.Proteus.build>`)."""
-        return _build_via_spec(
-            cls, "1pbf", keys, sample_queries, bits_per_key, key_space,
-            max_probes, seed,
-        )
-
     @property
     def expected_fpr(self) -> float:
-        """CPFPR prediction for the chosen design (requires :meth:`build`)."""
+        """CPFPR prediction for the chosen design (self-designed builds only)."""
         if self.design is None:
             raise AttributeError("expected_fpr is only available on built filters")
         return self.design.expected_fpr
@@ -282,28 +166,9 @@ class TwoPBF(RangeFilter):
         instance.key_space = workload.key_space
         return instance
 
-    @classmethod
-    def build(
-        cls,
-        keys: Sequence,
-        sample_queries: Iterable[tuple],
-        bits_per_key: float = 16.0,
-        key_space: KeySpace | None = None,
-        max_probes: int = DEFAULT_MAX_PROBES,
-        seed: int = 0,
-    ) -> "TwoPBF":
-        """Self-design over a query sample and instantiate the chosen 2PBF.
-
-        A shim over :meth:`from_spec` (see :meth:`Proteus.build
-        <repro.core.proteus.Proteus.build>`)."""
-        return _build_via_spec(
-            cls, "2pbf", keys, sample_queries, bits_per_key, key_space,
-            max_probes, seed,
-        )
-
     @property
     def expected_fpr(self) -> float:
-        """CPFPR prediction for the chosen design (requires :meth:`build`)."""
+        """CPFPR prediction for the chosen design (self-designed builds only)."""
         if self.design is None:
             raise AttributeError("expected_fpr is only available on built filters")
         return self.design.expected_fpr

@@ -1,9 +1,10 @@
 """Proteus: the self-designing trie + Bloom hybrid range filter.
 
-The paper's headline structure.  :meth:`Proteus.build` samples the query
-workload, evaluates the CPFPR model over the full (trie depth ``l1``, Bloom
-prefix length ``l2``) design space under a bits-per-key budget (Algorithm 1),
-and instantiates the winning hybrid:
+The paper's headline structure.  :meth:`Proteus.from_spec` (what
+``build_filter`` dispatches to) takes the workload's query sample,
+evaluates the CPFPR model over the full (trie depth ``l1``, Bloom prefix
+length ``l2``) design space under a bits-per-key budget (Algorithm 1), and
+instantiates the winning hybrid:
 
 * a uniform-depth trie holding every distinct ``l1``-bit key prefix — by
   default a :class:`~repro.trie.sorted_index.SortedPrefixIndex` query
@@ -38,14 +39,13 @@ the filter it designs.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from repro.amq.bloom import BloomFilter
 from repro.core.cpfpr import DEFAULT_MAX_PROBES, CPFPRModel
 from repro.core.design import FilterDesign, design_proteus
-from repro.core.prf import _build_via_spec
 from repro.filters.base import (
     RangeFilter,
     check_spec_params,
@@ -59,7 +59,6 @@ from repro.keys.bytestr import (
     prefix_item_bytes,
     scalar_slot_clamped,
 )
-from repro.keys.keyspace import KeySpace
 from repro.keys.lcp import MAX_VECTOR_WIDTH
 from repro.obs.metrics import timed
 from repro.trie.fst import FSTPrefixIndex
@@ -170,32 +169,6 @@ class Proteus(RangeFilter):
             )
         instance.key_space = workload.key_space
         return instance
-
-    @classmethod
-    def build(
-        cls,
-        keys: Sequence,
-        sample_queries: Iterable[tuple],
-        bits_per_key: float = 16.0,
-        key_space: KeySpace | None = None,
-        max_probes: int = DEFAULT_MAX_PROBES,
-        seed: int = 0,
-    ) -> "Proteus":
-        """Sample queries → CPFPR model → Algorithm 1 → instantiate the winner.
-
-        ``keys`` are raw keys for ``key_space`` (defaults to 64-bit
-        integers); ``sample_queries`` is an iterable of inclusive ``(lo,
-        hi)`` pairs in the same raw domain — use ``(k, k)`` for a point
-        query.  ``bits_per_key`` bounds the total filter footprint.
-
-        A shim over :meth:`from_spec`: the raw workload is encoded once and
-        handed to the registry protocol, so both entry points share one
-        build path.
-        """
-        return _build_via_spec(
-            cls, "proteus", keys, sample_queries, bits_per_key, key_space,
-            max_probes, seed,
-        )
 
     @property
     def expected_fpr(self) -> float:

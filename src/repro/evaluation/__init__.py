@@ -1,8 +1,5 @@
-"""Evaluation drivers: benchmark harness and figure regeneration.
+"""Evaluation drivers: figure regeneration and experiment harnesses.
 
-* :mod:`repro.evaluation.bench` times the batched execution paths against
-  their scalar references on a seeded synthetic workload
-  (``python -m repro.evaluation.bench``).
 * :mod:`repro.evaluation.sweep` regenerates the paper's core figure family
   — FPR vs bits-per-key curves for every registered filter family, built
   purely through the :mod:`repro.api` registry and measured against the
@@ -23,7 +20,6 @@
 """
 
 __all__ = [
-    "run_benchmarks",
     "run_sweep",
     "check_monotone",
     "run_lsm_bench",
@@ -33,7 +29,6 @@ __all__ = [
 ]
 
 _LAZY = {
-    "run_benchmarks": "repro.evaluation.bench",
     "run_sweep": "repro.evaluation.sweep",
     "check_monotone": "repro.evaluation.sweep",
     "run_lsm_bench": "repro.evaluation.lsm_bench",
@@ -44,8 +39,8 @@ _LAZY = {
 
 
 def __getattr__(name: str):
-    # Lazy (PEP 562), and not only for style: an eager `from .bench import`
-    # here would make `python -m repro.evaluation.bench` re-execute the
+    # Lazy (PEP 562), and not only for style: an eager `from .sweep import`
+    # here would make `python -m repro.evaluation.sweep` re-execute the
     # module found in sys.modules (runpy RuntimeWarning).
     try:
         module_name = _LAZY[name]

@@ -63,8 +63,7 @@ def resolve_spec_inputs(spec, keys, workload) -> tuple[KeySet, int]:
     from the workload, the ``width`` spec parameter, or the 64-bit default;
     raw byte/str keys become a :class:`~repro.workloads.ByteKeySet`
     directly.  The bit budget is ``bits_per_key`` times the number of
-    *distinct* keys, exactly as :func:`repro.core.prf.prepare_workload`
-    computes it.
+    *distinct* keys (at least 1 bit).
     """
     if keys is None:
         if workload is None:

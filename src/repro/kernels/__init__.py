@@ -4,20 +4,18 @@ The batched numpy execution layer (PR 2) left three loops numpy cannot
 fuse: the per-hash Bloom probe round-trips, the rank+get pair inside every
 LOUDS traversal step, and the per-node Python walks of the trie builders.
 This package exposes those loops as pure-function *kernels* served by one
-of several backends:
+of two backends:
 
 * ``numpy`` — the vectorised reference implementation, always available;
-  it defines kernel semantics and every other backend must match it
+  it defines kernel semantics and the compiled backend must match it
   bit for bit (``tests/test_kernels.py`` pins this).
-* ``numba`` — JIT-compiled loops, available when the optional ``numba``
-  extra is installed (``pip install proteus-repro[kernels]``).
 * ``cc`` — the same loops as plain C, compiled on demand with the system
   C compiler and loaded via ctypes; available wherever a toolchain is.
 
 Selection: an explicit ``backend=`` argument wins, then the
 ``REPRO_KERNEL_BACKEND`` environment variable, then the preference order
-``numba > cc > numpy``.  Naming a *known but unavailable* backend falls
-back silently (the documented "numba absent" contract); naming an unknown
+``cc > numpy``.  Naming a *known but unavailable* backend falls back
+silently (``cc`` without a C compiler serves numpy); naming an unknown
 backend raises, because that is always a typo.
 
 >>> import repro.kernels as kernels
@@ -64,13 +62,7 @@ __all__ = [
 ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 #: Resolution order when nothing is requested explicitly.
-_PREFERENCE = ("numba", "cc", "numpy")
-
-
-def _load_numba():
-    from repro.kernels import _numba_backend
-
-    return _numba_backend.load()
+_PREFERENCE = ("cc", "numpy")
 
 
 def _load_cc():
@@ -81,7 +73,6 @@ def _load_cc():
 
 _LOADERS: dict[str, Callable[[], Any]] = {
     "numpy": lambda: _numpy_backend,
-    "numba": _load_numba,
     "cc": _load_cc,
 }
 
@@ -105,8 +96,8 @@ def _backend(name: str):
 def available_backends() -> tuple[str, ...]:
     """Return the names of every backend that loads in this environment.
 
-    ``numpy`` is always present; ``numba``/``cc`` appear when their
-    toolchains do.  Order follows the resolution preference.
+    ``numpy`` is always present; ``cc`` appears when a C compiler does.
+    Order follows the resolution preference.
     """
     return tuple(n for n in _PREFERENCE if _backend(n) is not None)
 

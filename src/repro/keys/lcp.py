@@ -191,6 +191,38 @@ def min_distinguishing_prefix_lengths_array(
     return np.minimum(width, np.maximum(left, right) + 1)
 
 
+def query_neighbour_lcps_many(
+    sorted_keys: np.ndarray, los: np.ndarray, his: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two halves of :func:`query_set_lcp_many`, kept apart.
+
+    Per interval ``(los[i], his[i])``: the LCP of ``lo`` with its
+    predecessor key and the LCP of ``hi`` with its successor key, each 0
+    where that neighbour does not exist.  Non-empty intervals get the full
+    ``width`` in both halves.
+    """
+    lo_side = np.zeros(los.shape[0], dtype=np.int64)
+    hi_side = np.zeros(los.shape[0], dtype=np.int64)
+    n = sorted_keys.size
+    if n == 0 or lo_side.size == 0:
+        return lo_side, hi_side
+    left = np.searchsorted(sorted_keys, los, side="left")
+    right = np.searchsorted(sorted_keys, his, side="right")
+    nonempty = right > left
+    lo_side[nonempty] = width
+    hi_side[nonempty] = width
+    empty = ~nonempty
+    has_left = empty & (left > 0)
+    if has_left.any():
+        neighbours = sorted_keys[left[has_left] - 1]
+        lo_side[has_left] = lcp_bits_many(neighbours, los[has_left], width)
+    has_right = empty & (right < n)
+    if has_right.any():
+        neighbours = sorted_keys[right[has_right]]
+        hi_side[has_right] = lcp_bits_many(neighbours, his[has_right], width)
+    return lo_side, hi_side
+
+
 def query_set_lcp_many(
     sorted_keys: np.ndarray, los: np.ndarray, his: np.ndarray, width: int
 ) -> np.ndarray:
@@ -200,22 +232,4 @@ def query_set_lcp_many(
     scalar version); empty ones get the max LCP against the predecessor of
     ``lo`` and the successor of ``hi``.
     """
-    out = np.zeros(los.shape[0], dtype=np.int64)
-    n = sorted_keys.size
-    if n == 0 or out.size == 0:
-        return out
-    left = np.searchsorted(sorted_keys, los, side="left")
-    right = np.searchsorted(sorted_keys, his, side="right")
-    nonempty = right > left
-    out[nonempty] = width
-    empty = ~nonempty
-    has_left = empty & (left > 0)
-    if has_left.any():
-        neighbours = sorted_keys[left[has_left] - 1]
-        out[has_left] = lcp_bits_many(neighbours, los[has_left], width)
-    has_right = empty & (right < n)
-    if has_right.any():
-        neighbours = sorted_keys[right[has_right]]
-        candidate = lcp_bits_many(neighbours, his[has_right], width)
-        out[has_right] = np.maximum(out[has_right], candidate)
-    return out
+    return np.maximum(*query_neighbour_lcps_many(sorted_keys, los, his, width))

@@ -1,9 +1,9 @@
 """Seeded workload generators: key distributions and query families.
 
 This module is the single home for synthetic workload sampling — the
-test-suite (``tests/conftest.py``) and the benchmark harness
-(:mod:`repro.evaluation.bench`) both draw from here, so experiments stop
-hand-rolling key/query sampling.
+test-suite (``tests/conftest.py``) and the evaluation drivers
+(:mod:`repro.evaluation`) draw from here, so experiments stop hand-rolling
+key/query sampling.
 
 Everything is seeded through an explicit ``random.Random`` instance: a
 failing test or a benchmark run reproduces byte-for-byte.  Queries are

@@ -137,25 +137,21 @@ def test_rosetta_definitive_negative_on_last_probe():
 
 def test_two_pbf_survives_tiny_budget():
     # Regression: the 1PBF-fallback and no-empty-queries paths must never
-    # hand a zero-bit layer to BloomFilter.  Deliberately exercised through
-    # the deprecated ``build`` shim: these are its last in-tree callers and
-    # pin both the shim's routing and its DeprecationWarning.
-    with pytest.warns(DeprecationWarning, match="TwoPBF.build is deprecated"):
-        filt = TwoPBF.build(
-            [5], [(1, 2)], bits_per_key=1.0, key_space=IntegerKeySpace(8)
-        )
+    # hand a zero-bit layer to BloomFilter.
+    space = IntegerKeySpace(8)
+    spec = FilterSpec("2pbf", 1.0)
+    workload = Workload([5], [(1, 2)], key_space=space)
+    filt = TwoPBF.from_spec(spec, workload.keys, workload)
     assert filt.may_contain(5)
     assert filt.design.trie_bits >= 1 and filt.design.bloom_bits >= 1
-    with pytest.warns(DeprecationWarning):
-        no_empty = TwoPBF.build(
-            [5], [(5, 5)], bits_per_key=1.0, key_space=IntegerKeySpace(8)
-        )
+    workload = Workload([5], [(5, 5)], key_space=space)
+    no_empty = TwoPBF.from_spec(spec, workload.keys, workload)
     assert no_empty.may_contain(5)
     # A 1-bit key space cannot host two layers: clear error, not a crash deep
     # in the fallback path.
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError, match="at least 2 bits"):
-            TwoPBF.build([0], [(1, 1)], bits_per_key=4.0, key_space=IntegerKeySpace(1))
+    workload = Workload([0], [(1, 1)], key_space=IntegerKeySpace(1))
+    with pytest.raises(ValueError, match="at least 2 bits"):
+        TwoPBF.from_spec(FilterSpec("2pbf", 4.0), workload.keys, workload)
 
 
 def test_filters_report_sizes(workload):

@@ -121,18 +121,15 @@ class TestDirectConstruction:
 class TestStringKeys:
     def test_built_prfs_encode_raw_queries(self):
         # Regression: OnePBF/TwoPBF stored their key space but queried the
-        # raw domain without encoding, crashing on string keys.  Kept on the
-        # legacy ``build`` classmethod deliberately — this doubles as the pin
-        # that the shim still works and announces its deprecation.
+        # raw domain without encoding, crashing on string keys.
         from repro.core.prf import OnePBF, TwoPBF
 
         words = ["ab", "cd", "ef", "gh", "zz"]
         space = StringKeySpace.for_keys(words)
-        for cls in (OnePBF, TwoPBF):
-            with pytest.warns(DeprecationWarning, match=f"{cls.__name__}.build"):
-                filt = cls.build(
-                    words, [("aa", "ac"), ("x", "y")], bits_per_key=16, key_space=space
-                )
+        workload = Workload(words, [("aa", "ac"), ("x", "y")], key_space=space)
+        for cls, family in ((OnePBF, "1pbf"), (TwoPBF, "2pbf")):
+            filt = build_filter(FilterSpec(family, 16), workload.keys, workload)
+            assert isinstance(filt, cls)
             assert filt.may_contain("ab")
             assert filt.may_intersect("aa", "ac")
             assert all(filt.may_contain(w) for w in words)
