@@ -83,6 +83,15 @@ class BloomFilter(AMQ):
         bloom.add_many(items)
         return bloom
 
+    @property
+    def premixed_seeds(self) -> tuple[int, int]:
+        """The ``(s1, s2)`` seed constants the word-item hashes mix in.
+
+        A word item ``v`` hashes to ``h1 = mix64(v ^ s1)`` and ``h2 =
+        mix64(v ^ s2) | 1`` (:func:`~repro.amq.hashing.premixed_pair_seeds`).
+        """
+        return self._s1, self._s2
+
     def _positions(self, item: int) -> Iterator[int]:
         # Enhanced double hashing (Dillinger & Manolios), probe i at
         # h1 + i*h2 + (i^3 - i)/6, generated incrementally: the cubic term
@@ -205,11 +214,9 @@ class BloomFilter(AMQ):
         """Row-parallel :func:`repro.amq.hashing.hash_bytes_pair`."""
         # Imported here: repro.keys.bytestr pulls in the hashing substrate,
         # which would otherwise close an import cycle through this module.
-        from repro.keys.bytestr import hash_rows
+        from repro.keys.bytestr import hash_rows_pair
 
-        h1 = hash_rows(mat, self.seed)
-        h2 = hash_rows(mat, self.seed ^ 0x9E3779B97F4A7C15) | np.uint64(1)
-        return h1, h2
+        return hash_rows_pair(mat, self.seed)
 
     def add_bytes(self, data: bytes) -> None:
         """Insert one byte-string item."""

@@ -175,6 +175,16 @@ class Proteus(RangeFilter):
         """The CPFPR model's prediction for the instantiated design."""
         return self.design.expected_fpr
 
+    @property
+    def trie_layer(self) -> SortedPrefixIndex | SortedBytePrefixIndex | FSTPrefixIndex | None:
+        """The trie layer's prefix index (``None`` when ``trie_depth == 0``)."""
+        return self._trie
+
+    @property
+    def bloom_layer(self) -> BloomFilter | None:
+        """The Bloom layer (``None`` when ``bloom_prefix_len == 0``)."""
+        return self._bloom
+
     def may_contain(self, key) -> bool:
         return self._may_contain_encoded(self._encode(key))
 

@@ -1,9 +1,9 @@
 """Kernel benchmark: every ``repro.kernels`` backend against the numpy
 reference, with parity gating.
 
-For each kernel (``bloom_add``, ``bloom_contains``, ``bitvector_get_rank1``,
-``trie_levels``) and every backend available in this environment, the
-harness:
+For each kernel (``bloom_add``, ``bloom_contains``,
+``bloom_contains_hashed``, ``bitvector_get_rank1``, ``trie_levels``) and
+every backend available in this environment, the harness:
 
 * checks **parity** first — the backend's output must be byte-identical to
   the numpy reference on the same seeded inputs (a mismatch fails the run
@@ -40,7 +40,8 @@ import numpy as np
 from repro import kernels
 from repro.amq.bitarray import BitArray
 from repro.amq.bloom import bloom_hash_count
-from repro.amq.hashing import premixed_pair_seeds
+from repro.amq.hashing import hash_pair_many, premixed_pair_seeds
+from repro.evaluation.gates import check_regressions
 from repro.trie.bitvector import RankSelectBitVector
 
 __all__ = ["run_kernel_bench", "main"]
@@ -120,9 +121,26 @@ def _make_cases(scale: float, seed: int) -> dict[str, Callable[[str], bytes]]:
         parts = kernels.trie_levels(mat, lengths, backend=backend)
         return b"".join(np.ascontiguousarray(p).tobytes() for p in parts)
 
+    # Level probe: the Bloom probes spread over 64 filters of mixed sizes
+    # laid out in one buffer, as an LSM level's Proteus Bloom layers are
+    # (drawn last, so the other kernels' inputs match earlier reports).
+    filter_bytes = rng.integers(num_bits // 512, num_bits // 32, size=64) // 8 + 1
+    offsets = np.concatenate([[0], np.cumsum(filter_bytes)[:-1]])
+    level = rng.integers(0, 256, size=int(filter_bytes.sum()), dtype=np.uint8)
+    owner = rng.integers(0, filter_bytes.size, size=probes.size)
+    owner_bits = (8 * filter_bytes)[owner].astype(np.uint64)
+    owner_hashes = rng.integers(1, 33, size=filter_bytes.size)[owner]
+    h1, h2 = hash_pair_many(probes, seed)
+
+    def bloom_contains_hashed_case(backend: str) -> bytes:
+        return kernels.bloom_contains_hashed(
+            level, offsets[owner], owner_bits, owner_hashes, h1, h2, backend=backend
+        ).tobytes()
+
     return {
         "bloom_add": bloom_add_case,
         "bloom_contains": bloom_contains_case,
+        "bloom_contains_hashed": bloom_contains_hashed_case,
         "bitvector_get_rank1": bitvector_case,
         "trie_levels": trie_case,
     }
@@ -188,25 +206,6 @@ def run_kernel_bench(
     return report
 
 
-def _check_regressions(report: dict, committed: dict, tolerance: float) -> dict:
-    """Return ``{kernel.backend: (current, required)}`` for every regression.
-
-    A (kernel, backend) pair gates only when present in both reports; the
-    committed file documents compiled-backend speedups without forcing
-    every environment to provide those backends.
-    """
-    failures: dict[str, tuple[float, float]] = {}
-    for kernel_name, per_backend in committed.get("speedups", {}).items():
-        for backend, reference in per_backend.items():
-            current = report["speedups"].get(kernel_name, {}).get(backend)
-            if current is None:
-                continue
-            required = reference * (1.0 - tolerance)
-            if current < required:
-                failures[f"{kernel_name}.{backend}"] = (current, required)
-    return failures
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.evaluation.kernel_bench", description=__doc__,
@@ -247,7 +246,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.check_against:
         with open(args.check_against) as handle:
             committed = json.load(handle)
-        failures = _check_regressions(report, committed, args.tolerance)
+        failures = check_regressions(
+            report["speedups"], committed.get("speedups", {}), args.tolerance, "."
+        )
         if failures:
             print(
                 f"FAIL: kernel speedups regressed past {args.tolerance:.0%}: "

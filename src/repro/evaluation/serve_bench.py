@@ -43,6 +43,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.api import FilterSpec, Workload
+from repro.evaluation.gates import check_regressions
 from repro.obs.metrics import MetricsRegistry, validate_metrics_payload
 from repro.serve import MicroBatcher, ShardedLookupService
 
@@ -318,26 +319,6 @@ def check_serve_report(report: dict, min_speedup: float | None = None) -> list[s
     return violations
 
 
-def _check_regressions(report: dict, committed: dict, tolerance: float) -> dict:
-    """``{family@shards: (current, required)}`` scaling-ratio regressions.
-
-    Only the *relative* scaling ratios gate — absolute QPS is not
-    comparable across machines — and only for (family, shard count)
-    pairs present in both reports, one-sidedly: running faster than the
-    committed reference can never fail.
-    """
-    failures: dict[str, tuple[float, float]] = {}
-    for family, per_shards in committed.get("scaling", {}).items():
-        for shards, reference in per_shards.items():
-            current = report["scaling"].get(family, {}).get(shards)
-            if current is None:
-                continue
-            required = reference * (1.0 - tolerance)
-            if current < required:
-                failures[f"{family}@{shards}"] = (current, required)
-    return failures
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.evaluation.serve_bench",
@@ -446,7 +427,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.check_against:
         with open(args.check_against) as handle:
             committed = json.load(handle)
-        failures = _check_regressions(report, committed, args.tolerance)
+        # Only the relative scaling ratios gate: absolute QPS is not
+        # comparable across machines.
+        failures = check_regressions(
+            report["scaling"], committed.get("scaling", {}), args.tolerance, "@"
+        )
         if failures:
             print(
                 f"FAIL: serving scaling regressed past {args.tolerance:.0%}: "

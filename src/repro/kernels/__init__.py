@@ -1,10 +1,11 @@
 """Compiled hot kernels behind a pluggable backend registry.
 
-The batched numpy execution layer (PR 2) left three loops numpy cannot
-fuse: the per-hash Bloom probe round-trips, the rank+get pair inside every
-LOUDS traversal step, and the per-node Python walks of the trie builders.
-This package exposes those loops as pure-function *kernels* served by one
-of two backends:
+The batched numpy execution layer (PR 2) left loops numpy cannot fuse:
+the per-hash Bloom probe round-trips (also across the many Bloom layers of
+one LSM level, :func:`bloom_contains_hashed`), the rank+get pair inside
+every LOUDS traversal step, and the per-node Python walks of the trie
+builders.  This package exposes those loops as pure-function *kernels*
+served by one of two backends:
 
 * ``numpy`` — the vectorised reference implementation, always available;
   it defines kernel semantics and the compiled backend must match it
@@ -53,6 +54,7 @@ __all__ = [
     "bloom_positions",
     "bloom_add",
     "bloom_contains",
+    "bloom_contains_hashed",
     "bitvector_get_rank1",
     "trie_levels",
     "merge_runs",
@@ -212,6 +214,27 @@ def bloom_contains(
     resolved = _resolve(backend)
     _count(resolved.name, "bloom_contains")
     return resolved.bloom_contains(buffer, num_bits, values, s1, s2, k)
+
+
+def bloom_contains_hashed(
+    buffer: np.ndarray, byte_offsets: np.ndarray, num_bits: np.ndarray,
+    num_hashes: np.ndarray, h1: np.ndarray, h2: np.ndarray,
+    backend: str | None = None,
+) -> np.ndarray:
+    """Probe hashed items, each against its own filter in one shared buffer.
+
+    ``buffer`` concatenates Bloom bit arrays; item ``j`` (hash pair
+    ``h1[j]``, ``h2[j]``) is probed in the one at byte ``byte_offsets[j]``
+    with ``num_bits[j]`` bits and ``num_hashes[j]`` probes.  Returns one
+    bool per item.  This is how an LSM level answers every routed probe
+    of its Proteus Bloom layers in one call.  The caller vouches that
+    every ``num_bits[j]`` is positive and that each item's filter lies
+    inside ``buffer`` (the level layout derives both from the filters it
+    lays out); only the per-item array lengths are checked.
+    """
+    resolved = _resolve(backend)
+    _count(resolved.name, "bloom_contains_hashed")
+    return resolved.bloom_contains_hashed(buffer, byte_offsets, num_bits, num_hashes, h1, h2)
 
 
 def bitvector_get_rank1(

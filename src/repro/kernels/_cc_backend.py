@@ -76,6 +76,12 @@ class _CcBackend:
             ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64, _u8_p,
         ]
         lib.bloom_contains.restype = None
+        # Raw addresses: the level pass calls this once per LSM level per
+        # probe, where building seven typed pointers costs more than the work.
+        lib.bloom_contains_hashed.argtypes = [ctypes.c_void_p] * 6 + [
+            ctypes.c_int64, ctypes.c_void_p,
+        ]
+        lib.bloom_contains_hashed.restype = None
         lib.bitvector_get_rank1.argtypes = [
             _u8_p, _i64_p, ctypes.c_int64, _i64_p, ctypes.c_int64, _u8_p, _i64_p,
         ]
@@ -99,6 +105,22 @@ class _CcBackend:
         self._lib.bloom_contains(
             _ptr(buffer, ctypes.c_uint8), num_bits, _ptr(v, ctypes.c_uint64),
             v.size, s1, s2, k, _ptr(out, ctypes.c_uint8),
+        )
+        return out.view(bool)
+
+    def bloom_contains_hashed(self, buffer, byte_offsets, num_bits, num_hashes, h1, h2):
+        buf = np.ascontiguousarray(buffer, dtype=np.uint8)
+        offsets = np.ascontiguousarray(byte_offsets, dtype=np.int64)
+        bits = np.ascontiguousarray(num_bits, dtype=np.uint64)
+        hashes = np.ascontiguousarray(num_hashes, dtype=np.int64)
+        a = np.ascontiguousarray(h1, dtype=np.uint64)
+        b = np.ascontiguousarray(h2, dtype=np.uint64)
+        if not offsets.size == bits.size == hashes.size == a.size == b.size:
+            raise ValueError("byte_offsets, num_bits, num_hashes, h1 and h2 differ in length")
+        out = np.empty(a.size, dtype=np.uint8)
+        self._lib.bloom_contains_hashed(
+            buf.ctypes.data, offsets.ctypes.data, bits.ctypes.data,
+            hashes.ctypes.data, a.ctypes.data, b.ctypes.data, a.size, out.ctypes.data,
         )
         return out.view(bool)
 

@@ -66,6 +66,29 @@ void bloom_contains(const uint8_t *buf, uint64_t num_bits,
     }
 }
 
+/* Probe already-hashed items, item j against the filter whose bits start
+ * at byte byte_offsets[j] of buf (num_bits[j] bits, num_hashes[j] probes);
+ * early-exits on the first unset bit per item. */
+void bloom_contains_hashed(const uint8_t *buf, const int64_t *byte_offsets,
+                           const uint64_t *num_bits, const int64_t *num_hashes,
+                           const uint64_t *h1, const uint64_t *h2, int64_t n,
+                           uint8_t *out) {
+    for (int64_t j = 0; j < n; j++) {
+        const uint8_t *bits = buf + byte_offsets[j];
+        uint64_t m = num_bits[j];
+        uint64_t k = (uint64_t)num_hashes[j];
+        uint64_t x = h1[j] % m;
+        uint64_t y = h2[j] % m;
+        uint8_t hit = k ? get_bit(bits, x) : 1;
+        for (uint64_t i = 1; hit && i < k; i++) {
+            x = (x + y) % m;
+            y = (y + i) % m;
+            hit = get_bit(bits, x);
+        }
+        out[j] = hit;
+    }
+}
+
 /* Fused LOUDS step: bit value at pos and rank1(pos + 1), per position.
  * cum[b] holds the popcount of bytes [0, b); positions are in
  * [0, num_bits) (the caller validates). */

@@ -56,6 +56,31 @@ def bloom_contains(buffer: np.ndarray, num_bits: int, values: np.ndarray,
     return probed.reshape(positions.shape).all(axis=0)
 
 
+def bloom_contains_hashed(buffer: np.ndarray, byte_offsets: np.ndarray,
+                          num_bits: np.ndarray, num_hashes: np.ndarray,
+                          h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    """Probe already-hashed items, each against its own filter in ``buffer``.
+
+    ``buffer`` concatenates several Bloom bit arrays; item ``j`` belongs
+    to the one starting at byte ``byte_offsets[j]``, of ``num_bits[j]``
+    bits and ``num_hashes[j]`` probes.  Its probe positions follow the
+    :func:`bloom_positions` recurrence from ``x = h1[j] % m`` and
+    ``y = h2[j] % m``; the answer is True iff all of them are set.
+    """
+    m = num_bits.astype(np.uint64)
+    x, y = h1 % m, h2 % m
+    base = byte_offsets.astype(np.int64) << 3
+    out = np.ones(h1.shape[0], dtype=bool)
+    for i in range(int(num_hashes.max(initial=0))):
+        if i:
+            x = (x + y) % m
+            y = (y + np.uint64(i)) % m
+        idx = base + x.astype(np.int64)
+        probed = (buffer[idx >> 3] & _BIT_MASKS[idx & 7]) != 0
+        out &= probed | (num_hashes <= i)
+    return out
+
+
 def bitvector_get_rank1(buffer: np.ndarray, cumulative: np.ndarray,
                         num_bits: int, positions: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:

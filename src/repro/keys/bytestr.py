@@ -32,6 +32,7 @@ __all__ = [
     "byte_slot_bounds",
     "expand_slot_rows",
     "hash_rows",
+    "hash_rows_pair",
     "lcp_bits_rows",
     "mask_rows",
     "pack_rows",
@@ -152,6 +153,13 @@ def hash_rows(mat: np.ndarray, seed: int = 0) -> np.ndarray:
         for j in range(num_chunks):
             acc = (acc ^ chunks[:, j]) * prime
     return mix64_many(acc ^ np.uint64(nb))
+
+
+def hash_rows_pair(mat: np.ndarray, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Row-parallel :func:`repro.amq.hashing.hash_bytes_pair`: ``(h1, h2)``."""
+    h1 = hash_rows(mat, seed)
+    h2 = hash_rows(mat, seed ^ hashing._GOLDEN) | np.uint64(1)
+    return h1, h2
 
 
 def window_values(mat: np.ndarray) -> np.ndarray:

@@ -9,6 +9,8 @@ reads*.
   slice of its level's array) with min/max fences and an optional filter;
 * :class:`~repro.lsm.tree.LSMTree` — leveled geometry, per-SST filter
   construction through :mod:`repro.api`, and batched probe routing;
+* :class:`~repro.lsm.layout.LevelLayout` — one level's keys and Proteus
+  filters as flat arrays, so one pass answers every pair routed there;
 * :class:`~repro.lsm.cost.CostModel` / :class:`~repro.lsm.cost.ProbeResult`
   — the I/O pricing (block read charged only on a filter positive) and the
   per-query accounting, including the paper's false-positive-block-read
@@ -34,6 +36,7 @@ online path).
 """
 
 from repro.lsm.cost import CostModel, LevelStats, ProbeResult, SstStats
+from repro.lsm.layout import LevelLayout
 from repro.lsm.lifecycle import FilterLifecycle
 from repro.lsm.memtable import MemTable
 from repro.lsm.merge import EntryRun, merge_entry_runs, merge_key_sets
@@ -48,6 +51,7 @@ __all__ = [
     "SstStats",
     "SSTable",
     "LSMTree",
+    "LevelLayout",
     "MemTable",
     "EntryRun",
     "merge_entry_runs",

@@ -20,8 +20,12 @@ This is the paper's end-to-end RocksDB experiment as a simulation:
 * **Probes** — :meth:`LSMTree.probe` replays a
   :class:`~repro.workloads.batch.QueryBatch` through the tree with batched
   routing: per level, two ``searchsorted`` calls locate each query's
-  fence-surviving SST interval; per SST, the surviving queries form one
-  sub-batch answered by a single vectorised filter call.  Accounting follows
+  fence-surviving SST interval, and the level's
+  :class:`~repro.lsm.layout.LevelLayout` answers every routed (query, SST)
+  pair in one vectorised pass — Proteus filters through fence-clipped trie
+  intervals and one Bloom kernel call, other families through one filter
+  call per routed SST group.  A level's SSTs must be sorted and disjoint;
+  the constructor rejects any other level.  Accounting follows
   :mod:`repro.lsm.cost`: a block read is charged only on a filter positive.
 """
 
@@ -40,6 +44,7 @@ from repro.lsm.cost import (
     classify,
     tally,
 )
+from repro.lsm.layout import LevelLayout
 from repro.lsm.sstable import SSTable
 from repro.obs.metrics import timed
 from repro.obs.trace import ProbeTrace
@@ -97,10 +102,19 @@ class LSMTree:
         else:
             dtype = np.int64 if width <= MAX_VECTOR_WIDTH else object
         self._fences = []
-        for level in levels:
+        for level_index, level in enumerate(levels):
             mins = np.array([sst.min_key for sst in level], dtype=dtype)
             maxs = np.array([sst.max_key for sst in level], dtype=dtype)
+            overlapping = np.flatnonzero(~np.asarray(maxs[:-1] < mins[1:], dtype=bool))
+            if overlapping.size:
+                at = int(overlapping[0])
+                raise ValueError(
+                    f"level {level_index} is not sorted and disjoint: SST {at} ends at "
+                    f"{level[at].max_key!r}, not below SST {at + 1}'s first key "
+                    f"{level[at + 1].min_key!r}"
+                )
             self._fences.append((mins, maxs))
+        self.refresh_layouts()
 
     # ------------------------------------------------------------------ #
     # Construction                                                       #
@@ -184,6 +198,7 @@ class LSMTree:
                     build_filter(sst_spec, sst.keys, workload, metrics=metrics),
                     sst_spec,
                 )
+        self.refresh_layouts()
         if metrics is not None:
             metrics.inc("attach.passes")
             metrics.inc("attach.ssts", len(ssts))
@@ -193,6 +208,22 @@ class LSMTree:
         """Detach every SST's filter (the no-filter baseline)."""
         for sst in self.sstables():
             sst.clear_filter()
+        self.refresh_layouts()
+
+    def refresh_layouts(self) -> None:
+        """Lay out every populated level's keys and attached filters anew.
+
+        The constructor, :meth:`attach_filters` and :meth:`clear_filters`
+        call this, and so does :func:`repro.serve.shm.attach_tree` once it
+        has attached a snapshot's filters, so the probing thread starts
+        from fresh layouts.  A filter swapped in through
+        ``SSTable.attach_filter`` is still seen: :meth:`probe` rebuilds a
+        level whose layout no longer matches its SSTs' filters.
+        """
+        self._layouts: list[LevelLayout | None] = [
+            LevelLayout(level, self.width, *fences) if level else None
+            for level, fences in zip(self.levels, self._fences)
+        ]
 
     # ------------------------------------------------------------------ #
     # Probing                                                            #
@@ -208,10 +239,14 @@ class LSMTree:
 
         Per level, each query's fence-surviving SSTs form a contiguous
         interval (``first[q] <= j < last[q]``).  The routed (query, SST)
-        pairs are flattened and grouped by SST; each group is answered
-        with one vectorised filter call and one search of the SST's exact
-        ground truth, and every pair is classified once
-        (:func:`~repro.lsm.cost.classify`).  The per-query arrays, the
+        pairs are flattened and sorted by SST, and the level's
+        :class:`~repro.lsm.layout.LevelLayout` answers all of them in one
+        pass (:meth:`~repro.lsm.layout.LevelLayout.probe_pairs`): ground
+        truth from one search over the level's keys, Proteus answers from
+        one search over the level's trie intervals and one Bloom kernel
+        call.  SSTs with other filters keep one ``probe_many`` call per
+        routed group.  Every pair is classified once
+        (:func:`~repro.lsm.cost.classify`); the per-query arrays, the
         per-level totals and the optional per-SST totals are all
         ``np.bincount`` histograms of those codes.
 
@@ -252,21 +287,10 @@ class LSMTree:
             order = np.argsort(flat_sst, kind="stable")
             flat_sst = flat_sst[order]
             flat_query = flat_query[order]
-            routed = batch.select(flat_query)
-            bounds = (np.flatnonzero(np.diff(flat_sst)) + 1).tolist()
-            starts = [0, *bounds]
-            ends = [*bounds, flat_sst.size]
-            sst_ids = flat_sst[starts].tolist()
-            positive = np.empty(flat_sst.size, dtype=bool)
-            truth = np.empty(flat_sst.size, dtype=bool)
-            group_filtered = []
-            for sst_id, start, end in zip(sst_ids, starts, ends):
-                sst = level[sst_id]
-                sub = routed.select(slice(start, end))
-                truth[start:end] = sst.matches_many(sub.los, sub.his)
-                positive[start:end] = sst.probe_many(sub)
-                group_filtered.append(sst.filter is not None)
-            filtered = np.repeat(group_filtered, np.subtract(ends, starts))
+            layout = self._layouts[level_index]
+            if not layout.is_current():
+                layout = self._layouts[level_index] = LevelLayout(level, self.width, mins, maxs)
+            filtered, positive, truth = layout.probe_pairs(batch, flat_query, flat_sst)
             codes = classify(filtered, positive, truth)
             level_counts[level_index] = np.bincount(codes, minlength=NUM_CODES)
             pair_keys.append(flat_query * NUM_CODES + codes)
@@ -274,6 +298,7 @@ class LSMTree:
                 sst_codes = flat_sst * NUM_CODES + codes
                 per_sst = np.bincount(sst_codes, minlength=len(level) * NUM_CODES)
                 per_sst = per_sst.reshape(len(level), NUM_CODES)
+                sst_ids = np.unique(flat_sst).tolist()
                 fields = [column.tolist() for column in tally(per_sst[sst_ids])]
                 for sst_id, counts in zip(sst_ids, zip(*fields)):
                     sst_stats.setdefault(level[sst_id], SstStats()).add(*counts)

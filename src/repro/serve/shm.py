@@ -226,7 +226,9 @@ def attach_tree(
     of its level's shared key array.  ``filters`` (in ``sstables()``
     order, as returned by :func:`snapshot_tree`) are re-attached without
     their specs — a serving snapshot never rebuilds, so the budget
-    provenance stays with the parent.
+    provenance stays with the parent — and the tree's level layouts are
+    rebuilt over them here, so a worker pays for them before it reports
+    ready rather than on its first probe.
     """
     levels: list[list[SSTable]] = []
     segments: list[shared_memory.SharedMemory] = []
@@ -257,4 +259,5 @@ def attach_tree(
         for sst, filt in zip(tree.sstables(), filters):
             if filt is not None:
                 sst.attach_filter(filt)
+        tree.refresh_layouts()
     return tree, segments

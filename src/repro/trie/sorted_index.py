@@ -123,6 +123,13 @@ class SortedPrefixIndex:
         shift = np.int64(self.width - self.length)
         return self.count_in_range_many(los >> shift, his >> shift) > 0
 
+    @property
+    def prefix_array(self) -> np.ndarray:
+        """The stored prefixes as a sorted read-only ``int64`` array."""
+        view = self._require_arr().view()
+        view.flags.writeable = False
+        return view
+
     def _require_arr(self) -> np.ndarray:
         if self._arr is None:
             raise ValueError(
@@ -174,6 +181,13 @@ class SortedBytePrefixIndex:
     def __len__(self) -> int:
         """Return the number of stored prefixes."""
         return int(self.keys.size)
+
+    @property
+    def prefix_array(self) -> np.ndarray:
+        """The stored prefixes as a sorted read-only ``S{nb}`` array."""
+        view = self.keys.view()
+        view.flags.writeable = False
+        return view
 
     def _item(self, prefix: int) -> np.bytes_:
         return np.bytes_(prefix_item_bytes(prefix, self.length))

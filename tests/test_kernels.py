@@ -16,8 +16,9 @@ import pytest
 import repro.kernels as kernels
 from repro.amq.bitarray import BitArray
 from repro.amq.bloom import BloomFilter
-from repro.amq.hashing import premixed_pair_seeds
-from repro.evaluation.kernel_bench import _check_regressions, run_kernel_bench
+from repro.amq.hashing import mix64_many, premixed_pair_seeds
+from repro.evaluation.gates import check_regressions
+from repro.evaluation.kernel_bench import run_kernel_bench
 from repro.obs.metrics import MetricsRegistry
 from repro.trie.bitvector import RankSelectBitVector
 from repro.trie.fst import FastSuccinctTrie
@@ -203,6 +204,65 @@ def test_compiled_bloom_kernels_are_bit_identical(backend):
     assert (want == got).all()
 
 
+def _laid_out_blooms(rng):
+    """Bloom filters of 1 to 32 hashes in one buffer, plus items to probe.
+
+    Returns ``(blooms, buffer, byte_offsets)`` and per-item ``(owner,
+    values)``: half the items were inserted into their owner, half not.
+    """
+    shapes = [(100, 200, 1), (64, 1, 32), (4_099, 300, 5), (9, 3, 2), (5_000, 10, 32)]
+    blooms, buffers, offsets, owners, values = [], [], [], [], []
+    used = 0
+    for index, (num_bits, num_items, seed) in enumerate(shapes):
+        bloom = BloomFilter(num_bits, num_items, seed=seed)
+        inserted = rng.integers(0, 1 << 40, size=num_items, dtype=np.int64)
+        bloom.add_many(inserted)
+        probes = np.concatenate([inserted, rng.integers(0, 1 << 40, size=num_items)])
+        blooms.append(bloom)
+        buffers.append(bloom.bits.words())
+        offsets.append(used)
+        used += bloom.bits.words().size
+        owners.append(np.full(probes.size, index))
+        values.append(probes)
+    assert {bloom.num_hashes for bloom in blooms} >= {1, 32}
+    order = rng.permutation(sum(v.size for v in values))  # interleave the owners
+    owner = np.concatenate(owners)[order]
+    value = np.concatenate(values)[order]
+    return blooms, np.concatenate(buffers), np.array(offsets), owner, value
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_bloom_contains_hashed_matches_each_filters_own_probe(backend):
+    blooms, buffer, offsets, owner, value = _laid_out_blooms(np.random.default_rng(8))
+    h1 = np.empty(value.size, dtype=np.uint64)
+    h2 = np.empty(value.size, dtype=np.uint64)
+    want = np.empty(value.size, dtype=bool)
+    for index, bloom in enumerate(blooms):
+        mine = owner == index
+        s1, s2 = bloom.premixed_seeds
+        h1[mine] = mix64_many(value[mine].astype(np.uint64) ^ np.uint64(s1))
+        h2[mine] = mix64_many(value[mine].astype(np.uint64) ^ np.uint64(s2)) | np.uint64(1)
+        want[mine] = bloom.contains_many(value[mine])
+    num_bits = np.array([bloom.num_bits for bloom in blooms])[owner]
+    num_hashes = np.array([bloom.num_hashes for bloom in blooms])[owner]
+    got = kernels.bloom_contains_hashed(
+        buffer, offsets[owner], num_bits, num_hashes, h1, h2, backend=backend
+    )
+    assert got.dtype == bool
+    assert got.tolist() == want.tolist()
+    assert want.any() and not want.all()
+    empty = np.zeros(0, dtype=np.uint64)
+    none = kernels.bloom_contains_hashed(
+        buffer, empty.astype(np.int64), empty, empty.astype(np.int64), empty, empty,
+        backend=backend,
+    )
+    assert none.dtype == bool and none.size == 0
+    with pytest.raises(ValueError):  # one offset short: never read past it
+        kernels.bloom_contains_hashed(
+            buffer, offsets[owner][:-1], num_bits, num_hashes, h1, h2, backend=backend
+        )
+
+
 @pytest.mark.parametrize("backend", COMPILED)
 def test_compiled_bitvector_kernel_is_bit_identical(backend):
     rng = np.random.default_rng(6)
@@ -251,7 +311,8 @@ def test_kernel_bench_reports_parity_and_speedups():
     report = run_kernel_bench(scale=0.005, seed=3, repeats=1, rounds=2)
     assert report["workload"]["rounds"] == 2
     assert set(report["benchmarks"]) == {
-        "bloom_add", "bloom_contains", "bitvector_get_rank1", "trie_levels",
+        "bloom_add", "bloom_contains", "bloom_contains_hashed", "bitvector_get_rank1",
+        "trie_levels",
     }
     for kernel_name, parity in report["parity"].items():
         assert all(parity.values()), kernel_name
@@ -263,10 +324,10 @@ def test_kernel_bench_reports_parity_and_speedups():
 
 
 def test_kernel_bench_regression_check():
-    current = {"speedups": {"bloom_add": {"cc": 2.0}}}
-    committed = {"speedups": {"bloom_add": {"cc": 3.0}, "trie_levels": {"cc": 9.0}}}
+    current = {"bloom_add": {"cc": 2.0}}
+    committed = {"bloom_add": {"cc": 3.0}, "trie_levels": {"cc": 9.0}}
     # trie_levels missing from the current report: skipped, not failed.
-    failures = _check_regressions(current, committed, tolerance=0.2)
+    failures = check_regressions(current, committed, tolerance=0.2, separator=".")
     assert set(failures) == {"bloom_add.cc"}
     assert failures["bloom_add.cc"] == (2.0, pytest.approx(2.4))
-    assert not _check_regressions(current, committed, tolerance=0.5)
+    assert not check_regressions(current, committed, tolerance=0.5, separator=".")

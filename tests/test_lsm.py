@@ -119,6 +119,32 @@ class TestEmptyLevels:
             LSMTree([[], []], WIDTH)
 
 
+class TestLevelOrder:
+    """Fence routing (and the level layout's interval gate) assume each
+    level's SSTs are sorted and disjoint; a level that is not is rejected
+    instead of silently routing probes past the SST that holds the key."""
+
+    @staticmethod
+    def _sst(index, keys):
+        return SSTable(0, index, EncodedKeySet(keys, WIDTH))
+
+    def test_out_of_order_level_is_rejected(self):
+        level = [self._sst(0, range(100, 110)), self._sst(1, range(0, 10))]
+        with pytest.raises(ValueError, match="not sorted and disjoint"):
+            LSMTree([level], WIDTH)
+
+    def test_overlapping_level_is_rejected(self):
+        level = [self._sst(0, range(0, 10)), self._sst(1, range(9, 20))]
+        with pytest.raises(ValueError, match="not sorted and disjoint"):
+            LSMTree([level], WIDTH)
+
+    def test_adjacent_disjoint_level_is_accepted(self):
+        level = [self._sst(0, range(0, 10)), self._sst(1, range(10, 20))]
+        tree = LSMTree([level], WIDTH)
+        result = tree.probe(QueryBatch.points([9, 10], WIDTH))
+        assert result.required_reads.tolist() == [1, 1]
+
+
 class TestFencePruning:
     def test_candidates_match_brute_force_fence_overlap(self, tree, workload):
         batch = workload.queries

@@ -12,12 +12,20 @@ online snapshots with tombstones and an empty middle level, on empty
 batches, and on ranges that straddle SST fences.
 
 The "mixed" trees include a deliberately wrong filter (a keyed coin flip)
-next to Bloom filters and unfiltered SSTs, so all four (positive, truth)
-classes — missed reads included — occur and are compared.
+next to Bloom filters, Proteus filters and unfiltered SSTs, so all four
+(positive, truth) classes — missed reads included — occur and are
+compared.  Proteus designs are drawn by hypothesis (trie-only, Bloom-only
+and both layers, trie depths off byte boundaries, ``max_probes`` of 1, 2
+and 64, some ``trie_impl="fst"`` tries), so one level mixes the SSTs the
+level layout answers in one pass with those that keep their own
+``probe_many`` call.  Between the two probes one SST's filter is swapped
+through ``SSTable.attach_filter``, and a shared-memory snapshot
+(``attach_tree``) must probe like its source.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
 import zlib
 
@@ -27,11 +35,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import FilterSpec, build_filter
+from repro.core.design import FilterDesign
+from repro.core.proteus import Proteus
 from repro.filters.base import ragged_ranges
 from repro.lsm.cost import ProbeResult, SstStats
 from repro.lsm.online import OnlineLSMTree
 from repro.lsm.tree import LSMTree
 from repro.obs.trace import TRACE_FIELDS, ProbeEvent, ProbeTrace
+from repro.serve.shm import attach_tree, snapshot_tree
 from repro.workloads.batch import coerce_keys, coerce_query_batch
 
 # --------------------------------------------------------------------- #
@@ -136,20 +147,74 @@ class CoinFlipFilter:
         return 0
 
 
-def attach(tree: LSMTree, mode: str, seed: int) -> LSMTree:
-    """Give every SST a filter ("filtered"), none, or a random mix."""
+#: A Proteus design shape: which layers, raw depth draws (fitted to the
+#: SST's width by :func:`proteus_filter`), Bloom bits, max_probes, and
+#: whether an integer SST gets the succinct FST trie.
+#: Weighted toward the shapes whose answers depend on the level layout's
+#: details: both layers, shallow tries (their blocks span neighbouring
+#: SSTs), tiny Bloom layers (frequent false positives) and 64 probes.
+DESIGNS = st.tuples(
+    st.sampled_from(("trie", "bloom", "both", "both")),
+    st.one_of(st.integers(0, 2), st.integers(0, 255)),
+    st.integers(0, 255),
+    st.one_of(st.integers(1, 8), st.integers(1, 96)),
+    st.sampled_from((1, 2, 64, 64)),
+    st.sampled_from((False, False, False, True)),
+)
+
+
+def proteus_filter(sst, shape, seed: int) -> Proteus:
+    """A Proteus filter over ``sst``'s keys with the drawn design shape."""
+    layers, depth, length, bloom_bits, max_probes, fst = shape
+    width = sst.width
+    l1 = l2 = 0
+    if layers == "trie":
+        l1 = 1 + depth % width
+    elif layers == "bloom":
+        l2 = 1 + length % width
+    else:
+        l1 = 1 + depth % (width - 1)
+        l2 = l1 + 1 + length % (width - l1)
+    design = FilterDesign("proteus", l1, l2, 0, bloom_bits if l2 else 0, 0.0)
+    trie_impl = "fst" if fst and not sst.keys.is_bytes else "sorted"
+    return Proteus(sst.keys, width, design, max_probes, seed, trie_impl)
+
+
+def attach(tree: LSMTree, mode: str, seed: int, designs=()) -> LSMTree:
+    """Give every SST a filter ("filtered"), none, Proteus, or a random mix.
+
+    ``designs`` are the Proteus design shapes to draw from; "mixed" trees
+    include Proteus SSTs only when some are given.
+    """
     rng = random.Random(seed)
     for sst in tree.sstables():
-        choice = {"filtered": "bloom", "unfiltered": "none"}.get(mode)
+        choice = {"filtered": "bloom", "unfiltered": "none", "proteus": "proteus"}.get(mode)
         if choice is None:
-            choice = rng.choice(["bloom", "none", "coin"])
-        if choice == "bloom":
-            sst.attach_filter(build_filter(FilterSpec("bloom", 8.0), sst.keys))
-        elif choice == "coin":
-            sst.attach_filter(CoinFlipFilter(sst.width, rng.randrange(1 << 30)))
-        else:
-            sst.clear_filter()
+            choice = rng.choice(["bloom", "none", "coin", "proteus"][: 4 if designs else 3])
+        attach_one(sst, choice, rng, designs)
     return tree
+
+
+def attach_one(sst, choice: str, rng: random.Random, designs) -> None:
+    if choice == "bloom":
+        sst.attach_filter(build_filter(FilterSpec("bloom", 8.0), sst.keys))
+    elif choice == "coin":
+        sst.attach_filter(CoinFlipFilter(sst.width, rng.randrange(1 << 30)))
+    elif choice == "proteus":
+        sst.attach_filter(proteus_filter(sst, rng.choice(designs), rng.randrange(3)))
+    else:
+        sst.clear_filter()
+
+
+def swapper(tree: LSMTree, seed: int, designs):
+    """Swap one SST's filter behind the tree's back (``SSTable.attach_filter``)."""
+    rng = random.Random(seed)
+
+    def swap():
+        sst = rng.choice(tree.sstables())
+        attach_one(sst, rng.choice(["bloom", "none", "coin", "proteus"]), rng, designs)
+
+    return swap
 
 
 #: Integer key widths: the int64 fast path and the object-dtype fallback.
@@ -157,11 +222,12 @@ INT_WIDTHS = {"int64": 16, "wide": 72}
 
 
 def int_pairs(rng: random.Random, keys: list[int], fences: list[int], width: int, count: int):
-    """Points, short ranges near keys, fence straddlers and wide ranges."""
+    """Points, short ranges near keys, fence straddlers, wide ranges, near misses
+    and ranges across the end of a key's aligned ``2**b``-key block."""
     top = (1 << width) - 1
     pairs = []
     for _ in range(count):
-        kind = rng.randrange(4)
+        kind = rng.randrange(6)
         if kind == 0:
             key = rng.choice(keys) + rng.choice([-1, 0, 0, 1])
             key = min(max(key, 0), top)
@@ -174,9 +240,27 @@ def int_pairs(rng: random.Random, keys: list[int], fences: list[int], width: int
             fence = rng.choice(fences)
             lo = max(fence - rng.randrange(1, 6), 0)
             pairs.append((lo, min(fence + rng.randrange(0, 6), top)))
-        else:
+        elif kind == 3:
             lo = rng.randrange(top + 1)
             pairs.append((lo, min(lo + rng.randrange(1 << (width // 2)), top)))
+        elif kind == 5:
+            # Across the end of the key's aligned 2**b-key block: when b is
+            # a trie layer's w - l1, the range covers Bloom slots both in a
+            # stored l1-block and in the (maybe unstored) block after it.
+            b = rng.randrange(1, width)
+            end = ((rng.choice(keys) >> b) + 1) << b
+            lo = max(end - 1 - rng.randrange(1 << rng.randrange(b)), 0)
+            pairs.append((min(lo, top), min(end + rng.randrange(1 << rng.randrange(b)), top)))
+        else:
+            # A near miss: a range just past (or just before) a key, which
+            # the key's trie block often covers while the range holds none.
+            key, span = rng.choice(keys), rng.randrange(1 << rng.choice((2, width // 2)))
+            if rng.random() < 0.5 and key < top:
+                pairs.append((key + 1, min(key + 1 + span, top)))
+            elif key > 0:
+                pairs.append((max(key - 1 - span, 0), key - 1))
+            else:
+                pairs.append((key, key))
     return pairs
 
 
@@ -196,7 +280,7 @@ def byte_pairs(rng: random.Random, keys: list[bytes], length: int, count: int):
     return pairs
 
 
-def build_tree(kind: str, mode: str, seed: int, num_keys: int, sst_keys: int):
+def build_tree(kind: str, mode: str, seed: int, num_keys: int, sst_keys: int, designs=()):
     """A seeded static tree plus a query generator over its key space."""
     rng = random.Random(seed)
     if kind == "bytes":
@@ -223,7 +307,7 @@ def build_tree(kind: str, mode: str, seed: int, num_keys: int, sst_keys: int):
         def queries(qrng, count):
             return int_pairs(qrng, keys, fences, width, count)
 
-    return attach(tree, mode, seed), queries
+    return attach(tree, mode, seed, designs), queries
 
 
 @pytest.fixture(scope="module")
@@ -247,16 +331,18 @@ def snapshot():
 # The comparison                                                        #
 # --------------------------------------------------------------------- #
 
-def assert_probe_matches_reference(tree, first_pairs, second_pairs, capacity):
+def assert_probe_matches_reference(tree, first_pairs, second_pairs, capacity, between=None):
+    """Probe two batches both ways; ``between`` runs after the first batch."""
     first = coerce_query_batch(first_pairs, tree.width)
     second = coerce_query_batch(second_pairs, tree.width)
     want_stats: dict = {}
-    want, events, totals = reference_probe(tree, first, want_stats)
-    reference_probe(tree, second, want_stats)
-
     got_stats: dict = {}
+    want, events, totals = reference_probe(tree, first, want_stats)
     trace = ProbeTrace(capacity=capacity)
     got = tree.probe(first, trace=trace, sst_stats=got_stats)
+    if between is not None:
+        between()
+    reference_probe(tree, second, want_stats)
     tree.probe(second, sst_stats=got_stats)
 
     for name in TRACE_FIELDS:  # the six per-query ProbeResult arrays
@@ -277,13 +363,14 @@ def assert_probe_matches_reference(tree, first_pairs, second_pairs, capacity):
 
 
 KINDS = ("int64", "wide", "bytes")
-MODES = ("filtered", "unfiltered", "mixed")
+MODES = ("filtered", "unfiltered", "mixed", "proteus")
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     kind=st.sampled_from(KINDS),
     mode=st.sampled_from(MODES),
+    designs=st.lists(DESIGNS, min_size=1, max_size=4),
     seed=st.integers(0, 2**16),
     num_keys=st.integers(1, 120),
     sst_keys=st.integers(1, 12),
@@ -294,6 +381,7 @@ MODES = ("filtered", "unfiltered", "mixed")
 @example(
     kind="int64",
     mode="filtered",
+    designs=[("both", 3, 5, 16, 2, False)],
     seed=3,
     num_keys=60,
     sst_keys=4,
@@ -302,30 +390,129 @@ MODES = ("filtered", "unfiltered", "mixed")
     capacity=8,
 )
 def test_static_tree_probe_matches_reference(
-    kind, mode, seed, num_keys, sst_keys, first_count, second_count, capacity
+    kind, mode, designs, seed, num_keys, sst_keys, first_count, second_count, capacity
 ):
-    tree, queries = build_tree(kind, mode, seed, num_keys, sst_keys)
+    tree, queries = build_tree(kind, mode, seed, num_keys, sst_keys, designs)
     qrng = random.Random(seed + 1)
     assert_probe_matches_reference(
-        tree, queries(qrng, first_count), queries(qrng, second_count), capacity
+        tree,
+        queries(qrng, first_count),
+        queries(qrng, second_count),
+        capacity,
+        between=swapper(tree, seed + 2, designs),
+    )
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    kind=st.sampled_from(("int64", "bytes")),
+    mode=st.sampled_from(("proteus", "mixed")),
+    designs=st.lists(DESIGNS, min_size=2, max_size=4),
+    seed=st.integers(0, 2**16),
+    num_keys=st.integers(1, 200),
+    sst_keys=st.integers(1, 20),
+)
+# Pinned draws whose answers change when the layout drops the integer
+# per-slot l1 test (the first), or the fence clipping of its trie
+# intervals (the other three): random draws expose those faults only now
+# and then.
+@example(
+    kind="int64",
+    mode="proteus",
+    designs=[("both", 132, 207, 62, 2, False), ("both", 48, 75, 5, 64, False),
+             ("trie", 222, 104, 57, 1, False)],
+    seed=12225,
+    num_keys=185,
+    sst_keys=13,
+)
+@example(
+    kind="int64",
+    mode="proteus",
+    designs=[("trie", 1, 105, 63, 2, True), ("both", 1, 184, 1, 64, False),
+             ("both", 134, 89, 85, 2, False), ("bloom", 1, 2, 4, 64, False)],
+    seed=41204,
+    num_keys=171,
+    sst_keys=18,
+)
+@example(
+    kind="int64",
+    mode="mixed",
+    designs=[("trie", 157, 194, 6, 64, False), ("bloom", 2, 54, 91, 64, True),
+             ("both", 1, 18, 6, 2, False)],
+    seed=48324,
+    num_keys=147,
+    sst_keys=10,
+)
+@example(
+    kind="bytes",
+    mode="proteus",
+    designs=[("both", 141, 100, 9, 64, False), ("both", 0, 251, 2, 64, False),
+             ("trie", 225, 6, 8, 64, False), ("bloom", 2, 200, 5, 1, True)],
+    seed=34741,
+    num_keys=139,
+    sst_keys=2,
+)
+def test_proteus_levels_probe_matches_reference(kind, mode, designs, seed, num_keys, sst_keys):
+    # Levels mixing Proteus designs, probed with 60-query batches: the
+    # fence clipping of trie intervals and the integer per-slot l1 test
+    # only change an answer for some ranges near block boundaries.
+    tree, queries = build_tree(kind, mode, seed, num_keys, sst_keys, designs)
+    qrng = random.Random(seed + 1)
+    assert_probe_matches_reference(
+        tree,
+        queries(qrng, 60),
+        queries(qrng, 60),
+        16,
+        between=swapper(tree, seed + 2, designs),
     )
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     mode=st.sampled_from(MODES),
+    designs=st.lists(DESIGNS, min_size=1, max_size=4),
     seed=st.integers(0, 2**16),
     first_count=st.integers(0, 60),
     second_count=st.integers(0, 60),
     capacity=st.integers(1, 256),
 )
 def test_online_snapshot_probe_matches_reference(
-    snapshot, mode, seed, first_count, second_count, capacity
+    snapshot, mode, designs, seed, first_count, second_count, capacity
 ):
     tree, keys, fences = snapshot
-    attach(tree, mode, seed)
+    attach(tree, mode, seed, designs)
     qrng = random.Random(seed)
     first = int_pairs(qrng, keys, fences, tree.width, first_count)
     second = int_pairs(qrng, keys, fences, tree.width, second_count)
-    assert_probe_matches_reference(tree, first, second, capacity)
+    assert_probe_matches_reference(
+        tree, first, second, capacity, between=swapper(tree, seed + 1, designs)
+    )
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    kind=st.sampled_from(("int64", "bytes")),
+    designs=st.lists(DESIGNS, min_size=1, max_size=4),
+    seed=st.integers(0, 2**16),
+    num_keys=st.integers(1, 120),
+    sst_keys=st.integers(1, 12),
+    count=st.integers(0, 40),
+)
+def test_shared_snapshot_probe_matches_reference(kind, designs, seed, num_keys, sst_keys, count):
+    # A worker's view of the tree: keys in shared memory, filters pickled.
+    source, queries = build_tree(kind, "mixed", seed, num_keys, sst_keys, designs)
+    spec, segments, filters = snapshot_tree(source)
+    try:
+        tree, held = attach_tree(spec, pickle.loads(pickle.dumps(filters)))
+        try:
+            qrng = random.Random(seed + 1)
+            assert_probe_matches_reference(tree, queries(qrng, count), queries(qrng, count), 16)
+        finally:
+            del tree
+            for segment in held:
+                segment.close()
+    finally:
+        for segment in segments:
+            segment.close()
+            segment.unlink()
 

@@ -37,6 +37,7 @@ import numpy as np
 import pytest
 
 from repro.api import FilterSpec, derive_shard_specs
+from repro.evaluation.gates import check_regressions
 from repro.lsm.online import OnlineLSMTree
 from repro.lsm.tree import LSMTree
 from repro.obs.metrics import MetricsRegistry
@@ -573,6 +574,17 @@ def test_process_mode_reports_worker_probe_time_per_shard():
                 assert probe_s == 0.0
         _, point_stats = service.serve_batch([keys[0]])  # one shard touched
         assert sum(probe_s > 0 for probe_s in point_stats["shard_probe_s"]) == 1
+
+
+def test_serve_bench_regression_check():
+    # serve_bench's section: scaling ratios per family, then shard count.
+    current = {"proteus": {"2": 1.5, "4": 1.0}, "none": {"2": 2.0}}
+    committed = {"proteus": {"2": 1.6, "4": 2.0, "8": 3.0}, "bloom": {"2": 1.9}}
+    failures = check_regressions(current, committed, tolerance=0.25, separator="@")
+    # 1.5 clears 0.75 * 1.6; 1.0 misses 0.75 * 2.0; absent pairs are skipped.
+    assert failures == {"proteus@4": (1.0, pytest.approx(1.5))}
+    assert not check_regressions(current, committed, tolerance=0.5, separator="@")
+    assert not check_regressions({"proteus": {"4": 9.0}}, committed, 0.0, "@")
 
 
 def test_snapshot_attach_roundtrip_zero_copy():
