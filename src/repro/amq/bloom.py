@@ -55,12 +55,25 @@ def bloom_fpr(num_bits: int, num_items: int, num_hashes: int | None = None) -> f
     return (1.0 - math.exp(-k * num_items / num_bits)) ** k
 
 
-class BloomFilter(AMQ):
-    """A standard Bloom filter over non-negative integer items.
+def _word(item: int) -> int:
+    """An item in ``[-2**63, 0)`` as its 64-bit pattern; anything else as is.
 
-    Probe positions are derived with double hashing, which keeps per-probe
-    cost low even when the optimal hash count is large (short prefixes can
-    have very high bits-per-item ratios).
+    Stored width-64 keys and their prefixes are negative int64 values; the
+    bulk kernels hash them by their bits (``astype(np.uint64)``), so the
+    scalar paths must too.  Non-negative items are unchanged.
+    """
+    return item + (1 << 64) if -(1 << 63) <= item < 0 else item
+
+
+class BloomFilter(AMQ):
+    """A standard Bloom filter over integer items.
+
+    Every integer in ``[-2**63, 2**64)`` hashes by its 64-bit pattern, so
+    an int64 item and its ``uint64`` reading agree; wider non-negative
+    integers hash bytewise.  Probe positions are derived with double
+    hashing, which keeps per-probe cost low even when the optimal hash
+    count is large (short prefixes can have very high bits-per-item
+    ratios).
     """
 
     def __init__(self, num_bits: int, num_items: int, seed: int = 0):
@@ -99,7 +112,7 @@ class BloomFilter(AMQ):
         # small m, keeping empirical FPRs on the analytic curve the CPFPR
         # model computes.  A generator so negative lookups stop hashing at
         # their first unset bit.
-        h1, h2 = hash_pair(item, self.seed)
+        h1, h2 = hash_pair(_word(item), self.seed)
         m = self.num_bits
         x, y = h1 % m, h2 % m
         yield x
@@ -114,27 +127,22 @@ class BloomFilter(AMQ):
 
     @staticmethod
     def _as_word_array(items: Iterable[int]) -> tuple[np.ndarray | None, list | None]:
-        """Try to view ``items`` as a non-negative int64 array.
+        """Try to view ``items`` as an int64 array of 64-bit patterns.
 
         Returns ``(array, None)`` when the bulk path applies, or ``(None,
-        materialised_items)`` when some item is negative, too wide for a
-        word, or not an integer — those fall back to the scalar hash, which
-        also owns the error reporting for invalid items.
+        materialised_items)`` when some item is wider than a word or not an
+        integer — those fall back to the scalar hash, which also owns the
+        error reporting for invalid items.
         """
         if isinstance(items, np.ndarray) and items.dtype.kind in "iu":
-            arr = items.astype(np.int64, copy=False)
-            concrete: list | None = None
-        else:
-            concrete = list(items)
-            # Inspect the natural dtype first: coercing straight to int64
-            # would silently truncate floats that the scalar path rejects.
-            probe = np.asarray(concrete)
-            if probe.dtype.kind not in "iu":
-                return None, concrete  # floats, big ints (object), etc.
-            arr = probe.astype(np.int64, copy=False)
-        if arr.size and arr.min() < 0:
-            return None, concrete if concrete is not None else list(items)
-        return arr, None
+            return items.astype(np.int64, copy=False), None
+        concrete = list(items)
+        # Inspect the natural dtype first: coercing straight to int64
+        # would silently truncate floats that the scalar path rejects.
+        probe = np.asarray(concrete)
+        if probe.dtype.kind not in "iu":
+            return None, concrete  # floats, big ints (object), etc.
+        return probe.astype(np.int64, copy=False), None
 
     def _positions_many(self, items: np.ndarray) -> np.ndarray:
         """Return the ``(num_hashes, len(items))`` probe-position matrix.
@@ -154,7 +162,7 @@ class BloomFilter(AMQ):
         h1 = np.empty(len(items), dtype=np.uint64)
         h2 = np.empty(len(items), dtype=np.uint64)
         for i, item in enumerate(items):
-            a, b = hash_pair(item, self.seed)
+            a, b = hash_pair(_word(item), self.seed)
             h1[i] = a
             h2[i] = b
         return h1, h2

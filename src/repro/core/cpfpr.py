@@ -4,8 +4,8 @@ The model predicts the expected false positive rate of a candidate filter
 design *before building it*, from two inputs it derives once:
 
 * the key set, reduced to its prefix-count profile ``|K_l|`` (distinct
-  ``l``-bit prefixes, one sorted pass — :func:`repro.keys.lcp.unique_prefix_counts`)
-  and, lazily, the sorted set of ``l``-prefixes for trie-gated designs;
+  ``l``-bit prefixes, one sorted pass —
+  :func:`repro.keys.lcp.unique_prefix_counts_array`);
 * a sample of the query workload, reduced per *empty* query ``q = [lo, hi]``
   to the triple ``(lo, hi, L(q))`` where ``L(q) = lcp(q, K)`` is the longest
   prefix the query shares with any key.
@@ -29,7 +29,8 @@ are true positives for every zero-false-negative filter and carry no design
 signal.
 
 Execution model
-    For word-sized key spaces (width <= 63) the per-query ``(lo, hi, L)``
+    For integer key spaces (up to 64 bits, in the stored form of
+    :mod:`repro.workloads.batch`) the per-query ``(lo, hi, L)``
     triples live in numpy ``int64`` arrays, and Algorithm 1 evaluates one
     trie depth ``l1`` at a time: every ``l2`` candidate of that depth in
     one ``(l2 x query)`` pass (:meth:`CPFPRModel.proteus_fpr_row`).  The
@@ -52,15 +53,13 @@ Execution model
     given, and a 2-D ``sum(axis=1)`` rounds differently.  This keeps every
     prediction, and so every design Algorithm 1 picks, equal bit for bit
     to the per-candidate evaluation the test-suite keeps as its oracle.
-    Byte-string key spaces run the same pass over their slot counts.
-    Wider integer key spaces (or ``vectorize=False``) use the scalar
-    per-query reference path; the parity test-suite holds both paths
-    equal.
+    Byte-string key spaces, and integers wider than 64 bits, run the same
+    pass over their slot counts.  The test-suite keeps the per-query
+    scalar evaluators as the reference both passes are held equal to.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from time import perf_counter
 from typing import Iterable, Sequence
 
@@ -69,12 +68,13 @@ import numpy as np
 from repro.amq.bloom import bloom_fpr
 from repro.filters.prefix_bloom import DEFAULT_MAX_PROBES
 from repro.keys.bytestr import byte_slot_bounds, lcp_bits_rows
-from repro.keys.lcp import MAX_VECTOR_WIDTH, query_neighbour_lcps_many
+from repro.keys.lcp import query_neighbour_lcps_many
 from repro.workloads.batch import (
     EncodedKeySet,
     QueryBatch,
     coerce_keys,
     coerce_query_batch,
+    decode_ints,
     slot_bounds,
 )
 from repro.workloads.bytekeys import ByteQueryBatch
@@ -85,12 +85,10 @@ __all__ = ["CPFPRModel", "DEFAULT_MAX_PROBES"]
 class CPFPRModel:
     """Expected-FPR evaluator for trie/Bloom prefix-filter designs.
 
-    ``keys`` may be any iterable of encoded integers or an
-    :class:`~repro.workloads.batch.EncodedKeySet`; ``queries`` any iterable
+    ``keys`` may be any iterable of encoded integers or a
+    :class:`~repro.workloads.keyset.KeySet`; ``queries`` any iterable
     of inclusive ``(lo, hi)`` pairs or a
-    :class:`~repro.workloads.batch.QueryBatch`.  ``vectorize=False`` forces
-    the scalar reference paths even for word-sized key spaces (used by the
-    parity tests).  ``metrics`` optionally names
+    :class:`~repro.workloads.batch.QueryBatch`.  ``metrics`` optionally names
     a :class:`~repro.obs.metrics.MetricsRegistry` that counts model
     constructions and per-candidate design evaluations (one ``is not
     None`` check per evaluation when disabled).
@@ -102,7 +100,6 @@ class CPFPRModel:
         width: int,
         queries: Iterable[tuple[int, int]] | QueryBatch,
         max_probes: int = DEFAULT_MAX_PROBES,
-        vectorize: bool = True,
         metrics=None,
     ):
         if width <= 0:
@@ -120,21 +117,14 @@ class CPFPRModel:
         #: keys index and mask at byte boundaries, so sub-byte depths add
         #: cost without adding resolution; the design loops read this.
         self.design_step = 8 if keyset.is_bytes else 1
-        self.sorted_keys = keyset.as_list()
         #: ``prefix_counts[l] == |K_l|``, the number of distinct l-bit prefixes.
         self.prefix_counts = keyset.prefix_counts()
         batch = coerce_query_batch(queries, width)
         self.num_queries = len(batch)
-        self._vector = bool(
-            vectorize
-            and width <= MAX_VECTOR_WIDTH
-            and keyset.is_vector
-            and batch.is_vector
-        )
         self._empty_list: list[tuple[int, int, int]] | None = None
         if self.is_bytes:
             self._setup_bytes(keyset, batch)
-        elif self._vector:
+        else:
             lo_lcps, hi_lcps = query_neighbour_lcps_many(keyset.keys, batch.los, batch.his, width)
             lcps = np.maximum(lo_lcps, hi_lcps)
             empty = lcps < width
@@ -151,29 +141,11 @@ class CPFPRModel:
             suffix = np.zeros(width + 2, dtype=np.int64)
             suffix[: width + 1] = np.cumsum(histogram[::-1])[::-1]
             self._lcp_at_least = suffix.tolist()
-        else:
-            from repro.keys.lcp import query_set_lcp
-
-            empty_queries: list[tuple[int, int, int]] = []
-            for lo, hi in batch.pairs():
-                lcp = query_set_lcp(self.sorted_keys, lo, hi, width)
-                if lcp < width:
-                    empty_queries.append((lo, hi, lcp))
-            self._empty_list = empty_queries
-            histogram_list = [0] * (width + 1)
-            for _, _, lcp in empty_queries:
-                histogram_list[lcp] += 1
-            self._lcp_at_least = [0] * (width + 2)
-            for length in range(width, -1, -1):
-                self._lcp_at_least[length] = (
-                    self._lcp_at_least[length + 1] + histogram_list[length]
-                )
         if metrics is not None:
             metrics.inc("cpfpr.models")
             metrics.inc("cpfpr.sample_queries", self.num_queries)
             metrics.inc("cpfpr.empty_queries", self.num_empty_queries)
             metrics.observe("cpfpr.setup_seconds", perf_counter() - setup_start)
-        self._prefix_cache: dict[int, list[int]] = {}
         # Per-length slot intervals and certainty masks: the 2PBF sweep
         # revisits them for every pair of layers it combines, and byte-mode
         # rows re-read the slot counts at every trie depth.
@@ -186,9 +158,8 @@ class CPFPRModel:
         The padded S-dtype key array searchsorts in key order, so emptiness
         is two searchsorted passes and ``lcp(q, K)`` is the rowwise byte-XOR
         LCP against the predecessor of ``lo`` / successor of ``hi`` — the
-        same neighbour argument :func:`repro.keys.lcp.query_set_lcp` uses.
-        Byte mode always runs its own vectorised evaluators; ``vectorize``
-        has no scalar reference twin here.
+        same neighbour argument :func:`repro.keys.lcp.query_set_lcp_many`
+        uses.
         """
         width = self.width
         if not isinstance(batch, ByteQueryBatch):
@@ -240,8 +211,9 @@ class CPFPRModel:
     def empty_queries(self) -> list[tuple[int, int, int]]:
         """Per empty query: ``(lo, hi, L)`` with ``L = lcp(q, K)`` (lazy list).
 
-        Byte mode renders the bounds as padded big-endian integers — the
-        scalar-loop convention for byte keys throughout the repo.
+        Integer bounds are the user's; byte mode renders them as padded
+        big-endian integers — the scalar-loop convention for byte keys
+        throughout the repo.
         """
         if self._empty_list is None:
             if self.is_bytes:
@@ -258,8 +230,8 @@ class CPFPRModel:
             else:
                 self._empty_list = list(
                     zip(
-                        self._empty_lo.tolist(),
-                        self._empty_hi.tolist(),
+                        decode_ints(self._empty_lo, self.width).tolist(),
+                        decode_ints(self._empty_hi, self.width).tolist(),
                         self._empty_lcp.tolist(),
                     )
                 )
@@ -267,9 +239,7 @@ class CPFPRModel:
 
     @property
     def num_empty_queries(self) -> int:
-        if self._vector or self.is_bytes:
-            return int(self._empty_lcp.size)
-        return len(self._empty_list)
+        return int(self._empty_lcp.size)
 
     def certain_fp_fraction(self, length: int) -> float:
         """Fraction of empty queries with ``lcp(q, K) >= length``.
@@ -282,14 +252,6 @@ class CPFPRModel:
         if not total:
             return 0.0
         return self._lcp_at_least[min(length, self.width + 1)] / total
-
-    def prefixes(self, length: int) -> list[int]:
-        """Return the sorted distinct ``length``-bit key prefixes (cached)."""
-        cached = self._prefix_cache.get(length)
-        if cached is None:
-            cached = self._keyset.prefixes(length).tolist()
-            self._prefix_cache[length] = cached
-        return cached
 
     def bloom_probe_fpr(self, num_bits: int, length: int) -> float:
         """Single-probe FPR of a Bloom filter over the ``length``-prefix set."""
@@ -334,8 +296,6 @@ class CPFPRModel:
             raise ValueError(f"Bloom prefix lengths {lens} must lie in ({l1}, {self.width}]")
         if not self.num_empty_queries:
             return [0.0] * len(lens)
-        if not (self._vector or self.is_bytes):
-            return [self._proteus_fpr_scalar(l1, l2, bloom_bits) for l2 in lens]
         admitted = np.flatnonzero(self._empty_lcp >= l1)  # the trie gate
         if not admitted.size:
             return [0.0] * len(lens)
@@ -348,24 +308,22 @@ class CPFPRModel:
             clamped = np.stack([clamp[admitted] for _, clamp in slots])
             return self._row_fprs(lens, bloom_bits, probes, uncertain & ~clamped)
         lo, hi = self._empty_lo[admitted], self._empty_hi[admitted]
-        shift = self.width - l2
-        plo, phi = lo >> shift, hi >> shift
-        span = phi - plo
-        # span + 1 wraps only for a full-space query at width 63, which the
-        # clamp leaves inactive.
-        probes = span + 1
+        plo, phi, clamped = slot_bounds(lo, hi, self.width, l2, self.max_probes)
+        # phi - plo + 1 wraps only for clamped full-space queries, which
+        # stay inactive.
+        probes = phi - plo + 1
         if l1:
             # A query spanning two or more l1-blocks probes the slots of
             # whichever boundary block is stored, and nothing in between.
             shift1 = self.width - l1
             split = np.flatnonzero((lo >> shift1) != (hi >> shift1))
             if split.size:
-                low = (np.int64(1) << (l2 - l1)) - 1
+                low = ~(np.int64(-1) << (l2 - l1))  # the low l2 - l1 bits
                 lo_stored = self._empty_lo_lcp[admitted[split]] >= l1
                 hi_stored = self._empty_hi_lcp[admitted[split]] >= l1
                 probes[:, split] = lo_stored * (low + 1 - (plo[:, split] & low))
                 probes[:, split] += hi_stored * ((phi[:, split] & low) + 1)
-        active = uncertain & (span < self.max_probes)
+        active = uncertain & ~clamped
         return self._row_fprs(lens, bloom_bits, probes, active)
 
     def _row_fprs(
@@ -390,42 +348,6 @@ class CPFPRModel:
         sums = [values[start:end].sum() for start, end in zip([0] + ends, ends)]
         fprs = (admitted - counts + np.array(sums)) / self.num_empty_queries
         return fprs.tolist()
-
-    def _proteus_fpr_scalar(self, l1: int, l2: int, bloom_bits: int) -> float:
-        width = self.width
-        cap = self.max_probes
-        probe_fpr = self.bloom_probe_fpr(bloom_bits, l2)
-        trie_prefixes = self.prefixes(l1) if l1 else None
-        total = 0.0
-        for lo, hi, lcp in self.empty_queries:
-            i = j = 0
-            if trie_prefixes is not None:
-                shift1 = width - l1
-                i = bisect_left(trie_prefixes, lo >> shift1)
-                j = bisect_right(trie_prefixes, hi >> shift1, lo=i)
-                if i == j:
-                    continue  # trie gate rejects: no stored l1-prefix in Q_l1
-            if lcp >= l2:
-                total += 1.0
-                continue
-            shift2 = width - l2
-            plo, phi = lo >> shift2, hi >> shift2
-            num_slots = phi - plo + 1
-            if num_slots > cap:
-                total += 1.0  # the filter gives up and answers True
-                continue
-            if trie_prefixes is None:
-                probes = num_slots
-            else:
-                # Only l2-prefixes under a stored l1-prefix are probed.
-                gap = l2 - l1
-                probes = 0
-                for index in range(i, j):
-                    child_lo = trie_prefixes[index] << gap
-                    child_hi = child_lo + (1 << gap) - 1
-                    probes += min(phi, child_hi) - max(plo, child_lo) + 1
-            total += 1.0 - (1.0 - probe_fpr) ** probes
-        return total / len(self.empty_queries)
 
     def _slot_info(self, l2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-query ``(plo, phi, clamped)`` at prefix length ``l2`` (cached)."""
@@ -506,40 +428,10 @@ class CPFPRModel:
         if self.is_bytes:
             total = self._layer_pass_probability_bytes(l1, first_bits)
             total = total * self._layer_pass_probability_bytes(l2, second_bits)
-            return float(total.sum() / self.num_empty_queries)
-        if self._vector:
-            return self._two_pbf_fpr_vector(l1, l2, first_bits, second_bits)
-        return self._two_pbf_fpr_scalar(l1, l2, first_bits, second_bits)
-
-    def _two_pbf_fpr_scalar(
-        self, l1: int, l2: int, first_bits: int, second_bits: int
-    ) -> float:
-        width = self.width
-        cap = self.max_probes
-        p1 = self.bloom_probe_fpr(first_bits, l1)
-        p2 = self.bloom_probe_fpr(second_bits, l2)
-        shift1, shift2 = width - l1, width - l2
-        total = 0.0
-        for lo, hi, lcp in self.empty_queries:
-            if lcp >= l1:
-                pass_first = 1.0
-            else:
-                n1 = (hi >> shift1) - (lo >> shift1) + 1
-                pass_first = 1.0 if n1 > cap else 1.0 - (1.0 - p1) ** n1
-            if lcp >= l2:
-                pass_second = 1.0
-            else:
-                n2 = (hi >> shift2) - (lo >> shift2) + 1
-                pass_second = 1.0 if n2 > cap else 1.0 - (1.0 - p2) ** n2
-            total += pass_first * pass_second
-        return total / len(self.empty_queries)
-
-    def _two_pbf_fpr_vector(
-        self, l1: int, l2: int, first_bits: int, second_bits: int
-    ) -> float:
-        total = self._layer_pass_probability(l1, first_bits)
-        total = total * self._layer_pass_probability(l2, second_bits)
-        return float(total.sum() / self._empty_lo.size)
+        else:
+            total = self._layer_pass_probability(l1, first_bits)
+            total = total * self._layer_pass_probability(l2, second_bits)
+        return float(total.sum() / self.num_empty_queries)
 
     def _layer_pass_probability(self, length: int, bits: int) -> np.ndarray:
         """Per-query probability that one Bloom layer answers positively."""
@@ -547,7 +439,7 @@ class CPFPRModel:
         plo, phi, clamped = self._slot_info(length)
         certain = self._certain_mask(length) | clamped
         # The + 1 lands after the where: phi - plo + 1 would overflow int64
-        # for clamped full-space queries at width 63.
+        # for clamped full-space queries at widths 63 and 64.
         slots = np.where(certain, -1, phi - plo) + 1
         return np.where(certain, 1.0, 1.0 - (1.0 - p) ** slots)
 

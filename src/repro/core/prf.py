@@ -27,7 +27,7 @@ from repro.filters.base import RangeFilter, check_spec_params, resolve_spec_inpu
 from repro.filters.prefix_bloom import PrefixBloomFilter
 from repro.obs.metrics import timed
 from repro.workloads.batch import as_key_array, coerce_keys, coerce_query_batch
-from repro.workloads.keyset import KeySet
+from repro.workloads.bytekeys import byte_probe_matrix
 
 
 class OnePBF(PrefixBloomFilter):
@@ -71,12 +71,6 @@ class OnePBF(PrefixBloomFilter):
         if self.design is None:
             raise AttributeError("expected_fpr is only available on built filters")
         return self.design.expected_fpr
-
-    def may_contain(self, key) -> bool:
-        return super().may_contain(self._encode(key))
-
-    def may_intersect(self, lo, hi) -> bool:
-        return super().may_intersect(self._encode(lo), self._encode(hi))
 
 
 class TwoPBF(RangeFilter):
@@ -173,26 +167,26 @@ class TwoPBF(RangeFilter):
             raise AttributeError("expected_fpr is only available on built filters")
         return self.design.expected_fpr
 
+    # Each probe is encoded once, here, and both layers read the result.
+
     def may_contain(self, key) -> bool:
         encoded = self._encode(key)
-        return self._first.may_contain(encoded) and self._second.may_contain(encoded)
+        first, second = self._first, self._second
+        return first._may_contain_encoded(encoded) and second._may_contain_encoded(encoded)
 
     def may_intersect(self, lo, hi) -> bool:
-        lo, hi = self._encode(lo), self._encode(hi)
-        self._check_range(lo, hi)
-        return self._first.may_intersect(lo, hi) and self._second.may_intersect(lo, hi)
+        lo, hi = self._encode_range(lo, hi)
+        first, second = self._first, self._second
+        return first._may_intersect_encoded(lo, hi) and second._may_intersect_encoded(lo, hi)
 
     def may_contain_many(self, keys) -> np.ndarray:
         if self.is_bytes:
-            # Keep the byte representation: each layer resolves its own
-            # probe matrix (as_key_array would detour through padded ints).
-            if not isinstance(keys, (KeySet, np.ndarray)):
-                keys = list(keys)  # materialise once: both layers consume it
-            return self._first.may_contain_many(keys) & self._second.may_contain_many(
-                keys
-            )
-        arr = as_key_array(keys)  # materialise once: both layers consume it
-        return self._first.may_contain_many(arr) & self._second.may_contain_many(arr)
+            mat = byte_probe_matrix(keys, self.width)
+            if mat is None:
+                return super().may_contain_many(keys)  # padded big-integer probes
+            return self._first._contains_rows(mat) & self._second._contains_rows(mat)
+        arr = as_key_array(keys, self.width)
+        return self._first._contains_stored(arr) & self._second._contains_stored(arr)
 
     def may_intersect_many(self, queries) -> np.ndarray:
         batch = coerce_query_batch(queries, self.width)

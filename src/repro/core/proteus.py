@@ -59,7 +59,6 @@ from repro.keys.bytestr import (
     prefix_item_bytes,
     scalar_slot_clamped,
 )
-from repro.keys.lcp import MAX_VECTOR_WIDTH
 from repro.obs.metrics import timed
 from repro.trie.fst import FSTPrefixIndex
 from repro.trie.sorted_index import SortedBytePrefixIndex, SortedPrefixIndex
@@ -126,9 +125,8 @@ class Proteus(RangeFilter):
                 )
                 self._bloom.add_bytes_rows(rows)
             return
-        distinct_keys = key_set.as_list()
         if l1 > 0:
-            self._trie = self.TRIE_IMPLS[trie_impl].from_keys(distinct_keys, l1, width)
+            self._trie = self.TRIE_IMPLS[trie_impl](key_set.prefixes(l1), l1, width)
         if l2 > 0:
             prefixes = key_set.prefixes(l2)
             self._bloom = BloomFilter(
@@ -202,9 +200,7 @@ class Proteus(RangeFilter):
         return True
 
     def may_intersect(self, lo, hi) -> bool:
-        lo, hi = self._encode(lo), self._encode(hi)
-        self._check_range(lo, hi)
-        return self._may_intersect_encoded(lo, hi)
+        return self._may_intersect_encoded(*self._encode_range(lo, hi))
 
     def _may_intersect_encoded(self, lo: int, hi: int) -> bool:
         if self.num_keys == 0:
@@ -240,38 +236,25 @@ class Proteus(RangeFilter):
         return False
 
     def may_contain_many(self, keys) -> np.ndarray:
-        """Batched :meth:`may_contain` over *encoded* keys."""
+        """Batched :meth:`may_contain`."""
         if self.is_bytes:
             mat = byte_probe_matrix(keys, self.width)
-            if mat is not None:
-                if self.num_keys == 0:
-                    return np.zeros(mat.shape[0], dtype=bool)
-                out = np.ones(mat.shape[0], dtype=bool)
-                if self._trie is not None:
-                    out &= self._trie.contains_rows(
-                        mask_rows(mat, self.design.trie_depth)
-                    )
-                if self._bloom is not None:
-                    out &= self._bloom.contains_bytes_rows(
-                        mask_rows(mat, self.design.bloom_prefix_len)
-                    )
-                return out
-            # Non-matrix probes against a byte filter take the scalar loop:
-            # the int64 fast path below hashes integer items, not prefix
-            # bytes, and would disagree with the byte-built Bloom layer.
-            arr = as_key_array(keys)
-            return np.fromiter(
-                (self._may_contain_encoded(key) for key in arr.tolist()),
-                dtype=bool,
-                count=arr.size,
-            )
-        arr = as_key_array(keys)
-        if arr.dtype == object or self.width > MAX_VECTOR_WIDTH:
-            return np.fromiter(
-                (self._may_contain_encoded(key) for key in arr.tolist()),
-                dtype=bool,
-                count=arr.size,
-            )
+            if mat is None:
+                # Padded big-integer probes take the scalar loop: the int64
+                # path below hashes integer items, not prefix bytes, and
+                # would disagree with the byte-built Bloom layer.
+                return super().may_contain_many(keys)
+            if self.num_keys == 0:
+                return np.zeros(mat.shape[0], dtype=bool)
+            out = np.ones(mat.shape[0], dtype=bool)
+            if self._trie is not None:
+                out &= self._trie.contains_rows(mask_rows(mat, self.design.trie_depth))
+            if self._bloom is not None:
+                out &= self._bloom.contains_bytes_rows(
+                    mask_rows(mat, self.design.bloom_prefix_len)
+                )
+            return out
+        arr = as_key_array(keys, self.width)
         if self.num_keys == 0:
             return np.zeros(arr.size, dtype=bool)
         out = np.ones(arr.size, dtype=bool)
@@ -314,22 +297,12 @@ class Proteus(RangeFilter):
         return out
 
     def may_intersect_many(self, queries) -> np.ndarray:
-        """Batched :meth:`may_intersect` over *encoded* range queries."""
+        """Batched :meth:`may_intersect`."""
         batch = coerce_query_batch(queries, self.width)
+        if self.is_bytes != isinstance(batch, ByteQueryBatch):
+            return super().may_intersect_many(batch)  # padded big-integer bounds
         if self.is_bytes:
-            if isinstance(batch, ByteQueryBatch):
-                return self._may_intersect_bytes(batch)
-            return np.fromiter(
-                (self._may_intersect_encoded(lo, hi) for lo, hi in batch.pairs()),
-                dtype=bool,
-                count=len(batch),
-            )
-        if not batch.is_vector:
-            return np.fromiter(
-                (self._may_intersect_encoded(lo, hi) for lo, hi in batch.pairs()),
-                dtype=bool,
-                count=len(batch),
-            )
+            return self._may_intersect_bytes(batch)
         if self.num_keys == 0:
             return np.zeros(len(batch), dtype=bool)
         trie, bloom = self._trie, self._bloom

@@ -46,6 +46,7 @@ from repro.api import FilterSpec, Workload
 from repro.evaluation.gates import check_regressions
 from repro.obs.metrics import MetricsRegistry, validate_metrics_payload
 from repro.serve import MicroBatcher, ShardedLookupService
+from repro.workloads.batch import decode_ints
 
 __all__ = ["run_serve_bench", "check_serve_report", "main"]
 
@@ -83,14 +84,18 @@ def default_min_speedup(usable_cpus: int, top_shards: int) -> float:
 def _make_eval_queries(
     keys: np.ndarray, num_queries: int, width: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A seeded serving mix: key-hitting points, random points, short ranges."""
+    """A seeded serving mix: key-hitting points, random points, short ranges.
+
+    ``keys`` are the user's keys (``uint64`` at width 64), and the bounds
+    come out in the same dtype.
+    """
     rng = np.random.default_rng(seed)
-    top = np.int64((1 << width) - 1)
+    top = (1 << width) - 1
     third = num_queries // 3
     hit_points = rng.choice(keys, size=third)
-    random_points = rng.integers(0, top, size=third, dtype=np.int64)
-    range_los = rng.integers(0, top - 1024, size=num_queries - 2 * third, dtype=np.int64)
-    range_his = range_los + rng.integers(1, 1024, size=range_los.size, dtype=np.int64)
+    random_points = rng.integers(0, top, size=third, dtype=keys.dtype)
+    range_los = rng.integers(0, top - 1024, size=num_queries - 2 * third, dtype=keys.dtype)
+    range_his = range_los + rng.integers(1, 1024, size=range_los.size, dtype=keys.dtype)
     los = np.concatenate([hit_points, random_points, range_los])
     his = np.concatenate([hit_points, random_points, range_his])
     order = rng.permutation(num_queries)
@@ -177,7 +182,7 @@ def run_serve_bench(
     workload = Workload.generate(
         num_keys=num_keys, num_queries=num_queries, width=width, seed=seed
     )
-    key_array = workload.keys.keys
+    key_array = decode_ints(workload.keys.keys, width)
     los, his = _make_eval_queries(key_array, num_queries, width, seed + 1)
     reference = _reference_answers(key_array, los, his)
     latency_count = min(latency_requests, num_queries)

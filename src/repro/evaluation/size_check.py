@@ -70,7 +70,7 @@ def _surf_record(
     physical = SuRF(keys, workload.width, max_depth, physical=True)
     predicted = physical.modelled_size_in_bits()
     measured = physical.size_in_bits()
-    point_answers = physical.may_contain_many(keys.keys)
+    point_answers = physical.may_contain_many(keys)
     range_answers = physical.may_intersect_many(workload.queries)
     pointer_ranges = pointer.may_intersect_many(workload.queries)
     scalar_sample = [
@@ -150,7 +150,7 @@ def run_size_check(
                 num_keys, num_queries, width, seed=seed,
                 key_dist=key_dist, query_family=query_family,
             )
-            oracle = TrieOracle(workload.keys.keys, width)
+            oracle = TrieOracle(workload.keys, width)
             truth = oracle.may_intersect_many(workload.queries)
             num_bytes = (width + 7) // 8
             with timed(metrics, "size_check.cell_seconds"):

@@ -37,7 +37,7 @@ from repro import kernels
 from repro.api import FilterSpec, Workload, build_filter, family as family_entry
 from repro.filters.base import TrieOracle
 from repro.obs.metrics import MetricsRegistry, timed
-from repro.workloads.batch import QueryBatch
+from repro.workloads.batch import QueryBatch, coerce_query_batch
 from repro.workloads.datasets import dataset_queries, list_datasets, load_dataset
 from repro.workloads.generators import QUERY_FAMILIES
 
@@ -67,7 +67,7 @@ def held_out_queries(
     make_queries = QUERY_FAMILIES[query_family]
     rng = random.Random(seed)
     pairs = make_queries(rng, workload.keys.as_list(), count, workload.width)
-    return QueryBatch.from_pairs(pairs, workload.width)
+    return coerce_query_batch(pairs, workload.width)
 
 
 def run_sweep(
@@ -115,7 +115,7 @@ def run_sweep(
     eval_batch = held_out_queries(
         workload, num_eval_queries or num_queries, seed + 1, query_family
     )
-    oracle = TrieOracle(workload.keys.keys, width)
+    oracle = TrieOracle(workload.keys, width)
     truth = oracle.may_intersect_many(eval_batch)
     num_empty = int((~truth).sum())
     if num_empty == 0:

@@ -36,7 +36,7 @@ import random
 from repro.api import FilterSpec
 from repro.lsm import CostModel, FilterLifecycle, OnlineLSMTree
 from repro.obs.metrics import MetricsRegistry, timed
-from repro.workloads.batch import QueryBatch, probe_key_array
+from repro.workloads.batch import QueryBatch
 from repro.workloads.generators import (
     KEY_DISTRIBUTIONS,
     correlated_queries,
@@ -233,11 +233,9 @@ def run_timeline_bench(
     # so the check covers the whole history, not just what probe sees).
     for tree in (adaptive, static):
         tree.flush()
-    # probe_key_array keeps the sorted order and native representation
-    # (ints today, raw str/bytes if the stream ever carries them) — the
-    # same dispatch lookup_many itself applies.
-    touched = probe_key_array(sorted(truth), width)
-    expected = [truth[key] for key in touched.tolist()]
+    # lookup_many takes the user's keys and applies the probe dispatch.
+    touched = sorted(truth)
+    expected = [truth[key] for key in touched]
     lookup_consistent = {
         name: bool((tree.lookup_many(touched).tolist() == expected))
         for name, tree in (("adaptive", adaptive), ("static", static))

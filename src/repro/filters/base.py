@@ -23,9 +23,14 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.keys.keyspace import KeySpace
-from repro.keys.lcp import MAX_VECTOR_WIDTH
 from repro.trie.node_trie import ByteTrie
-from repro.workloads.batch import as_key_array, coerce_keys, coerce_query_batch
+from repro.workloads.batch import (
+    as_key_array,
+    coerce_keys,
+    coerce_query_batch,
+    decode_ints,
+    encode_ints,
+)
 from repro.workloads.keyset import KeySet
 
 #: Key width assumed by ``from_spec`` when neither a workload, an
@@ -121,11 +126,12 @@ def ragged_ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, 
 
 
 def key_to_bytes(key: int, width: int) -> bytes:
-    """Render a ``width``-bit key as big-endian bytes (MSB-padded to bytes).
+    """Render a ``width``-bit user key as big-endian bytes (MSB-padded to bytes).
 
     Padding the *top* of the integer to a whole number of bytes preserves
     both ordering and prefix structure, so byte-granular tries remain exact
-    for widths that are not byte multiples.
+    for widths that are not byte multiples.  Stored keys go through
+    :func:`~repro.workloads.batch.decode_ints` first.
     """
     num_bytes = (width + 7) // 8
     return key.to_bytes(num_bytes, "big")
@@ -141,9 +147,24 @@ class RangeFilter(ABC):
     #: Optional :class:`~repro.keys.keyspace.KeySpace` set by self-designing
     #: builders; when present, raw-domain queries are encoded through it.
     key_space: KeySpace | None = None
+    #: Whether the filter was built over byte keys; its scalar probes are
+    #: then padded big-endian integers, never the int64 stored form.
+    is_bytes: bool = False
 
     def _encode(self, key) -> int:
-        return self.key_space.encode(key) if self.key_space is not None else key
+        """One probe key in the form the filter stores (width 64: ``key - 2**63``)."""
+        if self.key_space is not None:
+            key = self.key_space.encode(key)
+        return key if self.is_bytes else encode_ints(key, self.width)
+
+    def _encode_range(self, lo, hi) -> tuple[int, int]:
+        """Check ``[lo, hi]`` on the user's bounds, then encode both once."""
+        if self.key_space is not None:
+            lo, hi = self.key_space.encode(lo), self.key_space.encode(hi)
+        self._check_range(lo, hi)
+        if self.is_bytes:
+            return lo, hi
+        return encode_ints(lo, self.width), encode_ints(hi, self.width)
 
     @abstractmethod
     def may_contain(self, key: int) -> bool:
@@ -157,24 +178,29 @@ class RangeFilter(ABC):
     # Batch API                                                          #
     # ------------------------------------------------------------------ #
     #
-    # Both batch methods operate on *encoded* keys — the integer view of
-    # the filter's key space — and return a boolean numpy array aligned
-    # with the input.  The base implementations loop over the scalar
-    # methods, so third-party subclasses inherit correct (if unaccelerated)
-    # batch behaviour for free; the filters in this repository override
-    # them with vectorised paths for word-sized key spaces.
+    # Both batch methods take keys in the integer view of the filter's key
+    # space (or a KeySet / QueryBatch already in its stored form) and
+    # return a boolean numpy array aligned with the input.  The base
+    # implementations loop over the scalar methods, so third-party
+    # subclasses inherit correct (if unaccelerated) batch behaviour for
+    # free; the filters in this repository override them with vectorised
+    # paths.
 
     def may_contain_many(self, keys) -> np.ndarray:
-        """Per-key :meth:`may_contain` over a batch of encoded keys.
+        """Per-key :meth:`may_contain` over a batch of keys.
 
-        Accepts a numpy array, an ``EncodedKeySet``, or any iterable of
-        ints; returns one boolean per input key, in order.
+        Accepts a numpy array, a :class:`~repro.workloads.keyset.KeySet`,
+        or any iterable of keys; returns one boolean per input key, in
+        order.
         """
-        arr = as_key_array(keys)
+        if isinstance(keys, KeySet):
+            probes = keys.as_list()
+        else:
+            probes = keys.tolist() if isinstance(keys, np.ndarray) else list(keys)
         return np.fromiter(
-            (self.may_contain(key) for key in arr.tolist()),
+            (self.may_contain(key) for key in probes),
             dtype=bool,
-            count=arr.size,
+            count=len(probes),
         )
 
     def may_intersect_many(self, queries) -> np.ndarray:
@@ -236,20 +262,21 @@ class TrieOracle(RangeFilter):
         self.width = width
         key_set = coerce_keys(keys, width)
         self.num_keys = len(key_set)
-        if key_set.is_bytes:
+        self.is_bytes = key_set.is_bytes
+        if self.is_bytes:
             length = (width + 7) // 8
             self._trie = ByteTrie(
                 key.ljust(length, b"\x00") for key in key_set.as_list()
             )
-            # The padded S-dtype array searchsorts in key order directly.
-            self._sorted: np.ndarray | None = key_set.keys
         else:
             self._trie = ByteTrie(
-                key_to_bytes(key, width) for key in key_set.as_list()
+                key_to_bytes(key, width)
+                for key in decode_ints(key_set.keys, width).tolist()
             )
-            # Word-sized key sets keep a sorted array view so batch answers
-            # are two searchsorted calls instead of a trie walk per query.
-            self._sorted = key_set.keys if width <= MAX_VECTOR_WIDTH else None
+        # The stored (int64 or padded S-dtype) array searchsorts in key
+        # order, so batch answers are two searchsorted calls instead of a
+        # trie walk per query.
+        self._sorted = key_set.keys
 
     @classmethod
     def from_spec(cls, spec, keys=None, workload=None) -> "TrieOracle":
@@ -277,30 +304,22 @@ class TrieOracle(RangeFilter):
         )
 
     def may_contain_many(self, keys) -> np.ndarray:
-        if self._sorted is not None and self._sorted.dtype.kind == "S":
+        if self.is_bytes:
             # Byte mode: probe the padded S-dtype view (memcmp == key order).
             arr = keys.keys if isinstance(keys, KeySet) else np.asarray(keys)
-            if arr.dtype.kind == "S" and self.num_keys:
-                idx = np.searchsorted(self._sorted, arr, side="left")
-                safe = np.minimum(idx, self.num_keys - 1)
-                return (idx < self.num_keys) & (self._sorted[safe] == arr)
+            if arr.dtype.kind != "S" or not self.num_keys:
+                return super().may_contain_many(keys)
+        elif not self.num_keys:
             return super().may_contain_many(keys)
-        arr = as_key_array(keys)
-        if self._sorted is None or arr.dtype == object or self.num_keys == 0:
-            return super().may_contain_many(arr)
+        else:
+            arr = as_key_array(keys, self.width)
         idx = np.searchsorted(self._sorted, arr, side="left")
         safe = np.minimum(idx, self.num_keys - 1)
         return (idx < self.num_keys) & (self._sorted[safe] == arr)
 
     def may_intersect_many(self, queries) -> np.ndarray:
         batch = coerce_query_batch(queries, self.width)
-        byte_batch = batch.los.dtype.kind == "S"
-        if (
-            self._sorted is None
-            or self.num_keys == 0
-            or (self._sorted.dtype.kind == "S") != byte_batch
-            or not (batch.is_vector or byte_batch)
-        ):
+        if self.num_keys == 0 or self.is_bytes != (batch.los.dtype.kind == "S"):
             return super().may_intersect_many(batch)
         # [lo, hi] contains a key iff the first key >= lo exists and is <= hi.
         idx = np.searchsorted(self._sorted, batch.los, side="left")

@@ -29,10 +29,11 @@ from repro.filters.base import (
 from repro.keys.bytestr import (
     byte_slot_bounds,
     expand_slot_rows,
+    mask_rows,
     prefix_item_bytes,
     scalar_slot_clamped,
 )
-from repro.keys.lcp import MAX_VECTOR_WIDTH
+from repro.keys.lcp import bit_length_many
 from repro.keys.prefix import prefix_of, prefix_range
 from repro.workloads.batch import as_key_array, coerce_keys, coerce_query_batch, slot_bounds
 from repro.workloads.bytekeys import ByteQueryBatch, byte_probe_matrix
@@ -53,9 +54,13 @@ def derived_prefix_len(width: int, workload=None) -> int:
     workload the default 64-key slot is used.
     """
     span_bits = DEFAULT_SLOT_SPAN_BITS
-    if workload is not None and len(workload.queries):
-        max_span = max(int(span) for span in workload.queries.spans())
-        span_bits = (max_span - 1).bit_length()
+    batch = workload.queries if workload is not None else None
+    if isinstance(batch, ByteQueryBatch) and len(batch):
+        span_bits = max(hi - lo for lo, hi in batch.pairs()).bit_length()
+    elif batch is not None and len(batch):
+        # Stored bounds differ by the user's span read as uint64: the
+        # full 64-bit range spans 2**64 - 1, which int64 wraps to -1.
+        span_bits = int(bit_length_many((batch.his - batch.los).view(np.uint64)).max())
     return max(1, width - span_bits)
 
 
@@ -123,13 +128,18 @@ class PrefixBloomFilter(RangeFilter):
             )
         return self._bloom.contains(prefix)
 
-    def may_contain(self, key: int) -> bool:
+    def may_contain(self, key) -> bool:
+        return self._may_contain_encoded(self._encode(key))
+
+    def _may_contain_encoded(self, key: int) -> bool:
         if self.num_keys == 0:
             return False
         return self._probe_prefix(prefix_of(key, self.prefix_len, self.width))
 
-    def may_intersect(self, lo: int, hi: int) -> bool:
-        self._check_range(lo, hi)
+    def may_intersect(self, lo, hi) -> bool:
+        return self._may_intersect_encoded(*self._encode_range(lo, hi))
+
+    def _may_intersect_encoded(self, lo: int, hi: int) -> bool:
         if self.num_keys == 0:
             return False
         plo, phi = prefix_range(lo, hi, self.prefix_len, self.width)
@@ -143,21 +153,19 @@ class PrefixBloomFilter(RangeFilter):
     def may_contain_many(self, keys) -> np.ndarray:
         if self.is_bytes:
             mat = byte_probe_matrix(keys, self.width)
-            if mat is not None and self.num_keys:
-                from repro.keys.bytestr import mask_rows
+            if mat is None:
+                return super().may_contain_many(keys)  # padded big-integer probes
+            return self._contains_rows(mat)
+        return self._contains_stored(as_key_array(keys, self.width))
 
-                return self._bloom.contains_bytes_rows(
-                    mask_rows(mat, self.prefix_len)
-                )
-        arr = as_key_array(keys)
-        if arr.dtype == object or self.width > MAX_VECTOR_WIDTH:
-            # Encoded-domain loop, deliberately bypassing any may_contain
-            # override in a subclass (OnePBF re-encodes raw keys there).
-            return np.fromiter(
-                (PrefixBloomFilter.may_contain(self, key) for key in arr.tolist()),
-                dtype=bool,
-                count=arr.size,
-            )
+    def _contains_rows(self, mat: np.ndarray) -> np.ndarray:
+        """Batch point probes of a byte filter, one probe row per key."""
+        if self.num_keys == 0:
+            return np.zeros(mat.shape[0], dtype=bool)
+        return self._bloom.contains_bytes_rows(mask_rows(mat, self.prefix_len))
+
+    def _contains_stored(self, arr: np.ndarray) -> np.ndarray:
+        """Batch point probes of an integer filter, over stored int64 keys."""
         if self.num_keys == 0:
             return np.zeros(arr.size, dtype=bool)
         return self._bloom.contains_many(arr >> np.int64(self.width - self.prefix_len))
@@ -179,19 +187,12 @@ class PrefixBloomFilter(RangeFilter):
 
     def may_intersect_many(self, queries) -> np.ndarray:
         batch = coerce_query_batch(queries, self.width)
-        if self.is_bytes and isinstance(batch, ByteQueryBatch) and self.num_keys:
-            return self._may_intersect_bytes(batch)
-        if not batch.is_vector:
-            return np.fromiter(
-                (
-                    PrefixBloomFilter.may_intersect(self, lo, hi)
-                    for lo, hi in batch.pairs()
-                ),
-                dtype=bool,
-                count=len(batch),
-            )
+        if self.is_bytes != isinstance(batch, ByteQueryBatch):
+            return super().may_intersect_many(batch)  # padded big-integer bounds
         if self.num_keys == 0:
             return np.zeros(len(batch), dtype=bool)
+        if self.is_bytes:
+            return self._may_intersect_bytes(batch)
         plo, phi, clamped = slot_bounds(
             batch.los, batch.his, self.width, self.prefix_len, self.max_probes
         )

@@ -23,11 +23,18 @@ prefixes stored at each level, which approximates the paper's optimised
 allocation (deeper levels hold more distinct prefixes and receive more
 memory).
 
-Construction is vectorised for word-sized key spaces: each level's distinct
-prefixes come from the :class:`~repro.workloads.batch.EncodedKeySet` prefix
-cache (one ``np.unique`` per level) and are inserted through the bulk
-``add_many`` hash path — bit-identical to the scalar per-key build
-(``vectorize=False``), which the parity suite pins.
+Construction is vectorised: each level's distinct prefixes come from the
+key set's prefix cache (one ``np.unique`` per level, or canonical prefix
+rows for byte keys) and are inserted through the bulk hash paths —
+bit-identical to a per-key build, which the parity suite pins.
+
+Probes run in the key set's stored form (:mod:`repro.workloads.batch`).
+The dyadic decomposition needs no change for it: below 64 bits the stored
+form is the key, and at width 64 every stored position other than the two
+ends of the space has the alignment of its key; the only difference is
+that the full-space query splits into its two level-1 halves instead of
+one unfiltered level-0 block, which probes the same prefixes in the same
+order.
 """
 
 from __future__ import annotations
@@ -56,14 +63,15 @@ def dyadic_intervals(lo: int, hi: int, width: int) -> Iterator[tuple[int, int]]:
 
     Yields ``(prefix, level)`` pairs: each interval is exactly the key span
     of ``prefix`` at ``level`` bits.  At most ``2 * width`` pairs are
-    produced for any range.
+    produced for any range.  Bounds may be stored width-64 keys: the
+    lowest set bit of a negative position is its alignment too.
     """
     if lo > hi:
         raise ValueError(f"empty query range [{lo}, {hi}]")
     position = lo
     while position <= hi:
         # Largest power-of-two block aligned at `position`...
-        size = position & -position if position > 0 else 1 << width
+        size = position & -position if position else 1 << width
         # ...shrunk until it fits inside the remaining range.
         while position + size - 1 > hi:
             size >>= 1
@@ -83,7 +91,6 @@ class Rosetta(RangeFilter):
         num_levels: int | None = None,
         max_probes: int = DEFAULT_MAX_PROBES,
         seed: int = 0,
-        vectorize: bool = True,
     ):
         if width <= 0:
             raise ValueError("key width must be positive")
@@ -101,8 +108,6 @@ class Rosetta(RangeFilter):
         key_set = coerce_keys(keys, width)
         self.num_keys = len(key_set)
         self.is_bytes = key_set.is_bytes
-        use_bulk = vectorize and (key_set.is_vector or key_set.is_bytes)
-        key_list = None if use_bulk or key_set.is_bytes else key_set.as_list()
         counts = key_set.prefix_counts()
         levels = range(self.first_level, width + 1)
         weight_total = sum(counts[level] for level in levels) or 1
@@ -113,24 +118,13 @@ class Rosetta(RangeFilter):
             # size_in_bits() is the authoritative footprint, not the request.
             level_bits = max(1, total_bits * counts[level] // weight_total)
             bloom = BloomFilter(level_bits, max(1, counts[level]), seed=seed + level)
+            # The sorted distinct prefixes come from the key set's cache and
+            # every hash lane runs column-parallel; Bloom contents do not
+            # depend on insertion order, so this equals a per-key build.
             if self.is_bytes:
-                # Canonical prefix-byte rows; the scalar path inserts the
-                # exact same rows one bytes() at a time, pinning parity.
-                prefix_rows = key_set.prefixes(level)
-                if use_bulk:
-                    bloom.add_bytes_rows(prefix_rows)
-                else:
-                    for row in prefix_rows:
-                        bloom.add_bytes(row.tobytes())
-            elif use_bulk:
-                # Bulk path: the sorted distinct prefixes come from the key
-                # set's cached numpy view and all hash lanes run
-                # column-parallel in add_many — bit-identical to the scalar
-                # build (same items, and Bloom contents are insertion-order
-                # independent), which the parity suite pins.
-                bloom.add_many(key_set.prefixes(level))
+                bloom.add_bytes_rows(key_set.prefixes(level))
             else:
-                bloom.add_many({key >> (width - level) for key in key_list})
+                bloom.add_many(key_set.prefixes(level))
             self._blooms[level] = bloom
 
     @classmethod
@@ -167,10 +161,10 @@ class Rosetta(RangeFilter):
             return bloom.contains_bytes(prefix_item_bytes(prefix, level))
         return bloom.contains(prefix)
 
-    def may_contain(self, key: int) -> bool:
+    def may_contain(self, key) -> bool:
         if self.num_keys == 0:
             return False
-        return self._probe_level(key, self.width)
+        return self._probe_level(self._encode(key), self.width)
 
     def may_contain_many(self, keys) -> np.ndarray:
         if self.is_bytes and self.num_keys:
@@ -180,8 +174,8 @@ class Rosetta(RangeFilter):
                 return self._blooms[self.width].contains_bytes_rows(mat)
         return super().may_contain_many(keys)
 
-    def may_intersect(self, lo: int, hi: int) -> bool:
-        self._check_range(lo, hi)
+    def may_intersect(self, lo, hi) -> bool:
+        lo, hi = self._encode_range(lo, hi)
         if self.num_keys == 0:
             return False
         budget = self.max_probes

@@ -8,10 +8,10 @@ stored prefix covers its key's full subtree, false negatives are impossible;
 false positives arise whenever a query hits a pruned subtree that contains
 no key.
 
-The pruned prefix set is computed vectorised for word-sized key spaces
-(numpy LCPs + per-depth prefix dedup; bit-identity to the scalar path is
-pinned in ``tests/test_batch_parity.py``) and the trie is stored one of two
-ways:
+The pruned prefix set is computed vectorised (numpy LCPs over the stored
+keys + per-depth prefix dedup; bit-identity to the per-key reference loop
+is pinned in ``tests/test_batch_parity.py``) and the trie is stored one of
+two ways:
 
 * ``physical=False`` (default): a pointer-based
   :class:`~repro.trie.node_trie.ByteTrie`, with the footprint its LOUDS-DS
@@ -22,9 +22,9 @@ ways:
   :class:`~repro.trie.fst.FastSuccinctTrie` (LOUDS-Dense top + LOUDS-Sparse
   bottom at the footprint-minimising cutoff); queries — scalar and batched —
   run on the succinct structure and ``size_in_bits()`` /
-  ``size_breakdown()`` report the *measured* bits actually stored.  On the
-  vectorised path the LOUDS halves are built directly from the sorted
-  prefix list by :meth:`FastSuccinctTrie.from_sorted_prefix_bytes` (one
+  ``size_breakdown()`` report the *measured* bits actually stored.  The
+  LOUDS halves are built directly from the sorted prefix list by
+  :meth:`FastSuccinctTrie.from_sorted_prefix_bytes` (one
   ``repro.kernels.trie_levels`` pass) without materialising a pointer trie.
 
 ``max_depth`` caps the trie depth in bytes — the knob the paper turns to
@@ -45,13 +45,8 @@ from repro.filters.base import (
     key_to_bytes,
     resolve_spec_inputs,
 )
-from repro.keys.keyspace import sorted_distinct_keys
-from repro.keys.lcp import (
-    MAX_VECTOR_WIDTH,
-    min_distinguishing_prefix_lengths,
-    min_distinguishing_prefix_lengths_array,
-)
 from repro.keys.bytestr import unique_rows
+from repro.keys.lcp import min_distinguishing_prefix_lengths_array
 from repro.trie.fst import FastSuccinctTrie
 from repro.trie.node_trie import ByteTrie
 from repro.trie.size_model import fst_size_estimate
@@ -60,6 +55,7 @@ from repro.workloads.batch import (
     as_key_array,
     coerce_keys,
     coerce_query_batch,
+    decode_ints,
 )
 from repro.workloads.bytekeys import (
     ByteKeySet,
@@ -77,7 +73,6 @@ class SuRF(RangeFilter):
         width: int,
         max_depth: int | None = None,
         physical: bool = False,
-        vectorize: bool = True,
     ):
         if width <= 0:
             raise ValueError("key width must be positive")
@@ -89,93 +84,58 @@ class SuRF(RangeFilter):
             raise ValueError(f"trie depth {max_depth} outside [1, {num_bytes}]")
         self.max_depth = max_depth
         self.physical = physical
-        if not isinstance(keys, (EncodedKeySet, ByteKeySet, np.ndarray)):
-            keys = list(keys)
-            if keys and isinstance(keys[0], (bytes, str, np.bytes_)):
-                keys = coerce_keys(keys, width)
-        self.is_bytes = isinstance(keys, ByteKeySet)
-        self._trie: ByteTrie | None
-        self._fst: FastSuccinctTrie | None
+        key_set = coerce_keys(keys, width)
+        self.is_bytes = key_set.is_bytes
         if self.is_bytes:
             # Byte-native prefix extraction; pruning is byte-granular here
             # (width is always a byte multiple), so pad_bits is zero and
             # the distinguishing depth is the adjacent-LCP byte depth.
-            prefixes = self._vector_prefixes_bytes(keys, max_depth)
-            if physical:
-                self._trie = None
-                self._fst = FastSuccinctTrie.from_sorted_prefix_bytes(prefixes)
-                return
-            self._trie = ByteTrie.from_sorted_prefix_free(prefixes)
-            self._fst = None
-            return
-        if vectorize and width <= MAX_VECTOR_WIDTH:
-            prefixes = self._vector_prefixes(keys, width, max_depth, num_bytes)
-            if physical:
-                # Kernel-backed bulk build: the LOUDS halves come straight
-                # from the sorted prefix list — no pointer trie at all.
-                self._trie = None
-                self._fst = FastSuccinctTrie.from_sorted_prefix_bytes(prefixes)
-                return
-            self._trie = ByteTrie.from_sorted_prefix_free(prefixes)
+            prefixes = self._vector_prefixes_bytes(key_set, max_depth)
         else:
-            self._trie = self._build_trie_scalar(keys, width, max_depth, num_bytes)
-        self._fst = FastSuccinctTrie.from_byte_trie(self._trie) if physical else None
-
-    def _build_trie_scalar(
-        self, keys, width: int, max_depth: int, num_bytes: int
-    ) -> ByteTrie:
-        """Build the pruned trie with the scalar reference loop."""
-        if isinstance(keys, EncodedKeySet):
-            sorted_keys = keys.as_list()
+            prefixes = self._vector_prefixes(key_set, width, max_depth, num_bytes)
+        self._trie: ByteTrie | None = None
+        self._fst: FastSuccinctTrie | None = None
+        if physical:
+            # Kernel-backed bulk build: the LOUDS halves come straight
+            # from the sorted prefix list — no pointer trie at all.
+            self._fst = FastSuccinctTrie.from_sorted_prefix_bytes(prefixes)
         else:
-            sorted_keys = sorted_distinct_keys(keys, width)
-        self.num_keys = len(sorted_keys)
-        bit_lengths = min_distinguishing_prefix_lengths(sorted_keys, width)
-        # Keys are MSB-padded to whole bytes (key_to_bytes), so a prefix of
-        # `bits` key bits occupies padded-encoding bits [pad, pad + bits) and
-        # needs ceil((pad + bits) / 8) bytes — ignoring the pad would round
-        # distinct keys onto one coarser byte prefix for non-byte widths.
-        pad_bits = 8 * num_bytes - width
-        prefixes = set()
-        for key, bits in zip(sorted_keys, bit_lengths):
-            depth = min(max_depth, (pad_bits + bits + 7) // 8)
-            prefixes.add(key_to_bytes(key, width)[: max(1, depth)])
-        return ByteTrie(prefixes)
+            self._trie = ByteTrie.from_sorted_prefix_free(prefixes)
 
     def _vector_prefixes(
-        self, keys, width: int, max_depth: int, num_bytes: int
+        self, key_set: EncodedKeySet, width: int, max_depth: int, num_bytes: int
     ) -> list[bytes]:
         """Compute the sorted pruned-prefix list on the numpy bulk path.
 
         LCPs, distinguishing lengths and byte depths come from vectorised
-        array arithmetic; per depth, the distinct prefix *integers* are
-        deduplicated before any bytes object is materialised.  Capped-depth
+        array arithmetic over the stored keys; per depth, the distinct
+        prefixes of the unsigned keys (:func:`~repro.workloads.batch.
+        decode_ints`) are deduplicated before any bytes object is
+        materialised.  Capped-depth
         collisions dedup to equal strings and a natural (uncapped)
         distinguishing prefix is never a prefix of another key's, so the
         merged sorted list is prefix-free up to the covering rule the bulk
         builders (:meth:`ByteTrie.from_sorted_prefix_free` /
-        :meth:`FastSuccinctTrie.from_sorted_prefix_bytes`) apply — either
-        consumer yields a structure identical to the scalar path's trie.
+        :meth:`FastSuccinctTrie.from_sorted_prefix_bytes`) apply.  Keys are
+        MSB-padded to whole bytes (:func:`~repro.filters.base.key_to_bytes`),
+        so a prefix of ``bits`` key bits occupies padded-encoding bits
+        ``[pad, pad + bits)`` and needs ``ceil((pad + bits) / 8)`` bytes —
+        ignoring the pad would round distinct keys onto one coarser byte
+        prefix for non-byte widths.
         """
-        if isinstance(keys, EncodedKeySet) and keys.is_vector:
-            arr = keys.keys
-        elif isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
-            arr = np.unique(keys.astype(np.int64, copy=False))
-            if arr.size and not 0 <= int(arr[0]) <= int(arr[-1]) < (1 << width):
-                raise ValueError(f"key outside the {width}-bit key space")
-        else:
-            arr = np.array(sorted_distinct_keys(keys, width), dtype=np.int64)
+        arr = key_set.keys
         self.num_keys = int(arr.size)
         bit_lengths = min_distinguishing_prefix_lengths_array(arr, width)
         pad_bits = 8 * num_bytes - width
         depths = np.maximum(
             1, np.minimum(max_depth, (pad_bits + bit_lengths + 7) // 8)
         )
+        unsigned = decode_ints(arr, width)
         prefixes: list[bytes] = []
         for depth in np.unique(depths).tolist():
-            shift = np.int64(8 * (num_bytes - depth))
-            for value in np.unique(arr[depths == depth] >> shift).tolist():
-                prefixes.append(int(value).to_bytes(depth, "big"))
+            shift = 8 * (num_bytes - depth)
+            for value in np.unique(unsigned[depths == depth] >> shift).tolist():
+                prefixes.append(value.to_bytes(depth, "big"))
         prefixes.sort()
         return prefixes
 
@@ -281,28 +241,26 @@ class SuRF(RangeFilter):
                 dtype=bool,
                 count=mat.shape[0],
             )
-        if self._fst is None or self.width > MAX_VECTOR_WIDTH:
+        if self._fst is None:
             return super().may_contain_many(keys)
-        arr = as_key_array(keys)
-        if arr.dtype == object:
-            return super().may_contain_many(arr)
+        arr = as_key_array(keys, self.width)
         if self.num_keys == 0:
             return np.zeros(arr.size, dtype=bool)
-        return self._fst.may_contain_many(arr, (self.width + 7) // 8)
+        return self._fst.may_contain_many(decode_ints(arr, self.width), (self.width + 7) // 8)
 
     def may_intersect_many(self, queries) -> np.ndarray:
         """Batched range probes; LOUDS rank-arithmetic when ``physical``."""
         batch = coerce_query_batch(queries, self.width)
-        if self._fst is not None and isinstance(batch, ByteQueryBatch):
-            if self.num_keys == 0:
-                return np.zeros(len(batch), dtype=bool)
-            return self._fst.may_intersect_matrix(batch.lo_matrix, batch.hi_matrix)
-        if self._fst is None or not batch.is_vector:
+        if self._fst is None or self.is_bytes != isinstance(batch, ByteQueryBatch):
             return super().may_intersect_many(batch)
         if self.num_keys == 0:
             return np.zeros(len(batch), dtype=bool)
+        if self.is_bytes:
+            return self._fst.may_intersect_matrix(batch.lo_matrix, batch.hi_matrix)
         return self._fst.may_intersect_many(
-            batch.los, batch.his, (self.width + 7) // 8
+            decode_ints(batch.los, self.width),
+            decode_ints(batch.his, self.width),
+            (self.width + 7) // 8,
         )
 
     def trie_height(self) -> int:

@@ -12,26 +12,15 @@ The :class:`~repro.keys.keyspace.KeySpace` classes encapsulate that mapping;
 CPFPR model.
 """
 
-from repro.keys.keyspace import (
-    IntegerKeySpace,
-    KeySpace,
-    StringKeySpace,
-    sorted_distinct_keys,
-)
+from repro.keys.keyspace import IntegerKeySpace, KeySpace, StringKeySpace
 from repro.keys.lcp import (
-    MAX_VECTOR_WIDTH,
-    adjacent_lcps,
     bit_length_many,
-    lcp_bits,
     lcp_bits_many,
-    min_distinguishing_prefix_lengths,
-    query_set_lcp,
+    min_distinguishing_prefix_lengths_array,
     query_set_lcp_many,
-    unique_prefix_counts,
     unique_prefix_counts_array,
 )
 from repro.keys.prefix import (
-    distinct_prefixes,
     extend_prefix_max,
     extend_prefix_min,
     prefix_of,
@@ -45,18 +34,11 @@ __all__ = [
     "KeySpace",
     "IntegerKeySpace",
     "StringKeySpace",
-    "sorted_distinct_keys",
-    "MAX_VECTOR_WIDTH",
-    "lcp_bits",
     "lcp_bits_many",
     "bit_length_many",
-    "adjacent_lcps",
-    "min_distinguishing_prefix_lengths",
-    "query_set_lcp",
+    "min_distinguishing_prefix_lengths_array",
     "query_set_lcp_many",
-    "unique_prefix_counts",
     "unique_prefix_counts_array",
-    "distinct_prefixes",
     "prefix_of",
     "prefix_range",
     "prefix_range_count",

@@ -12,30 +12,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Iterable, Sequence
 
-import numpy as np
-
-
-def sorted_distinct_keys(keys: Iterable[int], width: int) -> list[int]:
-    """Sort, dedupe and bounds-check an encoded key set for a ``width``-bit space.
-
-    Every filter and model constructor funnels its key set through this one
-    helper so the validation cannot drift between implementations.  Numpy
-    integer arrays (the :class:`repro.workloads.EncodedKeySet` backing store)
-    take a vectorised path; the result is a plain list of Python ints either
-    way.
-    """
-    if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
-        if keys.size == 0:
-            return []
-        deduped = np.unique(keys)
-        if not 0 <= int(deduped[0]) <= int(deduped[-1]) < (1 << width):
-            raise ValueError(f"key outside the {width}-bit key space")
-        return deduped.tolist()
-    result = sorted({int(key) for key in keys})
-    if result and not 0 <= result[0] <= result[-1] < (1 << width):
-        raise ValueError(f"key outside the {width}-bit key space")
-    return result
-
 
 class KeySpace(ABC):
     """A totally ordered key domain viewed as ``width``-bit unsigned integers."""

@@ -12,29 +12,6 @@ query interval (the ``Q_l`` sets of Section 3 of the paper).
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
-from repro.keys.lcp import MAX_VECTOR_WIDTH
-
-
-def distinct_prefixes(keys: Sequence[int], length: int, width: int) -> np.ndarray:
-    """Sorted distinct ``length``-bit prefixes of ``keys`` as a numpy array.
-
-    Word-sized key spaces get an ``int64`` array (vectorised shift +
-    ``np.unique``); wider spaces an ``object`` array of Python ints.  This
-    is the one prefix-set constructor every Bloom-layer builder shares, so
-    the width dispatch cannot drift between filters.
-    """
-    if not 0 < length <= width:
-        raise ValueError(f"prefix length {length} outside [1, {width}]")
-    shift = width - length
-    if width <= MAX_VECTOR_WIDTH:
-        arr = keys if isinstance(keys, np.ndarray) else np.array(keys, dtype=np.int64)
-        return np.unique(arr >> np.int64(shift))
-    return np.array(sorted({key >> shift for key in keys}), dtype=object)
-
 
 def prefix_of(key: int, length: int, width: int) -> int:
     """Return the ``length``-bit prefix of ``key`` in a ``width``-bit space.

@@ -35,9 +35,12 @@ the same search on the slot's whole ``l1``-block clipped to the fences:
 a stored block's clipped interval is exactly that clipped block, and no
 other interval of the level can meet it.
 
-Filters the layout does not cover — other families, ``trie_impl="fst"``
-tries, every filter of a >63-bit (``object``-dtype) tree — keep one
-``SSTable.probe_many`` call per routed SST group, in SST order.
+Integer levels hold the int64 stored form (:mod:`repro.workloads.batch`),
+so width-64 trees take the same pass: shifts of stored keys are stored
+prefixes and block starts, and the probe clamp reads slot spans as
+``uint64`` (:func:`~repro.workloads.batch.slot_bounds`).  Filters the
+layout does not cover — other families and ``trie_impl="fst"`` tries —
+keep one ``SSTable.probe_many`` call per routed SST group, in SST order.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from repro.keys.bytestr import (
 )
 from repro.lsm.sstable import SSTable
 from repro.trie.sorted_index import SortedBytePrefixIndex, SortedPrefixIndex
-from repro.workloads.batch import QueryBatch
+from repro.workloads.batch import QueryBatch, slot_bounds
 
 __all__ = ["LevelLayout"]
 
@@ -112,7 +115,7 @@ class LevelLayout:
     Built from the filters attached when it is made; :meth:`is_current`
     says whether every SST still carries the filter object it captured.
     ``mins``/``maxs`` are the level's fence arrays in the tree's key dtype
-    (``int64``, ``object`` or ``S{L}``).
+    (``int64`` or ``S{L}``).
     """
 
     def __init__(self, level: list[SSTable], width: int, mins: np.ndarray, maxs: np.ndarray):
@@ -124,12 +127,9 @@ class LevelLayout:
         self.starts, self.ends = offsets[:-1], offsets[1:]
         self.filtered = np.array([filt is not None for filt in self.filters], dtype=bool)
         self.is_bytes = mins.dtype.kind == "S"
-        if mins.dtype == object:
-            self.covered = np.zeros(len(level), dtype=bool)
-        else:
-            self.covered = np.array(
-                [_covers(filt, self.is_bytes) for filt in self.filters], dtype=bool
-            )
+        self.covered = np.array(
+            [_covers(filt, self.is_bytes) for filt in self.filters], dtype=bool
+        )
         self._lay_out_filters()
 
     def is_current(self) -> bool:
@@ -195,9 +195,9 @@ class LevelLayout:
             # The integer slot arithmetic: l2-slot p has l1-block
             # (p >> gap) << shift1, which spans mask1 + 1 keys.
             self.shift1 = np.where(self.has_trie, self.width - l1, 0)
-            self.shift2 = self.width - l2
+            self.l2 = l2
             self.gap = l2 - l1
-            self.mask1 = (np.int64(1) << self.shift1) - 1
+            self.mask1 = ~(np.int64(-1) << self.shift1)
 
     def _clipped_blocks(self, trie, index: int, depth: int):
         """SST ``index``'s stored ``l1``-blocks clipped to its fences, or ``None``.
@@ -220,7 +220,7 @@ class LevelLayout:
         else:
             shift = np.int64(self.width - depth)
             starts = prefixes << shift
-            ends = starts | ((np.int64(1) << shift) - 1)
+            ends = starts | ~(np.int64(-1) << shift)
         low, high = self.mins[index], self.maxs[index]
         if ends[0] < low or starts[-1] > high:
             return None
@@ -285,11 +285,11 @@ class LevelLayout:
         if rows.size == 0:
             return gate
         owner = sst[rows]
-        shift = self.shift2[owner]
-        plo, phi = los[rows] >> shift, his[rows] >> shift
-        # A clamped query stays a conservative positive; the clamp never
-        # forms phi - plo + 1, which overflows on a full 63-bit range.
-        todo = phi - plo <= self.max_probes[owner] - 1
+        plo, phi, clamped = slot_bounds(
+            los[rows], his[rows], self.width, self.l2[owner], self.max_probes[owner]
+        )
+        # A clamped query stays a conservative positive.
+        todo = ~clamped
         rows, owner, plo, phi = rows[todo], owner[todo], plo[todo], phi[todo]
         if rows.size == 0:
             return gate

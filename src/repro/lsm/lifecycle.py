@@ -81,16 +81,19 @@ class FilterLifecycle:
     # ------------------------------------------------------------------ #
 
     def record_queries(self, queries) -> None:
-        """Fold a probed batch into the rolling design sample (newest kept)."""
+        """Fold a probed batch into the rolling design sample (newest kept).
+
+        The sample holds the user's bounds (padded big integers for byte
+        keys), so :meth:`rolling_sample` encodes each query exactly once.
+        """
         batch = coerce_query_batch(queries, self.tree.width)
-        for lo, hi in zip(batch.los.tolist(), batch.his.tolist()):
-            self._rolling.append((int(lo), int(hi)))
+        self._rolling.extend(batch.pairs())
 
     def rolling_sample(self) -> QueryBatch | None:
         """The rolling sample as a design-ready batch (None while empty)."""
         if not self._rolling:
             return None
-        return QueryBatch.from_pairs(list(self._rolling), self.tree.width)
+        return coerce_query_batch(list(self._rolling), self.tree.width)
 
     def _monitor_for(self, sst: SSTable) -> DriftMonitor | None:
         """The SST's monitor, created lazily; None when it has no prediction."""

@@ -17,7 +17,10 @@ Keys may be integers or byte/``str`` strings (one kind per memtable):
 byte keys are canonicalised exactly like :class:`~repro.workloads.
 bytekeys.ByteKeySet` does (utf-8 encode, strip trailing nulls) and the
 sealed run carries a byte key set, so the whole write path stays in the
-string representation.
+string representation.  Integer keys are range-checked as the user wrote
+them and then held in the form :func:`~repro.workloads.batch.
+probe_key_array` gives a lookup's probes: the int64 stored form up to 64
+bits, their canonical big-endian bytes beyond.
 """
 
 from __future__ import annotations
@@ -28,7 +31,13 @@ import numpy as np
 
 from repro.keys.keyspace import StringKeySpace
 from repro.lsm.merge import EntryRun
-from repro.workloads.batch import coerce_keys
+from repro.workloads.batch import (
+    MAX_INT64_WIDTH,
+    EncodedKeySet,
+    coerce_keys,
+    int_key_bytes,
+    stored_offset,
+)
 
 __all__ = ["MemTable"]
 
@@ -39,7 +48,7 @@ DEFAULT_CAPACITY = 512
 class MemTable:
     """A bounded, mutable key → live/tombstone map in a ``width``-bit space."""
 
-    __slots__ = ("width", "capacity", "_entries", "_top")
+    __slots__ = ("width", "capacity", "_entries", "_top", "_offset")
 
     def __init__(self, width: int, capacity: int = DEFAULT_CAPACITY):
         if width <= 0:
@@ -50,8 +59,10 @@ class MemTable:
         self.capacity = capacity
         self._entries: dict = {}
         self._top = (1 << width) - 1
+        self._offset = stored_offset(width)
 
     def _check_key(self, key):
+        """One key as the map holds it: what a lookup's probe array holds."""
         if isinstance(key, (bytes, str)):
             raw = StringKeySpace._as_bytes(key).rstrip(b"\x00")
             if 8 * len(raw) > self.width:
@@ -62,7 +73,9 @@ class MemTable:
         key = int(key)
         if not 0 <= key <= self._top:
             raise ValueError(f"key {key} outside the {self.width}-bit key space")
-        return key
+        if self.width > MAX_INT64_WIDTH:
+            return int_key_bytes([key], self.width)[0]
+        return key - self._offset
 
     def put(self, key) -> None:
         """Record ``key`` as live (overwriting any buffered tombstone)."""
@@ -137,10 +150,14 @@ class MemTable:
         keys = [key for key, _ in items]
         tombstones = np.array([not live for _, live in items], dtype=bool)
         self._entries = {}
-        # Keys are already canonical, sorted, and distinct, so coerce_keys
-        # (ByteKeySet for byte keys, EncodedKeySet for ints) preserves the
-        # order the tombstone mask was built in.
-        return EntryRun(coerce_keys(keys, self.width), tombstones)
+        # Keys are already canonical, sorted, and distinct, so the key set
+        # keeps the order the tombstone mask was built in: byte keys
+        # coerce to a ByteKeySet, stored integers wrap as they are.
+        if isinstance(keys[0], bytes):
+            key_set = coerce_keys(keys, self.width)
+        else:
+            key_set = EncodedKeySet._trusted(np.array(keys, dtype=np.int64), self.width)
+        return EntryRun(key_set, tombstones)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

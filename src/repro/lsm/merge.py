@@ -8,15 +8,13 @@ every deeper entry for the same key), and when the merge feeds the
 deepest populated level, surviving tombstones are dropped entirely — there
 is nothing below left for them to shadow.
 
-Two implementations, pinned equal in ``tests/test_batch_parity.py``:
-
-* :func:`merge_entry_runs` — the fast path: one ``np.concatenate`` over
-  the runs and a single ``lexsort``+shifted-comparison dedupe, dispatched
-  through :func:`repro.kernels.merge_runs` (so instrumented compactions
-  count ``kernels.dispatch.{backend}.merge_runs``);
-* :func:`merge_entry_runs_scalar` — the heap-merge reference
-  (``heapq.merge`` + first-per-key), which also serves the ``object``-
-  dtype wide-key fallback where ``lexsort`` cannot.
+:func:`merge_entry_runs` is one ``np.concatenate`` over the runs and a
+single sort-and-dedupe pass: integer runs (``int64`` in their stored form,
+whose order is the keys' order) go through the
+:func:`repro.kernels.merge_runs` ``lexsort`` kernel (so instrumented
+compactions count ``kernels.dispatch.{backend}.merge_runs``), byte runs
+through one stable ``argsort``.  ``tests/test_batch_parity.py`` pins both
+to a ``heapq.merge`` reference.
 
 :func:`merge_key_sets` is the tombstone-free specialisation behind
 ``SSTable.merge_sorted``.
@@ -24,7 +22,6 @@ Two implementations, pinned equal in ``tests/test_batch_parity.py``:
 
 from __future__ import annotations
 
-import heapq
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +34,6 @@ from repro.workloads.keyset import KeySet
 __all__ = [
     "EntryRun",
     "merge_entry_runs",
-    "merge_entry_runs_scalar",
     "merge_key_sets",
 ]
 
@@ -123,17 +119,13 @@ def merge_entry_runs(
     The fast path concatenates every run's keys/tombstones with a
     per-entry priority (the run's index — lower is newer) and lets the
     :func:`repro.kernels.merge_runs` kernel sort and dedupe in one pass.
-    Wide key spaces (``object`` dtype) fall back to the scalar heap merge,
-    so correctness never depends on the vector path.  With
-    ``drop_tombstones`` the surviving deletes are removed from the output
-    — the bottom-level merge, where a tombstone has nothing left to
+    With ``drop_tombstones`` the surviving deletes are removed from the
+    output — the bottom-level merge, where a tombstone has nothing left to
     shadow.
     """
     width = _check_runs(runs)
-    if all(run.keys.is_bytes for run in runs):
+    if runs[0].keys.is_bytes:
         return _merge_entry_runs_bytes(runs, drop_tombstones)
-    if not all(run.keys.is_vector for run in runs):
-        return merge_entry_runs_scalar(runs, drop_tombstones)
     keys = np.concatenate([run.keys.keys for run in runs])
     tombstones = np.concatenate([run.tombstone_mask() for run in runs])
     priorities = np.repeat(
@@ -178,47 +170,6 @@ def _merge_entry_runs_bytes(
     return EntryRun(
         ByteKeySet._from_padded(merged_keys, max_length),
         merged_tombstones if merged_tombstones.any() else None,
-    )
-
-
-def merge_entry_runs_scalar(
-    runs: Sequence[EntryRun], drop_tombstones: bool = False
-) -> EntryRun:
-    """The heap-merge reference: ``heapq.merge`` + first-entry-per-key.
-
-    Semantics identical to :func:`merge_entry_runs` (the parity tests pin
-    this); also the ``object``-dtype fallback for wide key spaces.  Byte
-    runs work too — ``heapq.merge`` compares canonical byte keys in the
-    same lexicographic (= padded ``memcmp``) order.
-    """
-    width = _check_runs(runs)
-    streams = [
-        zip(run.keys.as_list(), [priority] * len(run), run.tombstone_mask().tolist())
-        for priority, run in enumerate(runs)
-    ]
-    merged_keys: list = []
-    merged_tombstones: list[bool] = []
-    previous = None
-    for key, _, tombstone in heapq.merge(*streams):
-        if key == previous:
-            continue  # an older (higher-priority-number) entry: shadowed
-        previous = key
-        if drop_tombstones and tombstone:
-            continue
-        merged_keys.append(key)
-        merged_tombstones.append(tombstone)
-    tombstones_arr = np.array(merged_tombstones, dtype=bool)
-    if runs[0].keys.is_bytes:
-        max_length = runs[0].keys.max_length
-        merged_set: KeySet = ByteKeySet._from_padded(
-            np.array(merged_keys, dtype=f"S{max_length}"), max_length
-        )
-    else:
-        dtype = np.int64 if runs[0].keys.is_vector else object
-        merged_set = EncodedKeySet._trusted(np.array(merged_keys, dtype=dtype), width)
-    return EntryRun(
-        merged_set,
-        tombstones_arr if tombstones_arr.any() else None,
     )
 
 

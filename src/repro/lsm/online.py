@@ -383,9 +383,10 @@ class OnlineLSMTree:
         Probes go through :func:`~repro.workloads.batch.probe_key_array`,
         which validates them once and keeps their order and duplicates:
         byte probes become an ``S``-dtype array (the runs' ``memcmp``
-        order), integer probes stay int64 (``object`` past 63 bits), and
-        probes of the other representation than the tree holds (first
-        run, else the buffered memtable kind) are rejected.
+        order), integer probes the int64 stored form (their big-endian
+        bytes past 64 bits), and probes of the other representation than
+        the tree holds (first run, else the buffered memtable kind) are
+        rejected.
         """
         runs = self.runs()
         if runs:

@@ -10,9 +10,9 @@ other filter in the repository.
 
 The SST is representation-agnostic: any :class:`~repro.workloads.keyset.
 KeySet` works, because fences, ground truth, and slicing only need the
-``keys`` array's native sort order — ``int64``/``object`` integers and
+``keys`` array's native sort order — ``int64`` stored integers and
 ``S``-dtype byte strings both ``searchsorted`` correctly.  Fences are
-native scalars (``int`` or ``bytes``) accordingly.
+shown as the user's scalars (``int`` or ``bytes``) accordingly.
 
 The SST also knows its own ground truth (:meth:`matches_many`): whether a
 query range actually contains one of its keys, via binary search on the
@@ -78,12 +78,12 @@ class SSTable:
 
     @property
     def min_key(self) -> int | bytes:
-        """Lower fence: the smallest key, as a native scalar."""
+        """Lower fence: the smallest key, as the user's scalar."""
         return self.keys.first
 
     @property
     def max_key(self) -> int | bytes:
-        """Upper fence: the largest key, as a native scalar."""
+        """Upper fence: the largest key, as the user's scalar."""
         return self.keys.last
 
     def __len__(self) -> int:
@@ -140,9 +140,8 @@ class SSTable:
         """Exact per-query truth: does ``[lo, hi]`` contain a key of this SST?
 
         ``[lo, hi]`` contains a key iff the first key ``>= lo`` exists and is
-        ``<= hi`` — two binary searches on the sorted slice.  Works for the
-        ``object``-dtype wide-key fallback too (``searchsorted`` compares
-        Python ints).
+        ``<= hi`` — two binary searches on the sorted slice.  ``los`` and
+        ``his`` are in the key array's form: stored integers or ``S`` bytes.
         """
         arr = self.keys.keys
         idx = np.searchsorted(arr, los, side="left")

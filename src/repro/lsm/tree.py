@@ -48,10 +48,7 @@ from repro.lsm.layout import LevelLayout
 from repro.lsm.sstable import SSTable
 from repro.obs.metrics import timed
 from repro.obs.trace import ProbeTrace
-from repro.workloads.batch import (
-    MAX_VECTOR_WIDTH,
-    coerce_query_batch,
-)
+from repro.workloads.batch import coerce_query_batch
 from repro.workloads.keyset import KeySet
 
 __all__ = ["LSMTree"]
@@ -90,21 +87,18 @@ class LSMTree:
         # level compacted away entirely (legal mid-lifecycle: level i merged
         # into i+1 leaves an empty level between populated neighbours) gets
         # empty fence arrays — searchsorted then routes zero queries to it,
-        # so probe never special-cases the gap.  Fences take the key set's
-        # *natural* dtype — S-strings for byte trees (so a ByteQueryBatch's
-        # S-dtype bounds searchsort directly, in memcmp order), int64/object
-        # for integer trees.  An empty level cannot reveal the dtype, so it
-        # comes from the first populated SST (one always exists; the
-        # constructor rejects an all-empty tree) with the width as fallback.
-        sample = next(sst for level in levels for sst in level)
-        if sample.keys.is_bytes:
-            dtype = sample.keys.keys.dtype
-        else:
-            dtype = np.int64 if width <= MAX_VECTOR_WIDTH else object
+        # so probe never special-cases the gap.  Fences are the first and
+        # last elements of each SST's stored key array — S-strings for byte
+        # trees (so a ByteQueryBatch's S-dtype bounds searchsort directly,
+        # in memcmp order), the int64 stored form for integer trees.  An
+        # empty level cannot reveal the dtype, so it comes from the first
+        # populated SST (one always exists; the constructor rejects an
+        # all-empty tree).
+        dtype = next(sst for level in levels for sst in level).keys.keys.dtype
         self._fences = []
         for level_index, level in enumerate(levels):
-            mins = np.array([sst.min_key for sst in level], dtype=dtype)
-            maxs = np.array([sst.max_key for sst in level], dtype=dtype)
+            mins = np.array([sst.keys.keys[0] for sst in level], dtype=dtype)
+            maxs = np.array([sst.keys.keys[-1] for sst in level], dtype=dtype)
             overlapping = np.flatnonzero(~np.asarray(maxs[:-1] < mins[1:], dtype=bool))
             if overlapping.size:
                 at = int(overlapping[0])

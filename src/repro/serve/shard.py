@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.api import FilterSpec, Workload, derive_shard_specs, family
 from repro.lsm.tree import LSMTree
-from repro.workloads.batch import MAX_VECTOR_WIDTH
 from repro.workloads.keyset import KeySet
 
 __all__ = ["plan_shard_bounds", "shard_fences", "split_key_set", "build_shard_trees"]
@@ -56,22 +55,18 @@ def split_key_set(keys: KeySet, num_shards: int) -> list[KeySet]:
 
 
 def shard_fences(shards: list[KeySet]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-shard min/max fence arrays in the key set's native dtype.
+    """Per-shard min/max fence arrays in the key set's stored dtype.
 
-    Same dtype rule as the tree's level fences: ``S``-dtype for byte keys
-    (so a :class:`~repro.workloads.bytekeys.ByteQueryBatch`'s bounds
-    searchsort directly in memcmp order), ``int64`` for vector-width
-    integers, ``object`` for wide ones.
+    Same rule as the tree's level fences: the first and last element of
+    each shard's key array — ``S``-dtype for byte keys (so a
+    :class:`~repro.workloads.bytekeys.ByteQueryBatch`'s bounds searchsort
+    directly in memcmp order), the int64 stored form for integers.
     """
     if not shards:
         raise ValueError("need at least one shard")
-    sample = shards[0]
-    if sample.is_bytes:
-        dtype = sample.keys.dtype
-    else:
-        dtype = np.int64 if sample.width <= MAX_VECTOR_WIDTH else object
-    mins = np.array([shard.first for shard in shards], dtype=dtype)
-    maxs = np.array([shard.last for shard in shards], dtype=dtype)
+    dtype = shards[0].keys.dtype
+    mins = np.array([shard.keys[0] for shard in shards], dtype=dtype)
+    maxs = np.array([shard.keys[-1] for shard in shards], dtype=dtype)
     return mins, maxs
 
 

@@ -84,11 +84,6 @@ def _share_array(arr: np.ndarray) -> tuple[dict, shared_memory.SharedMemory]:
     without outstanding buffer exports.
     """
     arr = np.ascontiguousarray(arr)
-    if arr.dtype == object:
-        raise ValueError(
-            "object-dtype arrays (wide integer key spaces) have no stable "
-            "byte layout to share; use byte-string keys or width <= 63"
-        )
     segment = shared_memory.SharedMemory(create=True, size=max(1, arr.nbytes))
     view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=segment.buf)
     view[...] = arr
@@ -196,7 +191,7 @@ def snapshot_tree(
             padded = np.concatenate([sst.keys.keys for sst in level])
             level_keys: KeySet = ByteKeySet._from_padded(padded, sample.max_length)
         else:
-            level_keys = EncodedKeySet(
+            level_keys = EncodedKeySet._trusted(
                 np.concatenate([sst.keys.keys for sst in level]), tree.width
             )
         keys_spec, keys_segments = share_key_set(level_keys)

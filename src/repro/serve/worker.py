@@ -57,12 +57,13 @@ def rebuild_batch(
     The parent carved these out of one validated batch with
     :meth:`~repro.workloads.batch.QueryBatch.select`-style indexing, so
     the invariants hold by construction and the sticky ``_validated``
-    flag is set directly — the worker never re-validates per request.
+    flag is set directly — the worker never re-validates per request,
+    and integer bounds, already in their stored form, are not encoded
+    again.
     """
-    if max_length is not None:
-        batch: QueryBatch = ByteQueryBatch(los, his, max_length, validate=False)
-    else:
-        batch = QueryBatch(los, his, width, validate=False)
+    if max_length is None:
+        return QueryBatch._trusted(los, his, width)
+    batch = ByteQueryBatch(los, his, max_length, validate=False)
     batch._validated = True
     return batch
 

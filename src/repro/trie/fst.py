@@ -42,6 +42,8 @@ from repro.trie.louds_dense import LoudsDenseTrie
 from repro.trie.louds_sparse import LoudsSparseTrie
 from repro.trie.node_trie import ByteTrie
 from repro.trie.size_model import fst_prefix_cutoff, fst_size_estimate
+from repro.trie.sorted_index import stored_prefix_array
+from repro.workloads.batch import decode_ints
 
 __all__ = ["FastSuccinctTrie", "FSTPrefixIndex"]
 
@@ -49,9 +51,13 @@ _FANOUT = 256
 
 
 def _byte_matrix(values: np.ndarray, num_bytes: int) -> np.ndarray:
-    """Render int64 keys as an ``(n, num_bytes)`` big-endian byte matrix."""
-    shifts = 8 * np.arange(num_bytes - 1, -1, -1, dtype=np.int64)
-    return (values[:, None] >> shifts[None, :]) & np.int64(0xFF)
+    """Render unsigned keys as an ``(n, num_bytes)`` big-endian byte matrix.
+
+    ``values`` are non-negative ``int64`` or ``uint64`` words holding at
+    most ``num_bytes`` significant bytes.
+    """
+    words = np.asarray(values).astype(">u8")
+    return words.view(np.uint8).reshape(-1, 8)[:, 8 - num_bytes :]
 
 
 class FastSuccinctTrie:
@@ -272,16 +278,17 @@ class FastSuccinctTrie:
     ) -> "FastSuccinctTrie":
         """Bulk-build from sorted distinct equal-length prefixes, vectorised.
 
-        ``prefixes`` is a sorted distinct int64 array, each value an
-        unsigned ``num_bytes``-byte big-endian string (the layout
-        ``EncodedKeySet.prefixes`` produces after padding to whole bytes).
+        ``prefixes`` is a sorted distinct ``int64`` or ``uint64`` array,
+        each value an unsigned ``num_bytes``-byte big-endian string (what
+        :func:`~repro.workloads.batch.decode_ints` makes of a key set's
+        stored prefixes, padded to whole bytes).
         Uniform depth means every node above ``num_bytes`` is internal and
         every bottom edge is a leaf, so each level's label, LOUDS and
         has-child content falls out of a shift + ``np.unique`` per level —
         no pointer trie is materialised.  The result is structurally
         identical to ``from_byte_trie(ByteTrie(...))`` on the same input.
         """
-        prefixes = np.asarray(prefixes, dtype=np.int64)
+        prefixes = np.asarray(prefixes)
         if num_bytes <= 0:
             raise ValueError("prefix byte length must be positive")
         if prefixes.size == 0:
@@ -290,7 +297,7 @@ class FastSuccinctTrie:
         per_level: list[np.ndarray] = [None] * (num_bytes + 1)  # type: ignore[list-item]
         per_level[num_bytes] = prefixes
         for depth in range(num_bytes - 1, 0, -1):
-            parents = per_level[depth + 1] >> np.int64(8)
+            parents = per_level[depth + 1] >> 8
             keep = np.empty(parents.size, dtype=bool)
             keep[0] = True
             np.not_equal(parents[1:], parents[:-1], out=keep[1:])
@@ -309,13 +316,13 @@ class FastSuccinctTrie:
             for depth in range(1, cutoff + 1):
                 level = per_level[depth]
                 parent_ids = (
-                    np.searchsorted(per_level[depth - 1], level >> np.int64(8))
+                    np.searchsorted(per_level[depth - 1], level >> 8)
                     if depth > 1
                     else np.zeros(level.size, dtype=np.int64)
                 )
                 pos = (node_offsets[depth - 1] + parent_ids) * _FANOUT + (
-                    level & np.int64(0xFF)
-                )
+                    level & 0xFF
+                ).astype(np.int64)
                 label_chunks.append(pos)
                 if depth < num_bytes:
                     child_chunks.append(pos)
@@ -333,8 +340,8 @@ class FastSuccinctTrie:
             child_flags = []
             for depth in range(cutoff + 1, num_bytes + 1):
                 level = per_level[depth]
-                label_chunks.append(level & np.int64(0xFF))
-                parents = level >> np.int64(8)
+                label_chunks.append(level & 0xFF)
+                parents = level >> 8
                 first = np.empty(level.size, dtype=bool)
                 first[0] = True
                 np.not_equal(parents[1:], parents[:-1], out=first[1:])
@@ -398,13 +405,14 @@ class FastSuccinctTrie:
         return False
 
     def may_contain_many(self, keys: np.ndarray, num_bytes: int) -> np.ndarray:
-        """Vectorise :meth:`match_prefix_of` over an int64 key array.
+        """Vectorise :meth:`match_prefix_of` over an unsigned key array.
 
         ``keys`` are unsigned ``num_bytes``-byte big-endian values
-        (``num_bytes <= 8``); the walk is level-synchronous, one vectorised
-        probe per level over the still-active queries.
+        (``num_bytes <= 8``, ``int64`` or ``uint64``); the walk is
+        level-synchronous, one vectorised probe per level over the
+        still-active queries.
         """
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = np.asarray(keys)
         if self.num_leaves == 0 or keys.size == 0:
             return np.zeros(keys.size, dtype=bool)
         return self.may_contain_matrix(_byte_matrix(keys, num_bytes))
@@ -514,14 +522,14 @@ class FastSuccinctTrie:
     def may_intersect_many(
         self, los: np.ndarray, his: np.ndarray, num_bytes: int
     ) -> np.ndarray:
-        """Vectorise :meth:`range_overlaps` over parallel int64 bound arrays.
+        """Vectorise :meth:`range_overlaps` over parallel unsigned bound arrays.
 
         Level-synchronous: the joint descent and both spawned tight walkers
         advance one byte per iteration, so each level costs a handful of
         rank/searchsorted batch calls regardless of the query count.
         """
-        los = np.asarray(los, dtype=np.int64)
-        his = np.asarray(his, dtype=np.int64)
+        los = np.asarray(los)
+        his = np.asarray(his)
         if self.num_leaves == 0 or los.size == 0:
             return np.zeros(los.size, dtype=bool)
         return self.may_intersect_matrix(
@@ -654,6 +662,8 @@ class FSTPrefixIndex:
     keys), and answers the same queries Proteus issues against
     :class:`~repro.trie.sorted_index.SortedPrefixIndex`: point membership,
     key-prefix membership and interval overlap, scalar and batched.
+    Prefixes and keys arrive in the key set's stored form and are rendered
+    through :func:`~repro.workloads.batch.decode_ints`.
 
     ``size_in_bits`` is the trie's *measured* LOUDS-DS footprint.  Note the
     charged design-time cost in Algorithm 1 remains the bit-granular
@@ -665,49 +675,33 @@ class FSTPrefixIndex:
     __slots__ = ("length", "width", "num_bytes", "_fst")
 
     def __init__(self, prefixes: Iterable[int], length: int, width: int):
-        """Index ``length``-bit prefixes of a ``width``-bit key space."""
-        if not 0 < length <= width:
-            raise ValueError(f"prefix length {length} outside [1, {width}]")
+        """Index stored ``length``-bit prefixes of a ``width``-bit key space."""
+        distinct = stored_prefix_array(prefixes, length, width)
         self.length = length
         self.width = width
         self.num_bytes = (length + 7) // 8
-        if isinstance(prefixes, np.ndarray) and prefixes.dtype.kind in "iu":
-            distinct = np.unique(prefixes.astype(np.int64, copy=False))
-            if distinct.size and not (
-                0 <= int(distinct[0]) and int(distinct[-1]) < (1 << length)
-            ):
-                raise ValueError(f"prefix outside the {length}-bit space")
-            self._fst = FastSuccinctTrie.from_uniform_prefixes(
-                distinct, self.num_bytes
-            )
-        else:
-            values = sorted({int(p) for p in prefixes})
-            if values and not 0 <= values[0] <= values[-1] < (1 << length):
-                raise ValueError(f"prefix outside the {length}-bit space")
-            self._fst = FastSuccinctTrie.from_prefixes(
-                value.to_bytes(self.num_bytes, "big") for value in values
-            )
+        self._fst = FastSuccinctTrie.from_uniform_prefixes(
+            self._unsigned(distinct), self.num_bytes
+        )
 
     @classmethod
     def from_keys(cls, keys: Iterable[int], length: int, width: int) -> "FSTPrefixIndex":
-        """Index the ``length``-bit prefixes of ``width``-bit ``keys``."""
-        shift = width - length
-        if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
-            return cls(keys >> np.int64(shift), length, width)
-        return cls((int(key) >> shift for key in keys), length, width)
+        """Index the ``length``-bit prefixes of stored ``width``-bit ``keys``."""
+        return cls(np.asarray(keys, dtype=np.int64) >> np.int64(width - length), length, width)
+
+    def _unsigned(self, prefixes):
+        """Return stored prefixes (an int or an array) as unsigned ``length``-bit values."""
+        return decode_ints(prefixes, self.width, self.length)
 
     def __len__(self) -> int:
         """Return the number of stored prefixes."""
         return len(self._fst)
 
-    @property
-    def is_vector(self) -> bool:
-        """Whether the batched query methods are available (word-sized)."""
-        return self.num_bytes <= 8
-
     def contains(self, prefix: int) -> bool:
-        """Return whether ``prefix`` (a ``length``-bit value) is stored."""
-        return self._fst.match_prefix_of(int(prefix).to_bytes(self.num_bytes, "big"))
+        """Return whether ``prefix`` (a stored ``length``-bit value) is stored."""
+        return self._fst.match_prefix_of(
+            self._unsigned(int(prefix)).to_bytes(self.num_bytes, "big")
+        )
 
     def contains_prefix_of(self, key: int) -> bool:
         """Return whether the ``length``-bit prefix of ``key`` is stored."""
@@ -723,19 +717,19 @@ class FSTPrefixIndex:
             raise ValueError(f"empty query range [{lo}, {hi}]")
         shift = self.width - self.length
         return self._fst.range_overlaps(
-            (int(lo) >> shift).to_bytes(self.num_bytes, "big"),
-            (int(hi) >> shift).to_bytes(self.num_bytes, "big"),
+            self._unsigned(int(lo) >> shift).to_bytes(self.num_bytes, "big"),
+            self._unsigned(int(hi) >> shift).to_bytes(self.num_bytes, "big"),
         )
 
     def contains_many(self, prefixes: np.ndarray) -> np.ndarray:
-        """Vectorise :meth:`contains` over an int64 array of prefixes."""
-        return self._fst.may_contain_many(prefixes, self.num_bytes)
+        """Vectorise :meth:`contains` over an int64 array of stored prefixes."""
+        return self._fst.may_contain_many(self._unsigned(prefixes), self.num_bytes)
 
     def overlaps_many(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-        """Vectorise :meth:`overlaps` over parallel full-key arrays."""
+        """Vectorise :meth:`overlaps` over parallel stored full-key arrays."""
         shift = np.int64(self.width - self.length)
         return self._fst.may_intersect_many(
-            los >> shift, his >> shift, self.num_bytes
+            self._unsigned(los >> shift), self._unsigned(his >> shift), self.num_bytes
         )
 
     def size_in_bits(self) -> int:

@@ -2,7 +2,7 @@
 
 Algorithm 1 needs the memory footprint of the trie layer for every candidate
 depth *before* building anything, so the cost model works from the per-level
-node/edge counts alone (which :func:`repro.keys.lcp.unique_prefix_counts`
+node/edge counts alone (which :func:`repro.keys.lcp.unique_prefix_counts_array`
 derives in one pass over the sorted key set).
 
 Two families of estimates are provided:
@@ -107,7 +107,7 @@ def binary_trie_size_estimate(prefix_counts: Sequence[int], depth: int) -> int:
     """Return ``trieMem(depth)`` for the bit-granular uniform-depth trie.
 
     ``prefix_counts[l]`` must be ``|K_l|``, the number of distinct ``l``-bit
-    key prefixes (see :func:`repro.keys.lcp.unique_prefix_counts`).  Every
+    key prefixes (see :func:`repro.keys.lcp.unique_prefix_counts_array`).  Every
     internal node at depths ``0 .. depth - 1`` stores a 2-bit child bitmap;
     the leaves at ``depth`` need no storage because the depth is uniform.
     ``trieMem(0)`` is 0 — a depth-0 trie accepts everything and stores

@@ -18,40 +18,48 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.keys.bytestr import mask_rows, prefix_item_bytes, rows_as_strings
-from repro.keys.keyspace import sorted_distinct_keys
-from repro.keys.lcp import MAX_VECTOR_WIDTH
+from repro.workloads.batch import stored_offset
+
+
+def stored_prefix_array(prefixes, length: int, width: int) -> np.ndarray:
+    """Return the sorted distinct stored ``length``-bit prefixes as an int64 array.
+
+    Prefixes are in the key set's stored form (:mod:`repro.workloads.batch`):
+    ``length``-bit unsigned values, less ``2**(length - 1)`` in a 64-bit
+    key space.  Raises unless every prefix lies in that range.
+    """
+    if not 0 < length <= width:
+        raise ValueError(f"prefix length {length} outside [1, {width}]")
+    arr = np.unique(np.asarray(prefixes, dtype=np.int64))
+    low = -stored_offset(width, length)
+    if arr.size and not low <= int(arr[0]) <= int(arr[-1]) < low + (1 << length):
+        raise ValueError(f"prefix outside the {length}-bit space")
+    return arr
 
 
 class SortedPrefixIndex:
     """An immutable set of equal-length bit prefixes with interval queries.
 
     ``length`` is the prefix length in bits and ``width`` the full key width;
-    stored prefixes are ``length``-bit unsigned integers.  Word-sized prefix
-    sets additionally keep an ``int64`` array view so batch queries resolve
-    with a couple of ``searchsorted`` calls.
+    prefixes and keys are in the key set's stored form (an arithmetic shift
+    of a stored key gives its stored prefix).  Scalar queries bisect a
+    sorted list; batch queries resolve with a couple of ``searchsorted``
+    calls over the ``int64`` array.
     """
 
     __slots__ = ("prefixes", "length", "width", "_arr")
 
     def __init__(self, prefixes: Iterable[int], length: int, width: int):
-        """Index ``length``-bit ``prefixes`` of a ``width``-bit key space."""
-        if not 0 < length <= width:
-            raise ValueError(f"prefix length {length} outside [1, {width}]")
+        """Index stored ``length``-bit ``prefixes`` of a ``width``-bit key space."""
+        self._arr = stored_prefix_array(prefixes, length, width)
         self.length = length
         self.width = width
-        # A length-bit prefix set is just a key set in a length-bit space.
-        self.prefixes: list[int] = sorted_distinct_keys(prefixes, length)
-        self._arr: np.ndarray | None = (
-            np.array(self.prefixes, dtype=np.int64)
-            if length <= MAX_VECTOR_WIDTH
-            else None
-        )
+        self.prefixes: list[int] = self._arr.tolist()
 
     @classmethod
     def from_keys(cls, keys: Iterable[int], length: int, width: int) -> "SortedPrefixIndex":
-        """Index the ``length``-bit prefixes of ``width``-bit ``keys``."""
-        shift = width - length
-        return cls((key >> shift for key in keys), length, width)
+        """Index the ``length``-bit prefixes of stored ``width``-bit ``keys``."""
+        return cls(np.asarray(keys, dtype=np.int64) >> np.int64(width - length), length, width)
 
     def __len__(self) -> int:
         """Return the number of stored prefixes."""
@@ -91,17 +99,12 @@ class SortedPrefixIndex:
         return self.count_in_range(lo >> shift, hi >> shift) > 0
 
     # ------------------------------------------------------------------ #
-    # Batch queries (word-sized prefix sets only)                        #
+    # Batch queries                                                      #
     # ------------------------------------------------------------------ #
-
-    @property
-    def is_vector(self) -> bool:
-        """Whether the batch query methods are available."""
-        return self._arr is not None
 
     def contains_many(self, prefixes: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`contains` over an int64 array of prefixes."""
-        arr = self._require_arr()
+        arr = self._arr
         idx = np.searchsorted(arr, prefixes, side="left")
         found = idx < arr.size
         safe = np.minimum(idx, max(arr.size - 1, 0))
@@ -113,7 +116,7 @@ class SortedPrefixIndex:
         self, lo_prefixes: np.ndarray, hi_prefixes: np.ndarray
     ) -> np.ndarray:
         """Vectorised :meth:`count_in_range` over parallel prefix arrays."""
-        arr = self._require_arr()
+        arr = self._arr
         i = np.searchsorted(arr, lo_prefixes, side="left")
         j = np.searchsorted(arr, hi_prefixes, side="right")
         return np.maximum(j - i, 0)
@@ -126,17 +129,9 @@ class SortedPrefixIndex:
     @property
     def prefix_array(self) -> np.ndarray:
         """The stored prefixes as a sorted read-only ``int64`` array."""
-        view = self._require_arr().view()
+        view = self._arr.view()
         view.flags.writeable = False
         return view
-
-    def _require_arr(self) -> np.ndarray:
-        if self._arr is None:
-            raise ValueError(
-                f"batch queries need a word-sized prefix length "
-                f"(got {self.length} > {MAX_VECTOR_WIDTH})"
-            )
-        return self._arr
 
     def size_in_bits(self) -> int:
         """Raw footprint of the sorted array itself (``n * length`` bits).
@@ -190,7 +185,10 @@ class SortedBytePrefixIndex:
         return view
 
     def _item(self, prefix: int) -> np.bytes_:
-        return np.bytes_(prefix_item_bytes(prefix, self.length))
+        # Canonical like the array's elements, which numpy reads back with
+        # trailing nulls stripped: an item keeping them would never compare
+        # equal to its stored prefix (a prefix ending in a zero byte).
+        return np.bytes_(prefix_item_bytes(prefix, self.length).rstrip(b"\x00"))
 
     def contains(self, prefix: int) -> bool:
         """Return whether ``prefix`` (a ``length``-bit value) is stored."""

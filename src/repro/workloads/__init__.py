@@ -3,9 +3,11 @@
 The batched execution layer runs on two shared types —
 :class:`~repro.workloads.batch.EncodedKeySet` (sorted distinct keys as a
 numpy array) and :class:`~repro.workloads.batch.QueryBatch` (parallel
-``lo``/``hi`` arrays of inclusive range queries).  Word-sized key spaces
-(width <= 63 bits) get ``int64`` backing and vectorised consumers; wider
-spaces fall back to ``object`` arrays and scalar paths transparently.
+``lo``/``hi`` arrays of inclusive range queries).  Integer keys of up to
+64 bits are ``int64`` arrays (width 64 in offset-binary stored form); wider
+integers, like string keys, are :class:`~repro.workloads.bytekeys.ByteKeySet`
+byte keys.  :func:`~repro.workloads.batch.coerce_keys` picks the
+representation from a key set's kind and width.
 
 :mod:`repro.workloads.generators` provides the seeded synthetic workload
 families (uniform/zipf/clustered keys, uniform/point/correlated/mixed
@@ -13,7 +15,6 @@ queries) that the test-suite and the benchmark harness share.
 """
 
 from repro.workloads.batch import (
-    MAX_VECTOR_WIDTH,
     EncodedKeySet,
     QueryBatch,
     as_key_array,
@@ -44,7 +45,6 @@ from repro.workloads.generators import (
 from repro.workloads.keyset import KeySet
 
 __all__ = [
-    "MAX_VECTOR_WIDTH",
     "ByteKeySet",
     "ByteQueryBatch",
     "EncodedKeySet",

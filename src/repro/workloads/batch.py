@@ -3,23 +3,39 @@
 Every layer of the batched execution path speaks two types:
 
 * :class:`EncodedKeySet` — a sorted, distinct, bounds-checked key set in a
-  fixed-width integer key space, backed by a numpy array;
+  fixed-width integer key space, backed by an ``int64`` array;
 * :class:`QueryBatch` — a batch of inclusive ``[lo, hi]`` range queries in
-  the same space, backed by parallel ``los``/``his`` arrays (a point query
-  is ``lo == hi``).
+  the same space, backed by parallel ``int64`` ``los``/``his`` arrays (a
+  point query is ``lo == hi``).
 
-For word-sized key spaces (``width <= MAX_VECTOR_WIDTH`` — 63 bits, so
-values *and* spans fit ``int64``) the backing arrays are ``int64`` and every
-consumer (bulk Bloom probes, the vectorised CPFPR model, the batch filter
-API) runs a few numpy operations per batch.  Wider spaces (null-padded
-string keys can be thousands of bits) fall back to ``object`` arrays of
-Python ints; consumers detect ``is_vector == False`` and take their scalar
-per-item paths, so correctness never depends on the fast path.
+**One rule stores every integer key.**  A key set's kind decides first:
+byte/str keys are :class:`~repro.workloads.bytekeys.ByteKeySet` at every
+width.  Integer keys then go by width:
+
+* up to 63 bits — the key itself, as ``int64``;
+* 64 bits — offset binary, ``key - 2**63`` as ``int64`` (the *stored
+  form*).  Signed order equals unsigned order; an arithmetic right shift
+  maps an ``l``-bit prefix ``p`` to ``p - 2**(l - 1)``, one constant per
+  length, so prefix order, distinctness, parents (``>> gap``) and block
+  starts (``<< t``) carry over; and the XOR of two stored values equals
+  the XOR of the keys, so LCPs do not change.  Every int64 kernel serves
+  width 64 as it serves narrower spaces;
+* wider — ``width // 8`` big-endian bytes (the width must be a whole
+  number of bytes), i.e. a byte key set whose ``memcmp`` order is the
+  integer order.
+
+:func:`encode_ints` turns user integers into the stored form and
+:func:`decode_ints` turns stored values back; every other module calls
+these two.  Keys are encoded on the way in (the constructors, the
+coercers, the probe helpers, the filters' scalar entry points) and decoded
+on the way out (:meth:`EncodedKeySet.as_list`, fences, :meth:`QueryBatch.
+pairs`); inside, code reads the stored arrays.
 
 Both types validate on construction with the same rules as the scalar
-entry points (:func:`repro.keys.keyspace.sorted_distinct_keys` for keys,
-``RangeFilter._check_range`` for queries), so a batch handed to any filter
-or model is already known to be well-formed.
+entry points (``RangeFilter._check_range`` for queries), so a batch handed
+to any filter or model is already known to be well-formed.  Stored arrays
+that cross a boundary (a worker process, a merged run) are wrapped with the
+``_trusted`` constructors, which neither check nor encode again.
 """
 
 from __future__ import annotations
@@ -28,86 +44,205 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.keys.keyspace import KeySpace, sorted_distinct_keys
-from repro.keys.lcp import MAX_VECTOR_WIDTH, unique_prefix_counts, unique_prefix_counts_array
+from repro.keys.keyspace import KeySpace
+from repro.keys.lcp import unique_prefix_counts_array
 from repro.workloads.keyset import KeySet
 
 __all__ = [
-    "MAX_VECTOR_WIDTH",
     "EncodedKeySet",
     "QueryBatch",
     "as_key_array",
     "coerce_keys",
     "coerce_query_batch",
+    "decode_ints",
+    "encode_ints",
+    "int_key_bytes",
+    "int_key_length",
     "probe_key_array",
     "slot_bounds",
+    "stored_offset",
 ]
+
+#: Integer key spaces wider than this are stored as big-endian byte keys.
+MAX_INT64_WIDTH = 64
 
 
 def slot_bounds(
     los: np.ndarray,
     his: np.ndarray,
     width: int,
-    prefix_len: int,
-    max_probes: int,
+    prefix_len,
+    max_probes,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-query prefix-slot interval and probe clamp: ``(plo, phi, clamped)``.
 
     ``plo``/``phi`` bound the ``prefix_len``-bit slots each ``[lo, hi]``
     covers; ``clamped`` marks queries spanning more than ``max_probes``
     slots (the filters answer those with a conservative True, and the CPFPR
-    model charges them as certain positives).  The clamp compares the span
-    against ``max_probes - 1`` instead of forming the slot count
-    ``phi - plo + 1``, which would overflow int64 on a full-space query in
-    a 63-bit key space.  Every Bloom-layer consumer shares this helper so
-    the overflow-sensitive idiom lives in exactly one place.
+    model charges them as certain positives).  ``prefix_len`` and
+    ``max_probes`` may be per-query arrays.  The clamp reads the span
+    ``phi - plo`` as ``uint64``: it never forms the slot count, which
+    overflows on a full-space query at width 63, and the int64 difference
+    of two stored width-64 prefixes wraps to exactly the unsigned span
+    (a full-space query at ``l2 = 64`` would otherwise read as ``-1``).
+    Every Bloom-layer consumer shares this helper so the overflow-sensitive
+    idiom lives in exactly one place.
     """
-    shift = np.int64(width - prefix_len)
+    shift = np.int64(width) - prefix_len
     plo = los >> shift
     phi = his >> shift
-    return plo, phi, phi - plo > max_probes - 1
+    span = (phi - plo).view(np.uint64)
+    return plo, phi, span >= np.asarray(max_probes, dtype=np.uint64)
 
 
-def _is_vector_width(width: int) -> bool:
-    return width <= MAX_VECTOR_WIDTH
+# --------------------------------------------------------------------- #
+# The stored form of integer keys                                       #
+# --------------------------------------------------------------------- #
+
+
+def stored_offset(width: int, length: int | None = None) -> int:
+    """What the stored form subtracts from a key (or its ``length``-bit prefix).
+
+    ``2**63`` from a width-64 key, ``2**(length - 1)`` from its
+    ``length``-bit prefix, and 0 at every narrower width.
+    """
+    offset = 1 << 63 if width == MAX_INT64_WIDTH else 0
+    return offset if length is None else offset >> (width - length)
+
+
+def _first_outside(values, width: int):
+    """The first value outside ``[0, 2**width)``, or ``None``."""
+    top = (1 << width) - 1
+    return next((value for value in values if not 0 <= int(value) <= top), None)
+
+
+def _outside(value, width: int) -> ValueError:
+    return ValueError(f"key {value} outside the {width}-bit key space")
+
+
+def encode_ints(values, width: int, check: bool = True):
+    """User integers in their stored form (key spaces of at most 64 bits).
+
+    One ``int`` maps to one ``int`` (``key - 2**63`` at width 64, the key
+    itself below); anything else — a numpy integer array or any iterable
+    of ints — to an ``int64`` array, in order, duplicates kept.  With
+    ``check`` every value must lie in ``[0, 2**width)``; without it only
+    values the stored form cannot hold raise (below 64 bits, others pass
+    through for a later range check).  Either way the ``ValueError`` names
+    the user's value, never a wrapped one.
+    """
+    offset = stored_offset(width)
+    if isinstance(values, (int, np.integer)):
+        return int(values) - offset
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        arr = values
+    else:
+        if not isinstance(values, (list, tuple, np.ndarray)):
+            values = list(values)
+        try:
+            # At width 64 the natural dtype comes first, so negative numpy
+            # scalars stay negative; ints past int64 come back as object.
+            arr = np.asarray(values, dtype=None if offset else np.int64)
+            if arr.dtype.kind not in "iu":
+                arr = np.asarray(values, dtype=np.uint64)
+        except (OverflowError, TypeError, ValueError):
+            bad = _first_outside(values, width)
+            if bad is None:
+                raise
+            raise _outside(bad, width) from None
+        if not (check or offset):
+            return arr  # already int64, and nothing to check
+    if arr.dtype == np.uint64:
+        limit = (1 << width) - 1 if check or offset else np.iinfo(np.int64).max
+        bad = arr > np.uint64(limit)
+    else:
+        arr = arr.astype(np.int64, copy=False)
+        bad = arr < 0 if check or offset else None
+        if check and not offset:
+            bad |= arr > (1 << width) - 1
+    if bad is not None and bad.any():
+        raise _outside(int(arr[np.argmax(bad)]), width)
+    if offset:
+        return (arr.astype(np.uint64) ^ np.uint64(offset)).view(np.int64)
+    return arr.astype(np.int64, copy=False)
+
+
+def decode_ints(values, width: int, length: int | None = None):
+    """The user's integers behind stored values: adds ``2**63`` back at width 64.
+
+    ``length`` reads the values as stored ``length``-bit prefixes (adding
+    ``2**(length - 1)``).  One ``int`` maps to one ``int``; an array maps
+    to a ``uint64`` array at width 64 and to itself below.  Every
+    rendering of stored values as unsigned integers or big-endian bytes
+    goes through here.
+    """
+    offset = stored_offset(width, length)
+    if not isinstance(values, np.ndarray):
+        return int(values) + offset
+    if not offset:
+        return values
+    return values.astype(np.uint64) + np.uint64(offset)
+
+
+def int_key_length(width: int) -> int:
+    """Bytes per key of a wider-than-64-bit integer space (``width // 8``)."""
+    if width % 8:
+        raise ValueError(
+            f"a {width}-bit integer key space is not a whole number of bytes; "
+            f"integer keys wider than {MAX_INT64_WIDTH} bits are stored as bytes"
+        )
+    return width // 8
+
+
+def int_key_bytes(values, width: int) -> list[bytes]:
+    """Integer keys of a wider-than-64-bit space as canonical byte keys.
+
+    Each key becomes its ``width // 8`` big-endian bytes with trailing
+    nulls stripped, the form every byte key set holds, so coercion, query
+    batches, probes and the memtable agree on the bytes of an integer.
+    """
+    length = int_key_length(width)
+    out = []
+    for value in values:
+        value = int(value)
+        if not 0 <= value < 1 << width:
+            raise _outside(value, width)
+        out.append(value.to_bytes(length, "big").rstrip(b"\x00"))
+    return out
+
+
+def _check_int_width(width: int, kind: str, coercer: str) -> None:
+    if width <= 0:
+        raise ValueError("key width must be positive")
+    if width > MAX_INT64_WIDTH:
+        raise ValueError(
+            f"{kind} holds int64 keys of at most {MAX_INT64_WIDTH} bits; "
+            f"{coercer} stores {width}-bit integers as byte keys"
+        )
 
 
 class EncodedKeySet(KeySet):
-    """A sorted distinct key set in a ``width``-bit space, as a numpy array.
+    """A sorted distinct key set in a ``width``-bit space, as an int64 array.
 
-    ``keys`` holds ``int64`` values for word-sized spaces and Python ints
-    (``object`` dtype) otherwise; either way the array is sorted, distinct
-    and bounds-checked, so every consumer can skip its own validation.
+    ``keys`` holds the stored form (see the module docstring): sorted,
+    distinct and bounds-checked, so every consumer can skip its own
+    validation.  Widths above 64 bits raise; :func:`coerce_keys` turns
+    such integers into a byte key set.
     """
 
     __slots__ = ("width", "keys", "_prefix_cache", "_prefix_counts")
 
     def __init__(self, keys: Iterable[int], width: int):
-        if width <= 0:
-            raise ValueError("key width must be positive")
+        _check_int_width(width, "EncodedKeySet", "coerce_keys")
         self.width = width
-        if _is_vector_width(width):
-            if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
-                arr = np.unique(keys.astype(np.int64, copy=False))
-            else:
-                arr = np.array(sorted_distinct_keys(keys, width), dtype=np.int64)
-            if arr.size and not 0 <= int(arr[0]) <= int(arr[-1]) < (1 << width):
-                raise ValueError(f"key outside the {width}-bit key space")
-            self.keys = arr
-        else:
-            self.keys = np.array(sorted_distinct_keys(keys, width), dtype=object)
+        self.keys = np.unique(encode_ints(keys, width))
         self._prefix_cache: dict[int, np.ndarray] = {}
         self._prefix_counts: list[int] | None = None
 
     @classmethod
-    def from_raw(cls, keys: Iterable, key_space: KeySpace) -> "EncodedKeySet":
-        """Encode raw-domain keys through ``key_space`` and wrap them."""
-        return cls(key_space.encode_many(keys), key_space.width)
-
-    @property
-    def is_vector(self) -> bool:
-        """Whether the backing array supports the numpy fast paths."""
-        return self.keys.dtype != object
+    def from_raw(cls, keys: Iterable, key_space: KeySpace) -> KeySet:
+        """Encode raw-domain keys through ``key_space`` and coerce them."""
+        return coerce_keys(key_space.encode_many(keys), key_space.width)
 
     def __len__(self) -> int:
         return int(self.keys.size)
@@ -116,20 +251,21 @@ class EncodedKeySet(KeySet):
         return iter(self.as_list())
 
     def as_list(self) -> list[int]:
-        """Return the keys as a plain sorted list of Python ints."""
-        return self.keys.tolist()
+        """Return the keys as a plain sorted list of the user's ints."""
+        return decode_ints(self.keys, self.width).tolist()
 
-    def as_ints(self) -> np.ndarray:
-        """The integer view of the keys — the backing array itself."""
-        return self.keys
+    def as_scalar(self, value) -> int:
+        """The user's int behind one stored element of :attr:`keys`."""
+        return decode_ints(int(value), self.width)
 
     @classmethod
     def _trusted(cls, arr: np.ndarray, width: int) -> "EncodedKeySet":
-        """Wrap an array already known to be sorted, distinct and in-bounds.
+        """Wrap a stored array already known to be sorted, distinct and in-bounds.
 
-        The internal constructor behind :meth:`slice` and the LSM level
-        builder: no validation, no copy — ``arr`` is adopted as the backing
-        store, so the caller vouches for the invariants.
+        The internal constructor behind :meth:`slice`, merges and the
+        shared-memory snapshot: no validation, no encoding, no copy —
+        ``arr`` is adopted as the backing store, so the caller vouches for
+        the invariants.
         """
         instance = cls.__new__(cls)
         instance.width = width
@@ -157,30 +293,30 @@ class EncodedKeySet(KeySet):
         return self._trusted(np.sort(self.keys[indices]), self.width)
 
     def prefixes(self, length: int) -> np.ndarray:
-        """Return the sorted distinct ``length``-bit key prefixes (cached)."""
+        """Return the sorted distinct stored ``length``-bit prefixes (cached).
+
+        The empty prefix is never formed by a shift: numpy's ``x >> 64``
+        is undefined, and the stored empty prefix is 0 at every width.
+        """
         if not 0 <= length <= self.width:
             raise ValueError(f"prefix length {length} outside [0, {self.width}]")
         cached = self._prefix_cache.get(length)
         if cached is None:
-            shift = self.width - length
-            if self.is_vector:
-                cached = np.unique(self.keys >> np.int64(shift)) if shift else self.keys
+            if length == 0:
+                cached = np.zeros(min(self.keys.size, 1), dtype=np.int64)
+            elif length == self.width:
+                cached = self.keys
             else:
-                cached = np.array(
-                    sorted({key >> shift for key in self.keys.tolist()}), dtype=object
-                )
+                cached = np.unique(self.keys >> np.int64(self.width - length))
             self._prefix_cache[length] = cached
         return cached
 
     def prefix_counts(self) -> list[int]:
         """Return ``counts`` with ``counts[l] == |K_l|`` (cached)."""
         if self._prefix_counts is None:
-            if self.is_vector:
-                self._prefix_counts = unique_prefix_counts_array(
-                    self.keys, self.width
-                ).tolist()
-            else:
-                self._prefix_counts = unique_prefix_counts(self.as_list(), self.width)
+            self._prefix_counts = unique_prefix_counts_array(
+                self.keys, self.width
+            ).tolist()
         return self._prefix_counts
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -188,62 +324,73 @@ class EncodedKeySet(KeySet):
 
 
 class QueryBatch:
-    """A batch of inclusive ``[lo, hi]`` range queries over one key space."""
+    """A batch of inclusive ``[lo, hi]`` range queries over one key space.
+
+    ``los``/``his`` hold the stored form; :meth:`pairs` gives the user's
+    bounds back.  Widths above 64 bits raise; :func:`coerce_query_batch`
+    turns such bounds into a byte batch.
+    """
 
     __slots__ = ("width", "los", "his", "_validated")
 
     def __init__(self, los, his, width: int, validate: bool = True):
-        if width <= 0:
-            raise ValueError("key width must be positive")
+        _check_int_width(width, "QueryBatch", "coerce_query_batch")
         self.width = width
-        if _is_vector_width(width):
-            try:
-                self.los = np.asarray(los, dtype=np.int64)
-                self.his = np.asarray(his, dtype=np.int64)
-            except (OverflowError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"query bound outside the {width}-bit key space"
-                ) from exc
-        else:
-            self.los = np.array([int(lo) for lo in los], dtype=object)
-            self.his = np.array([int(hi) for hi in his], dtype=object)
+        if not isinstance(los, (list, tuple, np.ndarray)):
+            los = list(los)
+        if not isinstance(his, (list, tuple, np.ndarray)):
+            his = list(his)
+        try:
+            self.los = encode_ints(los, width, check=False)
+            self.his = encode_ints(his, width, check=False)
+        except ValueError:
+            # A bound the stored form cannot hold: report the first bad
+            # query exactly as the scalar _check_range would.
+            for lo, hi in zip(np.asarray(los).tolist(), np.asarray(his).tolist()):
+                _check_pair(lo, hi, width)
+            raise
         if self.los.shape != self.his.shape or self.los.ndim != 1:
             raise ValueError("los and his must be parallel one-dimensional arrays")
         self._validated = len(self) == 0
         if validate and not self._validated:
             self._validate()
 
+    @classmethod
+    def _trusted(cls, los: np.ndarray, his: np.ndarray, width: int) -> "QueryBatch":
+        """Wrap stored bound arrays carved out of a validated batch.
+
+        No encoding and no validation: the boundary constructor for bounds
+        that already are a batch's stored arrays (a worker's sub-batch).
+        """
+        batch = cls.__new__(cls)
+        batch.width = width
+        batch.los = los
+        batch.his = his
+        batch._validated = True
+        return batch
+
     def _validate(self) -> None:
         """Apply ``RangeFilter._check_range``'s rules (and messages) batch-wide.
 
         Sets ``_validated`` on success so deferred validation
         (``validate=False`` construction followed by
-        :func:`coerce_query_batch`) runs at most once per batch.
+        :func:`coerce_query_batch`) runs at most once per batch.  Stored
+        width-64 bounds are always inside the space, and their order is
+        the user's order.
         """
-        top = (1 << self.width) - 1
-        if self.is_vector:
-            bad_order = self.los > self.his
-            bad_bounds = (self.los < 0) | (self.his > top)
-            bad = bad_order | bad_bounds
-            if bad.any():
-                # Report the *first* offending query, defect-checked in the
-                # scalar _check_range order, so a mixed-defect batch raises
-                # the same error a per-query loop would.
-                index = int(np.argmax(bad))
-                lo, hi = int(self.los[index]), int(self.his[index])
-                if lo > hi:
-                    raise ValueError(f"empty query range [{lo}, {hi}]")
-                raise ValueError(
-                    f"query range [{lo}, {hi}] outside the {self.width}-bit key space"
-                )
-        else:
-            for lo, hi in zip(self.los.tolist(), self.his.tolist()):
-                if lo > hi:
-                    raise ValueError(f"empty query range [{lo}, {hi}]")
-                if lo < 0 or hi > top:
-                    raise ValueError(
-                        f"query range [{lo}, {hi}] outside the {self.width}-bit key space"
-                    )
+        bad = self.los > self.his
+        if self.width < MAX_INT64_WIDTH:
+            bad |= (self.los < 0) | (self.his > (1 << self.width) - 1)
+        if bad.any():
+            # Report the *first* offending query, defect-checked in the
+            # scalar _check_range order, so a mixed-defect batch raises
+            # the same error a per-query loop would.
+            index = int(np.argmax(bad))
+            _check_pair(
+                decode_ints(int(self.los[index]), self.width),
+                decode_ints(int(self.his[index]), self.width),
+                self.width,
+            )
         self._validated = True
 
     @classmethod
@@ -267,23 +414,21 @@ class QueryBatch:
     def from_raw(
         cls, pairs: Iterable[tuple], key_space: KeySpace
     ) -> "QueryBatch":
-        """Encode raw-domain ``(lo, hi)`` pairs through ``key_space``."""
+        """Encode raw-domain ``(lo, hi)`` pairs through ``key_space`` and coerce them."""
         encoded = [
             (key_space.encode(lo), key_space.encode(hi)) for lo, hi in pairs
         ]
-        return cls.from_pairs(encoded, key_space.width)
-
-    @property
-    def is_vector(self) -> bool:
-        """Whether the backing arrays support the numpy fast paths."""
-        return self.los.dtype != object
+        return coerce_query_batch(encoded, key_space.width)
 
     def __len__(self) -> int:
         return int(self.los.size)
 
     def pairs(self) -> Iterator[tuple[int, int]]:
-        """Iterate the queries as ``(lo, hi)`` pairs of Python ints."""
-        return zip(self.los.tolist(), self.his.tolist())
+        """Iterate the queries as ``(lo, hi)`` pairs of the user's ints."""
+        return zip(
+            decode_ints(self.los, self.width).tolist(),
+            decode_ints(self.his, self.width).tolist(),
+        )
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return self.pairs()
@@ -307,27 +452,25 @@ class QueryBatch:
         sub._validated = self._validated
         return sub
 
-    def spans(self) -> np.ndarray:
-        """Return ``hi - lo + 1`` per query (the key count each covers).
-
-        Returned as ``uint64``: the full-space query in a 63-bit space
-        covers ``2**63`` keys, one past the int64 maximum.
-        """
-        if self.is_vector:
-            return (self.his - self.los).astype(np.uint64) + np.uint64(1)
-        return np.array(
-            [hi - lo + 1 for lo, hi in self.pairs()], dtype=object
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"QueryBatch(n={len(self)}, width={self.width})"
+
+
+def _check_pair(lo: int, hi: int, width: int) -> None:
+    """``RangeFilter._check_range`` on one pair of the user's bounds."""
+    if lo > hi:
+        raise ValueError(f"empty query range [{lo}, {hi}]")
+    if lo < 0 or hi >= 1 << width:
+        raise ValueError(f"query range [{lo}, {hi}] outside the {width}-bit key space")
 
 
 def coerce_query_batch(queries, width: int) -> QueryBatch:
     """Return ``queries`` as a :class:`QueryBatch` in a ``width``-bit space.
 
     An existing batch is passed through (its width must match); any iterable
-    of ``(lo, hi)`` pairs is wrapped and validated.  A batch constructed
+    of ``(lo, hi)`` pairs is wrapped and validated — byte/str bounds, and
+    integer bounds wider than 64 bits, as a
+    :class:`~repro.workloads.bytekeys.ByteQueryBatch`.  A batch constructed
     with ``validate=False`` is validated here — once, the flag is sticky —
     so the vectorised ``may_intersect_many`` fast paths reject ``lo > hi``
     and out-of-width ranges with exactly the ``ValueError``s the scalar
@@ -342,21 +485,28 @@ def coerce_query_batch(queries, width: int) -> QueryBatch:
             queries._validate()
         return queries
     pairs = list(queries)
-    if pairs and isinstance(pairs[0][0], (bytes, str, np.bytes_)):
+    byte_bounds = bool(pairs) and isinstance(pairs[0][0], (bytes, str, np.bytes_))
+    if byte_bounds or width > MAX_INT64_WIDTH:
         from repro.workloads.bytekeys import ByteQueryBatch
 
-        return ByteQueryBatch.from_pairs(pairs, (width + 7) // 8)
+        if byte_bounds:
+            return ByteQueryBatch.from_pairs(pairs, (width + 7) // 8)
+        # Check the user's integers, so errors name them, not their bytes.
+        for lo, hi in pairs:
+            _check_pair(lo, hi, width)
+        return ByteQueryBatch.from_pairs(pairs, int_key_length(width))
     return QueryBatch.from_pairs(pairs, width)
 
 
 def coerce_keys(keys, width: int | None = None) -> KeySet:
     """Single key-ingestion entry point: return ``keys`` as a :class:`KeySet`.
 
-    Dispatches on the input representation — an existing :class:`KeySet`
-    passes through (its width must match when one is given), byte/str keys
-    become a :class:`~repro.workloads.bytekeys.ByteKeySet`, integers an
-    :class:`EncodedKeySet` — with the same ``ValueError`` messages as the
-    scalar entry points either way.
+    Dispatches on the input's kind, then its width: an existing
+    :class:`KeySet` passes through (its width must match when one is
+    given), byte/str keys become a
+    :class:`~repro.workloads.bytekeys.ByteKeySet` at any width, integers an
+    :class:`EncodedKeySet` up to 64 bits and a ``ByteKeySet`` of their
+    big-endian bytes (:func:`int_key_bytes`) beyond.
     """
     from repro.workloads.bytekeys import ByteKeySet
 
@@ -373,17 +523,20 @@ def coerce_keys(keys, width: int | None = None) -> KeySet:
         return ByteKeySet(concrete, max_length=max_length)
     if width is None:
         raise ValueError("an explicit width is required for integer keys")
+    if width > MAX_INT64_WIDTH:
+        return ByteKeySet(int_key_bytes(concrete, width), max_length=width // 8)
     return EncodedKeySet(concrete, width)
 
 
 def probe_key_array(
     keys, width: int, expect_bytes: bool | None = None
 ) -> np.ndarray:
-    """Probe keys as an array in a tree's native key order (lookup dispatch).
+    """Probe keys as an array in a tree's stored key order (lookup dispatch).
 
     The lookup-side counterpart of :func:`coerce_keys`: the same
-    representation dispatch (byte/str probes become a canonical ``S``
-    array in memcmp order, integers stay int64/object), but **order- and
+    representation dispatch (byte/str probes, and integer probes wider
+    than 64 bits, become a canonical ``S`` array in memcmp order; other
+    integers the int64 stored form), but **order- and
     duplicate-preserving** — lookups are positional, so probes must never
     be sorted or deduplicated.  Byte probes longer than the key space
     raise (silent ``S``-dtype truncation could fabricate a membership
@@ -393,7 +546,7 @@ def probe_key_array(
     that knows its tree's representation reject mismatched probes with a
     clear error instead of a downstream dtype failure.
     """
-    from repro.workloads.bytekeys import ByteKeySet, _clean_key
+    from repro.workloads.bytekeys import _clean_key
 
     num_bytes = (width + 7) // 8
     if isinstance(keys, KeySet):
@@ -411,15 +564,15 @@ def probe_key_array(
     if isinstance(keys, np.ndarray) and keys.dtype.kind == "S":
         probes = [value.rstrip(b"\x00") for value in keys.tolist()]
     else:
-        concrete = list(keys)
-        if concrete and isinstance(concrete[0], (bytes, str, np.bytes_)):
+        concrete = keys if isinstance(keys, np.ndarray) else list(keys)
+        if len(concrete) and isinstance(concrete[0], (bytes, str, np.bytes_)):
             probes = [_clean_key(key) for key in concrete]
+        elif width > MAX_INT64_WIDTH:
+            probes = int_key_bytes(concrete, width)
         else:
             if expect_bytes:
                 raise ValueError("integer probes against a byte-keyed tree")
-            probes = as_key_array(concrete)
-            _check_int_probes(probes, width)
-            return probes
+            return encode_ints(concrete, width)
     if expect_bytes is not None and not expect_bytes:
         raise ValueError("byte-keyed probes against an integer-keyed tree")
     longest = max((len(probe) for probe in probes), default=0)
@@ -428,38 +581,17 @@ def probe_key_array(
     return np.array(probes, dtype=f"S{num_bytes}")
 
 
-def _check_int_probes(probes: np.ndarray, width: int) -> None:
-    """Raise unless every integer probe lies in the ``width``-bit key space."""
-    top = (1 << width) - 1
-    if probes.dtype == object:
-        bad = next((key for key in probes.tolist() if not 0 <= key <= top), None)
-        if bad is None:
-            return
-    else:
-        # Viewed as uint64, negative int64 probes exceed every limit up to
-        # 2**63 - 1, so one comparison catches both ends of the space.
-        outside = probes.view(np.uint64) > np.uint64(min(top, np.iinfo(np.int64).max))
-        if not outside.any():
-            return
-        bad = int(probes[np.argmax(outside)])
-    raise ValueError(f"key {bad} outside the {width}-bit key space")
+def as_key_array(keys, width: int) -> np.ndarray:
+    """Return integer probe keys as their stored ``int64`` array.
 
-
-def as_key_array(keys) -> np.ndarray:
-    """Return ``keys`` as a 1-D numpy array (``int64`` when values fit).
-
-    Accepts numpy arrays, any :class:`KeySet`, or any iterable of ints.
-    The result is *not* deduplicated or validated — it is the probe-side
-    helper for ``may_contain_many``, where duplicates are legitimate.
-    Byte key sets go through their :meth:`~KeySet.as_ints` shim (this is a
-    scalar-loop entry point, not a byte hot path).
+    Accepts numpy arrays, an :class:`EncodedKeySet` (its stored array as
+    it is), or any iterable of ints.  The result is *not* deduplicated,
+    and below 64 bits not range-checked either — it is the probe-side
+    helper for ``may_contain_many``, where duplicates are legitimate and
+    an out-of-space probe simply answers as whatever it hashes to.
     """
     if isinstance(keys, KeySet):
-        return keys.as_ints()
-    if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
-        return keys.astype(np.int64, copy=False)
-    concrete = list(keys)
-    try:
-        return np.array(concrete, dtype=np.int64)
-    except (OverflowError, TypeError, ValueError):
-        return np.array(concrete, dtype=object)
+        return keys.keys
+    return encode_ints(
+        keys if isinstance(keys, np.ndarray) else list(keys), width, check=False
+    )

@@ -16,11 +16,14 @@ stripped form is the canonical representative and raw lexicographic order
 coincides with padded order.
 
 :class:`ByteQueryBatch` is the matching :class:`~repro.workloads.batch.
-QueryBatch` subclass with ``S``-dtype bounds.  Its ``is_vector`` is False
-— the int64 fast paths never apply — and byte-aware consumers branch on
-``isinstance(batch, ByteQueryBatch)`` *before* consulting ``is_vector``,
-so unported call sites fall back to the (correct) scalar loops via
+QueryBatch` subclass with ``S``-dtype bounds; byte-aware consumers branch
+on ``isinstance(batch, ByteQueryBatch)``, and scalar loops read its
 :meth:`pairs`, which yields padded big-integer bounds.
+
+Integer keys of key spaces wider than 64 bits live here too, as their
+``width // 8`` big-endian bytes (:func:`repro.workloads.batch.
+int_key_bytes`): an integer bound or probe against a byte space is the
+padded big-endian integer of its bytes, never the int64 stored form.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from repro.keys.bytestr import (
     unique_rows,
 )
 from repro.keys.keyspace import StringKeySpace
-from repro.workloads.batch import QueryBatch
+from repro.workloads.batch import MAX_INT64_WIDTH, QueryBatch, int_key_bytes
 from repro.workloads.keyset import KeySet
 
 __all__ = ["ByteKeySet", "ByteQueryBatch", "byte_probe_matrix"]
@@ -116,10 +119,6 @@ class ByteKeySet(KeySet):
         return instance
 
     @property
-    def is_vector(self) -> bool:
-        return False
-
-    @property
     def is_bytes(self) -> bool:
         return True
 
@@ -138,13 +137,8 @@ class ByteKeySet(KeySet):
     def as_list(self) -> list[bytes]:
         return self.keys.tolist()
 
-    def as_ints(self) -> np.ndarray:
-        """Padded big-endian integer view — the one legacy conversion shim."""
-        length = self.max_length
-        return np.array(
-            [int.from_bytes(key.ljust(length, b"\x00"), "big") for key in self.as_list()],
-            dtype=object,
-        )
+    def as_scalar(self, value) -> bytes:
+        return bytes(value)
 
     def slice(self, start: int, stop: int) -> "ByteKeySet":
         """Zero-copy sub-range view: offsets and padded keys alias the parent."""
@@ -250,8 +244,19 @@ class ByteQueryBatch(QueryBatch):
         ):
             return values
         cleaned = []
-        other_list = list(others) if not isinstance(others, np.ndarray) else list(others)
+        other_list = list(others)
         for index, value in enumerate(values):
+            if isinstance(value, (int, np.integer)):
+                # A padded big-endian integer bound: its bytes, if it has any.
+                value = int(value)
+                if 0 <= value < 1 << self.width:
+                    cleaned.append(value.to_bytes(length, "big"))
+                    continue
+                other = other_list[index]
+                lo, hi = (other, value) if swap else (value, other)
+                raise ValueError(
+                    f"query range [{lo}, {hi}] outside the {self.width}-bit key space"
+                )
             raw = StringKeySpace._as_bytes(value)
             if len(raw) > length:
                 other = StringKeySpace._as_bytes(other_list[index])
@@ -292,10 +297,6 @@ class ByteQueryBatch(QueryBatch):
         return cls(keys, keys, max_length)
 
     @property
-    def is_vector(self) -> bool:
-        return False
-
-    @property
     def lo_matrix(self) -> np.ndarray:
         """Uint8 matrix view of the padded lower bounds."""
         return strings_as_rows(self.los)
@@ -323,10 +324,6 @@ class ByteQueryBatch(QueryBatch):
         sub.max_length = self.max_length
         return sub
 
-    def spans(self) -> np.ndarray:
-        """``hi - lo + 1`` per query, as arbitrary-precision Python ints."""
-        return np.array([hi - lo + 1 for lo, hi in self.pairs()], dtype=object)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ByteQueryBatch(n={len(self)}, max_length={self.max_length})"
 
@@ -335,11 +332,12 @@ def byte_probe_matrix(keys, width: int) -> np.ndarray | None:
     """Uint8 probe matrix for a byte-mode filter's batch path, or ``None``.
 
     Accepts a :class:`ByteKeySet` (zero-copy matrix view), an S-dtype array,
-    or a list/tuple of byte/str probes; shorter probes are null-padded out
-    to the filter's ``width`` and longer ones raise (they cannot be in the
-    key space, and silent truncation could fabricate a false negative).
-    Non-byte inputs return ``None`` so the caller falls back to its scalar
-    (padded big-integer) loop.
+    a list/tuple of byte/str probes, or — in a key space wider than 64
+    bits — integer probes, as their big-endian bytes; shorter probes are
+    null-padded out to the filter's ``width`` and longer ones raise (they
+    cannot be in the key space, and silent truncation could fabricate a
+    false negative).  Other inputs return ``None`` so the caller falls back
+    to its scalar (padded big-integer) loop.
     """
     nb = (width + 7) // 8
     if isinstance(keys, ByteKeySet):
@@ -359,6 +357,8 @@ def byte_probe_matrix(keys, width: int) -> np.ndarray | None:
         and isinstance(keys[0], (bytes, str, np.bytes_))
     ):
         values = [StringKeySpace._as_bytes(key) for key in keys]
+    elif width > MAX_INT64_WIDTH and not isinstance(keys, KeySet):
+        values = int_key_bytes(keys, width)
     if values is None:
         return None
     longest = max((len(value) for value in values), default=0)

@@ -27,9 +27,8 @@ Query families
     * :func:`mixed_queries` — an even blend of the three.
 
 :func:`generate_workload` bundles a key distribution and a query family
-into the array-backed :class:`~repro.workloads.batch.EncodedKeySet` /
-:class:`~repro.workloads.batch.QueryBatch` pair the batched execution
-layer consumes.
+into the array-backed key set / query batch pair the batched execution
+layer consumes, coerced by width (:func:`~repro.workloads.batch.coerce_keys`).
 """
 
 from __future__ import annotations
@@ -37,7 +36,8 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from repro.workloads.batch import EncodedKeySet, QueryBatch
+from repro.workloads.batch import QueryBatch, coerce_keys, coerce_query_batch
+from repro.workloads.keyset import KeySet
 
 __all__ = [
     "random_keys",
@@ -60,8 +60,19 @@ __all__ = [
 
 
 def random_keys(rng: random.Random, count: int, width: int) -> list[int]:
-    """Return ``count`` distinct uniform ``width``-bit keys."""
-    return rng.sample(range(1 << width), count)
+    """Return ``count`` distinct uniform ``width``-bit keys, in draw order.
+
+    Up to 62 bits this is ``rng.sample`` over the whole space, so every
+    seeded workload stays as it was; ``range(1 << width)`` has no length
+    once it exceeds ``sys.maxsize``, so wider spaces draw ``width`` random
+    bits at a time and keep the first ``count`` distinct values.
+    """
+    if width <= 62:
+        return rng.sample(range(1 << width), count)
+    keys: dict[int, None] = {}
+    while len(keys) < count:
+        keys[rng.getrandbits(width)] = None
+    return list(keys)
 
 
 def zipf_keys(
@@ -261,8 +272,8 @@ def generate_workload(
     seed: int = 0,
     key_dist: str = "uniform",
     query_family: str = "mixed",
-) -> tuple[EncodedKeySet, QueryBatch]:
-    """Return a seeded ``(EncodedKeySet, QueryBatch)`` workload pair.
+) -> tuple[KeySet, QueryBatch]:
+    """Return a seeded ``(key set, query batch)`` workload pair.
 
     ``key_dist`` picks from :data:`KEY_DISTRIBUTIONS` and ``query_family``
     from :data:`QUERY_FAMILIES`; the same ``seed`` always reproduces the
@@ -285,4 +296,4 @@ def generate_workload(
     rng = random.Random(seed)
     keys = make_keys(rng, num_keys, width)
     queries = make_queries(rng, keys, num_queries, width)
-    return EncodedKeySet(keys, width), QueryBatch.from_pairs(queries, width)
+    return coerce_keys(keys, width), coerce_query_batch(queries, width)

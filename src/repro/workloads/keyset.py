@@ -15,9 +15,9 @@ Invariants every implementation upholds:
 * keys are sorted ascending and distinct in the padded ``width``-bit
   integer order (for byte keys: null-padded big-endian, i.e. ``memcmp``);
 * ``keys`` exposes a numpy array that sorts/searchsorts in that same
-  order (``int64``/``object`` for integer sets, ``S{L}`` for byte sets),
-  so fence pruning and membership bisection never branch on the
-  representation;
+  order (the ``int64`` stored form for integer sets — see
+  :mod:`repro.workloads.batch` — and ``S{L}`` for byte sets), so fence
+  pruning and membership bisection never branch on the representation;
 * ``slice`` returns zero-copy views that alias the parent's storage
   (the SSTable aliasing contract).
 
@@ -48,11 +48,6 @@ class KeySet(ABC):
     keys: np.ndarray
 
     @property
-    @abstractmethod
-    def is_vector(self) -> bool:
-        """Whether the int64 numpy fast paths apply to this set."""
-
-    @property
     def is_bytes(self) -> bool:
         """Whether keys are variable-length byte strings (byte fast paths)."""
         return False
@@ -65,32 +60,21 @@ class KeySet(ABC):
 
     @property
     def first(self):
-        """Smallest key, as a native scalar (``int`` or ``bytes``)."""
+        """Smallest key, as the user's scalar (``int`` or ``bytes``)."""
         return self.as_scalar(self.keys[0])
 
     @property
     def last(self):
-        """Largest key, as a native scalar (``int`` or ``bytes``)."""
+        """Largest key, as the user's scalar (``int`` or ``bytes``)."""
         return self.as_scalar(self.keys[-1])
 
-    @staticmethod
-    def as_scalar(value):
-        """Convert one element of :attr:`keys` to its native scalar form."""
-        if isinstance(value, bytes):
-            return value
-        return int(value)
+    @abstractmethod
+    def as_scalar(self, value):
+        """Convert one element of :attr:`keys` to the user's scalar (``int`` or ``bytes``)."""
 
     @abstractmethod
     def as_list(self) -> list:
-        """Return the keys as a plain sorted list of native scalars."""
-
-    @abstractmethod
-    def as_ints(self) -> np.ndarray:
-        """Return the padded integer view of every key.
-
-        For byte sets this is *the* conversion shim onto the legacy
-        object-dtype path; nothing on the batched hot paths calls it.
-        """
+        """Return the keys as a plain sorted list of the user's scalars."""
 
     @abstractmethod
     def slice(self, start: int, stop: int) -> "KeySet":

@@ -5,13 +5,18 @@ Three layers of parity are pinned:
 
 * every filter's ``may_contain_many`` / ``may_intersect_many`` equals a
   loop over the scalar ``may_contain`` / ``may_intersect`` — including the
-  filters that only have the base-class fallback (SuRF, Rosetta) and the
-  object-dtype fallback for wide key spaces;
-* the vectorised CPFPR model agrees with the scalar model (``vectorize=
-  False``) to float-summation noise across a grid of design points;
+  filters that only have the base-class fallback (SuRF, Rosetta) and
+  integer keys wider than 64 bits, which take the byte path;
+* the numpy CPFPR model agrees with :class:`ScalarCPFPRModel`, the
+  per-query reference kept here, to float-summation noise across a grid
+  of design points;
 * Algorithm 1 picks the *identical design point* through either model on
   seeded workloads (expected FPR may differ in the last ulps — the design
   fields must match exactly).
+
+The per-key SuRF and Rosetta builds are kept here as references too, and
+the compaction merge is pinned to ``tests/scalar_reference.py``'s heap
+merge.
 
 Since PR 7 the batched paths dispatch through ``repro.kernels``; the
 filter-parity tests therefore run once per *available backend* (forced via
@@ -21,27 +26,182 @@ answers, and leads Algorithm 1 to the identical design point.
 """
 
 import random
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
 
 import repro.kernels as kernels
 from conftest import correlated_queries, mixed_queries, random_keys
-from repro.amq.bloom import BloomFilter
+from repro.amq.bloom import BloomFilter, bloom_fpr
 from repro.api import FilterSpec, Workload, build_filter
-from repro.core.cpfpr import CPFPRModel
+from repro.core.cpfpr import DEFAULT_MAX_PROBES, CPFPRModel
 from repro.core.design import design_one_pbf, design_proteus, design_two_pbf
-from repro.core.prf import OnePBF, TwoPBF
+from repro.core.prf import OnePBF
 from repro.core.proteus import Proteus
-from repro.filters.base import TrieOracle
-from repro.filters.prefix_bloom import PrefixBloomFilter
+from repro.filters.base import TrieOracle, key_to_bytes
+from repro.filters.prefix_bloom import PrefixBloomFilter, derived_prefix_len
 from repro.filters.rosetta import Rosetta
 from repro.filters.surf import SuRF
 from repro.keys.keyspace import IntegerKeySpace
-from repro.workloads.batch import QueryBatch
+from repro.trie.fst import FastSuccinctTrie
+from repro.trie.node_trie import ByteTrie
+from repro.trie.size_model import fst_size_estimate
+from repro.workloads.batch import QueryBatch, coerce_keys, coerce_query_batch
+from repro.workloads.bytekeys import ByteQueryBatch
+from scalar_reference import (
+    merge_entry_runs_scalar,
+    min_distinguishing_prefix_lengths,
+    query_set_lcp,
+    unique_prefix_counts,
+)
 
 WIDTH = 32
 NUM_KEYS = 2000
+
+
+# --------------------------------------------------------------------- #
+# Scalar references                                                     #
+# --------------------------------------------------------------------- #
+
+
+class ScalarCPFPRModel:
+    """The CPFPR model one empty query at a time, over the user's integers.
+
+    The reference :class:`~repro.core.cpfpr.CPFPRModel`'s numpy passes
+    restate: ``lcp(q, K)`` by bisection, the trie gate and its probe count
+    by walking the stored ``l1``-prefixes inside each query, and one
+    ``(1 - p)^k`` power per query.  It speaks the model interface Algorithm
+    1 reads, so the design searches run on it unchanged.
+    """
+
+    design_step = 1
+    metrics = None
+
+    def __init__(self, keys, width, queries, max_probes=DEFAULT_MAX_PROBES):
+        self.width = width
+        self.max_probes = max_probes
+        self.sorted_keys = sorted(set(keys))
+        self.prefix_counts = unique_prefix_counts(self.sorted_keys, width)
+        self.empty_queries = []
+        for lo, hi in queries:
+            lcp = query_set_lcp(self.sorted_keys, lo, hi, width)
+            if lcp < width:
+                self.empty_queries.append((lo, hi, lcp))
+        self.num_empty_queries = len(self.empty_queries)
+        histogram = [0] * (width + 1)
+        for _, _, lcp in self.empty_queries:
+            histogram[lcp] += 1
+        self._lcp_at_least = [0] * (width + 2)
+        for length in range(width, -1, -1):
+            self._lcp_at_least[length] = self._lcp_at_least[length + 1] + histogram[length]
+        self._tries: dict[int, list[int]] = {}
+
+    def trie(self, l1):
+        """The sorted distinct ``l1``-bit key prefixes (cached)."""
+        if l1 not in self._tries:
+            self._tries[l1] = sorted({key >> (self.width - l1) for key in self.sorted_keys})
+        return self._tries[l1]
+
+    def certain_fp_fraction(self, length):
+        if not self.num_empty_queries:
+            return 0.0
+        return self._lcp_at_least[min(length, self.width + 1)] / self.num_empty_queries
+
+    def bloom_probe_fpr(self, num_bits, length):
+        return bloom_fpr(num_bits, self.prefix_counts[length])
+
+    def proteus_fpr(self, l1, l2, bloom_bits):
+        if l2 == 0:
+            return self.certain_fp_fraction(l1)
+        if not self.num_empty_queries:
+            return 0.0
+        width, cap = self.width, self.max_probes
+        probe_fpr = self.bloom_probe_fpr(bloom_bits, l2)
+        trie = self.trie(l1) if l1 else None
+        total = 0.0
+        for lo, hi, lcp in self.empty_queries:
+            i = j = 0
+            if trie is not None:
+                i = bisect_left(trie, lo >> (width - l1))
+                j = bisect_right(trie, hi >> (width - l1), lo=i)
+                if i == j:
+                    continue  # trie gate rejects: no stored l1-prefix in Q_l1
+            if lcp >= l2:
+                total += 1.0
+                continue
+            plo, phi = lo >> (width - l2), hi >> (width - l2)
+            if phi - plo + 1 > cap:
+                total += 1.0  # the filter gives up and answers True
+                continue
+            if trie is None:
+                probes = phi - plo + 1
+            else:
+                # Only l2-prefixes under a stored l1-prefix are probed.
+                gap = l2 - l1
+                probes = 0
+                for index in range(i, j):
+                    child_lo = trie[index] << gap
+                    child_hi = child_lo + (1 << gap) - 1
+                    probes += min(phi, child_hi) - max(plo, child_lo) + 1
+            total += 1.0 - (1.0 - probe_fpr) ** probes
+        return total / self.num_empty_queries
+
+    def proteus_fpr_row(self, l1, lens, bloom_bits):
+        return [self.proteus_fpr(l1, l2, bloom_bits) for l2 in lens]
+
+    def one_pbf_fpr(self, l2, bloom_bits):
+        return self.proteus_fpr(0, l2, bloom_bits)
+
+    def two_pbf_fpr(self, l1, l2, first_bits, second_bits):
+        if not self.num_empty_queries:
+            return 0.0
+        layers = [
+            (length, self.width - length, self.bloom_probe_fpr(bits, length))
+            for length, bits in ((l1, first_bits), (l2, second_bits))
+        ]
+        total = 0.0
+        for lo, hi, lcp in self.empty_queries:
+            passes = 1.0
+            for length, shift, probe_fpr in layers:
+                if lcp >= length:
+                    continue
+                slots = (hi >> shift) - (lo >> shift) + 1
+                if slots <= self.max_probes:
+                    passes *= 1.0 - (1.0 - probe_fpr) ** slots
+            total += passes
+        return total / self.num_empty_queries
+
+
+def reference_surf_trie(keys, width, max_depth=None):
+    """SuRF-Base's pruned trie, one key at a time."""
+    num_bytes = (width + 7) // 8
+    max_depth = max_depth or num_bytes
+    sorted_keys = sorted(set(keys))
+    # Keys are MSB-padded to whole bytes, so a prefix of `bits` key bits
+    # needs ceil((pad + bits) / 8) bytes.
+    pad_bits = 8 * num_bytes - width
+    prefixes = set()
+    for key, bits in zip(sorted_keys, min_distinguishing_prefix_lengths(sorted_keys, width)):
+        depth = min(max_depth, (pad_bits + bits + 7) // 8)
+        prefixes.add(key_to_bytes(key, width)[: max(1, depth)])
+    return ByteTrie(prefixes)
+
+
+def reference_rosetta_blooms(keys, width, total_bits, num_levels, seed):
+    """Rosetta's per-level Bloom filters, one prefix ``add`` at a time."""
+    sorted_keys = sorted(set(keys))
+    counts = unique_prefix_counts(sorted_keys, width)
+    levels = range(width - num_levels + 1, width + 1)
+    weight_total = sum(counts[level] for level in levels) or 1
+    blooms = {}
+    for level in levels:
+        level_bits = max(1, total_bits * counts[level] // weight_total)
+        bloom = BloomFilter(level_bits, max(1, counts[level]), seed=seed + level)
+        for prefix in sorted({key >> (width - level) for key in sorted_keys}):
+            bloom.add(prefix)
+        blooms[level] = bloom
+    return blooms
 
 
 @pytest.fixture(scope="module")
@@ -198,16 +358,16 @@ def test_empty_filter_batch_answers():
 
 
 def test_one_pbf_wide_space_batch_takes_encoded_keys():
-    # Regression: the object-dtype fallback used to route already-encoded
-    # keys back through OnePBF.may_contain, which re-encodes raw keys —
-    # double-encoding crashed or produced false negatives.
+    # Regression: a batch fallback once routed already-encoded keys back
+    # through OnePBF.may_contain, which re-encodes raw keys — double
+    # encoding crashed or produced false negatives.
     from repro.keys.keyspace import StringKeySpace
     from repro.workloads.batch import EncodedKeySet
 
     words = ["strawberry-fields", "marmalade-skies", "tangerine-trees"]
     space = StringKeySpace.for_keys(words)
-    # Encode through the space explicitly: this pins the *object-dtype*
-    # EncodedKeySet route (ByteKeySet coercion would sidestep the fallback).
+    # Encode through the space explicitly: the padded integers are wider
+    # than 64 bits, so they coerce to byte keys and byte query bounds.
     workload = Workload(
         EncodedKeySet.from_raw(words, space),
         QueryBatch.from_raw([("a", "b"), ("tang", "tanh")], space),
@@ -220,7 +380,7 @@ def test_one_pbf_wide_space_batch_takes_encoded_keys():
     # keys itself — the two must agree query-for-query.
     raw_queries = [("tang", "tanh"), ("a", "b")]
     batch = QueryBatch.from_raw(raw_queries, space)
-    assert not batch.is_vector
+    assert isinstance(batch, ByteQueryBatch) and workload.keys.is_bytes
     assert list(filt.may_intersect_many(batch)) == [
         filt.may_intersect(lo, hi) for lo, hi in raw_queries
     ]
@@ -245,25 +405,29 @@ def test_width_63_full_space_query_does_not_overflow():
         proteus.may_intersect(lo, hi) for lo, hi in full_space
     ]
     model = CPFPRModel(keys, width, full_space + [(7, 9)])
-    scalar = CPFPRModel(keys, width, full_space + [(7, 9)], vectorize=False)
+    scalar = ScalarCPFPRModel(keys, width, full_space + [(7, 9)])
     assert model.proteus_fpr(0, width, 4096) == pytest.approx(
         scalar.proteus_fpr(0, width, 4096), abs=1e-12
     )
     assert model.two_pbf_fpr(1, width, 2048, 2048) == pytest.approx(
         scalar.two_pbf_fpr(1, width, 2048, 2048), abs=1e-12
     )
-    assert QueryBatch.from_pairs(full_space, width).spans()[0] == 1 << width
+    # The fixed PBF sizes its slots to the widest query, which spans the
+    # whole space: 2**63 keys at width 63, 2**64 at width 64.
+    assert derived_prefix_len(width, Workload(coerce_keys(keys, width), full_space)) == 1
+    full_64 = [(0, (1 << 64) - 1), (5, 9)]
+    assert derived_prefix_len(64, Workload(coerce_keys(keys, 64), full_64)) == 1
 
 
-def test_wide_key_space_falls_back_to_scalar_loop():
-    # 80-bit keys: object-dtype batches, every filter must route through
-    # the scalar fallback and still answer identically to the loop.
+def test_wide_key_space_batch_equals_scalar_loop():
+    # 80-bit keys take the byte path; batch answers still equal the loop
+    # over the integer scalar API.
     width = 80
     keys = [1 << 70, (1 << 70) + 5, 3, 1 << 79]
     filt = PrefixBloomFilter(keys, width, prefix_len=40, num_bits=4096)
     queries = [(0, 10), (1 << 70, (1 << 70) + 2), (1 << 60, 1 << 61)]
-    batch = QueryBatch.from_pairs(queries, width)
-    assert not batch.is_vector
+    batch = coerce_query_batch(queries, width)
+    assert isinstance(batch, ByteQueryBatch) and filt.is_bytes
     assert list(filt.may_intersect_many(batch)) == [
         filt.may_intersect(lo, hi) for lo, hi in queries
     ]
@@ -278,16 +442,16 @@ def test_surf_vectorised_build_is_bit_identical(workload):
     keys, queries, probes = workload
     for max_depth in (None, 2, 3):
         bulk = SuRF(keys, WIDTH, max_depth)
-        scalar = SuRF(keys, WIDTH, max_depth, vectorize=False)
-        assert list(bulk._trie.leaves()) == list(scalar._trie.leaves()), max_depth
-        assert bulk._trie.level_counts() == scalar._trie.level_counts(), max_depth
-        assert bulk._trie.height == scalar._trie.height
-        assert bulk.num_keys == scalar.num_keys
-        assert bulk.size_in_bits() == scalar.size_in_bits(), max_depth
+        scalar = reference_surf_trie(keys, WIDTH, max_depth)
+        assert list(bulk._trie.leaves()) == list(scalar.leaves()), max_depth
+        assert bulk._trie.level_counts() == scalar.level_counts(), max_depth
+        assert bulk._trie.height == scalar.height
+        assert bulk.num_keys == len(set(keys))
+        assert bulk.size_in_bits() == fst_size_estimate(*scalar.level_counts()), max_depth
     # Physical mode encodes the same trie: identical succinct payloads
-    # whichever build path produced the ByteTrie.
+    # whichever build path produced it.
     bulk_fst = SuRF(keys, WIDTH, physical=True)._fst
-    scalar_fst = SuRF(keys, WIDTH, physical=True, vectorize=False)._fst
+    scalar_fst = FastSuccinctTrie.from_byte_trie(reference_surf_trie(keys, WIDTH))
     assert bulk_fst.size_breakdown() == scalar_fst.size_breakdown()
     if bulk_fst._sparse is not None:
         assert bulk_fst._sparse.to_bytes() == scalar_fst._sparse.to_bytes()
@@ -300,30 +464,26 @@ def test_surf_non_byte_width_vectorised_build_matches_scalar():
     # pad bits) is where they would drift first.
     keys = [0, 64, 65, 300]
     bulk = SuRF(keys, width=9)
-    scalar = SuRF(keys, width=9, vectorize=False)
-    assert list(bulk._trie.leaves()) == list(scalar._trie.leaves())
+    assert list(bulk._trie.leaves()) == list(reference_surf_trie(keys, 9).leaves())
 
 
 def test_rosetta_vectorised_build_is_bit_identical(workload):
-    # Satellite of the "batched build path" ROADMAP item: the bulk
-    # insert_many construction must produce byte-for-byte the same Bloom
-    # contents as the scalar per-key build, level by level.
+    # The bulk construction must produce byte-for-byte the same Bloom
+    # contents as a per-prefix build through the scalar hash, level by level.
     keys, _, _ = workload
     bulk = Rosetta(keys, WIDTH, total_bits=32_000, num_levels=12, seed=9)
-    scalar = Rosetta(
-        keys, WIDTH, total_bits=32_000, num_levels=12, seed=9, vectorize=False
-    )
-    assert sorted(bulk._blooms) == sorted(scalar._blooms)
+    scalar = reference_rosetta_blooms(keys, WIDTH, 32_000, 12, seed=9)
+    assert sorted(bulk._blooms) == sorted(scalar)
     for level, bloom in bulk._blooms.items():
-        reference = scalar._blooms[level]
+        reference = scalar[level]
         assert bloom.num_bits == reference.num_bits, level
         assert bloom.num_hashes == reference.num_hashes, level
         assert bloom.bits.to_bytes() == reference.bits.to_bytes(), level
 
 
 def test_rosetta_wide_key_space_build_falls_back():
-    # 80-bit keys: object-dtype key sets cannot take the bulk path but must
-    # still build (and answer) correctly.
+    # 80-bit keys fall back to the byte path, which must build (and
+    # answer) correctly.
     width = 80
     keys = [1 << 70, (1 << 70) + 5, 3, 1 << 79]
     filt = Rosetta(keys, width, total_bits=4096, num_levels=8)
@@ -361,15 +521,24 @@ class TestBatchValidationParity:
             filt.may_intersect_many(batch)
         assert str(excinfo.value) == self._scalar_message(filt, lo, hi)
 
-    def test_wide_space_object_batch_rejected_identically(self, workload):
-        width = 80
-        keys = [3, 1 << 70]
-        filt = PrefixBloomFilter(keys, width, prefix_len=40, num_bits=4096)
-        batch = QueryBatch([1 << 79], [5], width, validate=False)
-        assert not batch.is_vector
+    def test_width_64_batch_rejected_identically(self, workload):
+        # Stored bounds keep the user's order, and errors name the user's
+        # values, not the stored ones.
+        width = 64
+        filt = PrefixBloomFilter([3, 1 << 63], width, prefix_len=40, num_bits=4096)
+        lo, hi = (1 << 63) + 9, 5
+        batch = QueryBatch([0, lo], [1, hi], width, validate=False)
         with pytest.raises(ValueError) as excinfo:
             filt.may_intersect_many(batch)
-        assert str(excinfo.value) == self._scalar_message(filt, 1 << 79, 5)
+        assert str(excinfo.value) == self._scalar_message(filt, lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(5, 3), (0, 1 << 80)])
+    def test_wide_int_pairs_rejected_identically(self, lo, hi):
+        # 80-bit integer bounds become bytes, but errors name the integers.
+        filt = PrefixBloomFilter([3, 1 << 70], 80, prefix_len=40, num_bits=4096)
+        with pytest.raises(ValueError) as excinfo:
+            filt.may_intersect_many([(0, 5), (lo, hi)])
+        assert str(excinfo.value) == self._scalar_message(filt, lo, hi)
 
     def test_mixed_defect_batch_reports_first_offender(self, filt):
         # Query 0 is out of width, query 1 is inverted: the scalar loop
@@ -389,24 +558,25 @@ class TestBatchValidationParity:
 class TestMergeRunsParity:
     """The compaction merge fast path (one concatenate + lexsort dedupe via
     the ``merge_runs`` kernel) must equal the ``heapq.merge`` scalar
-    reference — same keys, same surviving tombstones, under every backend
-    and under the object-dtype wide-key fallback."""
+    reference — same keys, same surviving tombstones, under every backend,
+    for stored width-64 keys and for wider integers on the byte path."""
 
     def _seeded_runs(self, rng, width, num_runs=5):
         from repro.lsm.merge import EntryRun
-        from repro.workloads.batch import EncodedKeySet
 
         runs = []
+        shift = max(0, width - 16)  # spread 16-bit draws over the whole space
         for _ in range(num_runs):
             keys = sorted(rng.sample(range(1 << min(width, 16)), rng.randrange(1, 400)))
             tombstones = [rng.random() < 0.3 for _ in keys]
-            runs.append(EntryRun(EncodedKeySet(keys, width), np.array(tombstones)))
+            key_set = coerce_keys([key << shift for key in keys], width)
+            runs.append(EntryRun(key_set, np.array(tombstones)))
         return runs
 
     @pytest.mark.parametrize("backend", kernels.available_backends())
     @pytest.mark.parametrize("drop", [False, True])
     def test_fast_path_equals_heap_reference(self, backend, drop):
-        from repro.lsm.merge import merge_entry_runs, merge_entry_runs_scalar
+        from repro.lsm.merge import merge_entry_runs
 
         rng = random.Random(76)
         for trial in range(5):
@@ -419,12 +589,13 @@ class TestMergeRunsParity:
                 fast.tombstone_mask().tolist() == slow.tombstone_mask().tolist()
             ), (backend, trial)
 
-    def test_wide_key_space_falls_back_to_the_heap_reference(self):
-        from repro.lsm.merge import merge_entry_runs, merge_entry_runs_scalar
+    @pytest.mark.parametrize("width", [64, 80])
+    def test_wide_key_spaces_equal_the_heap_reference(self, width):
+        from repro.lsm.merge import merge_entry_runs
 
         rng = random.Random(77)
-        runs = self._seeded_runs(rng, width=80, num_runs=3)
-        assert not runs[0].keys.is_vector
+        runs = self._seeded_runs(rng, width=width, num_runs=3)
+        assert runs[0].keys.is_bytes == (width > 64)
         fast = merge_entry_runs(runs)
         slow = merge_entry_runs_scalar(runs)
         assert fast.keys.as_list() == slow.keys.as_list()
@@ -467,10 +638,7 @@ class TestModelParity:
         rng = random.Random(72)
         keys = random_keys(rng, 3000, WIDTH)
         queries = mixed_queries(rng, keys, 800, WIDTH)
-        vector = CPFPRModel(keys, WIDTH, queries)
-        scalar = CPFPRModel(keys, WIDTH, queries, vectorize=False)
-        assert vector._vector and not scalar._vector
-        return vector, scalar
+        return CPFPRModel(keys, WIDTH, queries), ScalarCPFPRModel(keys, WIDTH, queries)
 
     def test_preprocessing_identical(self, models):
         vector, scalar = models
@@ -520,7 +688,7 @@ def test_algorithm1_identical_design_through_either_model(seed, family):
     else:
         queries = correlated_queries(rng, keys, 500, WIDTH)
     vector = CPFPRModel(keys, WIDTH, queries)
-    scalar = CPFPRModel(keys, WIDTH, queries, vectorize=False)
+    scalar = ScalarCPFPRModel(keys, WIDTH, queries)
     budget = 30_000
     for search in (design_proteus, design_one_pbf, design_two_pbf):
         via_vector = search(vector, budget)

@@ -24,6 +24,7 @@ import pytest
 
 from repro.api import FilterSpec, Workload, build_filter
 from repro.filters.base import TrieOracle
+from repro.filters.prefix_bloom import derived_prefix_len
 from repro.workloads.batch import (
     EncodedKeySet,
     QueryBatch,
@@ -52,7 +53,7 @@ class TestByteKeySetRepresentation:
         assert ks.as_list() == [b"a", b"abc", b"zz"]
         assert ks.max_length == 3 and ks.width == 24
         assert ks.first == b"a" and ks.last == b"zz"
-        assert not ks.is_vector and ks.is_bytes
+        assert ks.is_bytes and ks.keys.dtype == "S3"
 
     def test_interior_nulls_survive(self):
         ks = ByteKeySet([b"a\x00b", b"a"])
@@ -73,7 +74,7 @@ class TestByteKeySetRepresentation:
         ks = ByteKeySet(words)
         ints = [_padded_int(key, ks.max_length) for key in ks.as_list()]
         assert ints == sorted(ints)
-        assert list(ks.as_ints()) == ints
+        assert [_padded_int(key, ks.max_length) for key in ks.keys.tolist()] == ints
 
     def test_flat_buffer_and_offsets(self):
         ks = ByteKeySet([b"bb", b"a", b"ccc"])
@@ -141,7 +142,7 @@ class TestCoercion:
         assert ks.as_list() == [b"apple", b"fig", b"pear"]
         batch = coerce_query_batch([(b"a", b"b"), (b"p", b"q")], ks.width)
         assert isinstance(batch, ByteQueryBatch)
-        assert not batch.is_vector
+        assert batch.los.dtype.kind == "S"
 
     def test_integer_inputs_keep_encoded_types(self):
         ks = coerce_keys([5, 2, 9], 16)
@@ -177,10 +178,13 @@ class TestByteQueryBatch:
             (_padded_int(b"x", 2), _padded_int(b"xy", 2)),
         ]
         assert list(batch.byte_pairs()) == [(b"a", b"b"), (b"x", b"xy")]
-        assert batch.spans().tolist() == [
-            _padded_int(b"b", 2) - _padded_int(b"a", 2) + 1,
-            _padded_int(b"xy", 2) - _padded_int(b"x", 2) + 1,
-        ]
+        # The fixed PBF sizes its slots to the widest padded-integer span.
+        span = max(
+            _padded_int(b"b", 2) - _padded_int(b"a", 2),
+            _padded_int(b"xy", 2) - _padded_int(b"x", 2),
+        )
+        workload = Workload(ByteKeySet([b"m"], max_length=2), batch)
+        assert derived_prefix_len(16, workload) == 16 - span.bit_length()
 
     def test_points_and_select(self):
         batch = ByteQueryBatch.points([b"q", b"rr", b"s"], max_length=2)
@@ -325,11 +329,8 @@ class TestByteLSM:
 
     @pytest.mark.parametrize("drop", [False, True])
     def test_byte_merge_matches_scalar_reference(self, drop):
-        from repro.lsm.merge import (
-            EntryRun,
-            merge_entry_runs,
-            merge_entry_runs_scalar,
-        )
+        from repro.lsm.merge import EntryRun, merge_entry_runs
+        from scalar_reference import merge_entry_runs_scalar
 
         rng = random.Random(24)
         runs = []

@@ -64,7 +64,7 @@ def test_loads_well_formed_workload(name):
         assert workload.key_space is not None  # auto-attached string space
     else:
         assert not workload.keys.is_bytes
-        assert workload.keys.is_vector  # 48/60-bit spaces ride int64
+        assert workload.keys.keys.dtype == np.int64  # 48/60-bit spaces ride int64
 
 
 @pytest.mark.parametrize("name", sorted(DATASETS))

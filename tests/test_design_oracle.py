@@ -14,15 +14,15 @@ time.  The two must agree exactly:
   ``cpfpr.evaluations`` counts;
 * the closed-form gate and the searchsorted gate, query by query.
 
-Workloads cover int64 key spaces of 8–63 bits (uniform and clustered
+Workloads cover int64 key spaces of 8–64 bits (uniform and clustered
 keys; point, short, wide and full-space queries; ``max_probes`` 1, 2 and
-64), >63-bit keys on the scalar path, and byte-string keys.
+64; at width 64, stored offset-binary keys and bounds on both sides of
+``2**63``), 72- and 80-bit integers on the byte path, and byte-string keys.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -71,17 +71,6 @@ def reference_byte_gate(model, l1):
     return j > i
 
 
-def reference_scalar_gate(model, l1):
-    """Bisect trie gate per empty query (the >63-bit path)."""
-    prefixes = model.prefixes(l1)
-    shift = model.width - l1
-    gates = []
-    for lo, hi, _ in model.empty_queries:
-        i = bisect_left(prefixes, lo >> shift)
-        gates.append(bisect_right(prefixes, hi >> shift, lo=i) > i)
-    return np.array(gates, dtype=bool)
-
-
 def reference_fpr_vector(model, l1, l2, bloom_bits):
     num_empty = model._empty_lo.size
     gate = None
@@ -123,7 +112,7 @@ def reference_fpr_vector(model, l1, l2, bloom_bits):
             probes = np.where(
                 blo_a == bhi_a,
                 np.where(has_lo[active], phi_a - plo_a + 1, 0),
-                middle * np.int64(1 << gap) + first + last,
+                (middle << gap) + first + last,
             )
         else:
             probes = phi_a - plo_a + 1
@@ -161,12 +150,7 @@ def reference_fpr(model, l1, l2, bloom_bits):
         return 0.0
     if model.is_bytes:
         return reference_fpr_bytes(model, l1, l2, bloom_bits)
-    if model._vector:
-        return reference_fpr_vector(model, l1, l2, bloom_bits)
-    if l2 == 0:
-        gates = reference_scalar_gate(model, l1) if l1 else None
-        return 1.0 if gates is None else float(gates.sum()) / gates.size
-    return model._proteus_fpr_scalar(l1, l2, bloom_bits)
+    return reference_fpr_vector(model, l1, l2, bloom_bits)
 
 
 def reference_design(model, total_bits):
@@ -291,10 +275,18 @@ def int_cases(draw):
 
 @st.composite
 def wide_cases(draw):
-    width = draw(st.integers(64, 80))
+    width = draw(st.sampled_from([64, 72, 80]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     keys = int_keys(rng, width, draw(st.integers(1, 30)), draw(st.booleans()))
+    if width == 64 and draw(st.booleans()):
+        # Keys and bounds on both sides of 2**63, where stored keys change sign.
+        keys = sorted(set(keys) | {(1 << 63) + rng.randint(-40, 40) for _ in range(8)})
     queries = int_queries(rng, width, keys, draw(st.integers(0, 20)))
+    if width == 64:
+        queries += [
+            ((1 << 63) - rng.randint(1, 50), (1 << 63) + rng.randint(0, 50)),
+            ((1 << 63) - 1, 1 << 63),
+        ]
     return keys, width, queries, draw(st.sampled_from([1, 2, 64]))
 
 
@@ -331,7 +323,7 @@ def check_designs(keys, width, queries, max_probes):
     for bits_per_key in BITS_PER_KEY:
         registry = MetricsRegistry()
         model = CPFPRModel(keys, width, queries, max_probes, metrics=registry)
-        total_bits = max(1, bits_per_key * len(model.sorted_keys))
+        total_bits = max(1, bits_per_key * len(model._keyset))
         design = design_proteus(model, total_bits, registry)
         expected, candidates, pruned, evaluations = reference_design(model, total_bits)
         assert design == expected
@@ -349,9 +341,6 @@ def check_gate(model):
     for l1 in range(model.design_step, model.width + 1, model.design_step):
         if model.is_bytes:
             assert np.array_equal(reference_byte_gate(model, l1), lcp >= l1)
-            continue
-        if not model._vector:
-            assert np.array_equal(reference_scalar_gate(model, l1), lcp >= l1)
             continue
         gate, strict_lo, strict_hi, has_lo, has_hi = reference_gate_info(model, l1)
         assert np.array_equal(gate, lcp >= l1)
@@ -410,6 +399,20 @@ def test_full_space_queries_at_width_63():
     width = 63
     keys = [0, 5, (1 << 62) + 3, (1 << 63) - 2]
     queries = [(0, (1 << 63) - 1), (1, 4), (6, (1 << 62)), ((1 << 63) - 1, (1 << 63) - 1)]
+    for max_probes in (1, 2, 64):
+        check_case((keys, width, queries, max_probes), 0)
+
+
+def test_full_space_queries_at_width_64():
+    # Stored width-64 keys: hi - lo of the full-space query wraps to -1 in
+    # int64, and the clamp must still read it as 2**64 - 1 slots.
+    width = 64
+    top = (1 << 64) - 1
+    keys = [0, 5, (1 << 63) - 1, 1 << 63, (1 << 63) + 7, top - 1]
+    queries = [
+        (0, top), (1, 4), (6, 1 << 62), ((1 << 63) + 1, (1 << 63) + 6),
+        ((1 << 63) - 3, (1 << 63) + 3), (top, top), (1 << 62, top - 2),
+    ]
     for max_probes in (1, 2, 64):
         check_case((keys, width, queries, max_probes), 0)
 

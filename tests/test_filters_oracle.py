@@ -12,7 +12,7 @@ import random
 import pytest
 
 from conftest import mixed_queries, random_keys
-from repro.api import FilterSpec, Workload, build_filter
+from repro.api import FilterSpec, Workload, build_filter, registered_families
 from repro.core.prf import TwoPBF
 from repro.filters.base import TrieOracle
 from repro.filters.prefix_bloom import PrefixBloomFilter
@@ -160,3 +160,70 @@ def test_filters_report_sizes(workload):
         filt = factory(keys, queries)
         assert filt.size_in_bits() > 0, name
         assert filt.bits_per_key() > 0, name
+
+
+# --------------------------------------------------------------------- #
+# Wide integers: width 64 stored as key - 2**63, width 80 as bytes      #
+# --------------------------------------------------------------------- #
+
+HALF = 1 << 63
+
+
+@pytest.fixture(scope="module", params=[64, 80])
+def wide_int_workload(request):
+    """Keys at 0, on both sides of 2**63 and at the top of the space.
+
+    At width 80 most keys are below 2**72, so their byte prefixes start
+    with zero bytes.
+    """
+    width = request.param
+    top = (1 << width) - 1
+    rng = random.Random(105)
+    boundary = [0, 1, HALF - 1, HALF, HALF + 1, top]
+    keys = sorted(
+        set(boundary)
+        | {rng.randrange(top + 1) for _ in range(400)}
+        | {HALF + rng.randint(-3000, 3000) for _ in range(100)}
+    )
+    queries = [(0, top), (0, HALF - 1), (HALF, top), (HALF - 1, HALF), (1, top - 1)]
+    for _ in range(250):
+        # Ranges straddling 2**63, near misses around keys, wide ranges.
+        below = rng.randint(1, 1 << rng.randint(1, 40))
+        queries.append((HALF - below, HALF + rng.randint(0, 5000)))
+        key = rng.choice(keys)
+        lo = min(top, key + 1 + rng.randrange(20))
+        queries.append((lo, min(top, lo + rng.randrange(1, 200))))
+        lo = rng.randrange(top)
+        queries.append((lo, min(top, lo + (1 << rng.randint(0, width - 2)))))
+    workload = Workload(keys, queries, key_space=IntegerKeySpace(width))
+    probes = keys + boundary + [rng.randrange(top + 1) for _ in range(200)]
+    return keys, probes, queries, workload, TrieOracle(workload.keys, width)
+
+
+def test_wide_int_key_sets_show_the_users_keys(wide_int_workload):
+    keys, _, queries, workload, _ = wide_int_workload
+    top = (1 << workload.width) - 1
+    if workload.width == 64:
+        assert workload.keys.keys.dtype.kind == "i"  # the int64 stored form
+        assert workload.keys.as_list() == keys
+        assert list(workload.keys) == keys
+        assert (workload.keys.first, workload.keys.last) == (0, top)
+    else:
+        assert workload.keys.is_bytes
+        assert workload.keys.last == top.to_bytes(10, "big")
+    assert list(workload.queries.pairs()) == queries
+
+
+@pytest.mark.parametrize("family", sorted(registered_families()))
+def test_wide_int_boundaries(family, wide_int_workload):
+    keys, probes, queries, workload, oracle = wide_int_workload
+    filt = build_filter(FilterSpec(family, 12.0), workload.keys, workload)
+    scalar_points = [filt.may_contain(key) for key in probes]
+    assert all(scalar_points[: len(keys)]), f"{family}: false negative on a key"
+    assert filt.may_contain_many(probes).tolist() == scalar_points
+    scalar_ranges = [filt.may_intersect(lo, hi) for lo, hi in queries]
+    for (lo, hi), answer in zip(queries, scalar_ranges):
+        if oracle.may_intersect(lo, hi):
+            assert answer, f"{family}: false negative on [{lo}, {hi}]"
+    assert filt.may_intersect_many(workload.queries).tolist() == scalar_ranges
+    assert filt.may_intersect_many(queries).tolist() == scalar_ranges

@@ -1,4 +1,4 @@
-"""Unit tests for the seed ``repro.keys`` modules."""
+"""Unit tests for the seed ``repro.keys`` modules and the scalar LCP references."""
 
 import random
 
@@ -7,12 +7,14 @@ import pytest
 from repro.keys import (
     IntegerKeySpace,
     StringKeySpace,
-    lcp_bits,
-    min_distinguishing_prefix_lengths,
     prefix_of,
     prefix_range,
     prefix_range_count,
     prefix_to_range,
+)
+from scalar_reference import (
+    lcp_bits,
+    min_distinguishing_prefix_lengths,
     query_set_lcp,
     unique_prefix_counts,
 )

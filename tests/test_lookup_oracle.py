@@ -12,7 +12,8 @@ memtables of 1–4 entries), so cascades leave empty middle levels and
 tombstones survive above the bottom level.  After every step the lookup
 must equal both the reference and a dict model of the stream, and each
 deep level's kept run must equal the concatenation of its SSTs' keys and
-tombstone masks.  Int keys (32 bits), >63-bit ``object`` keys (80 bits)
+tombstone masks.  Int keys (32 bits), stored width-64 keys (0, both
+sides of ``2**63`` and ``2**64 - 1``), 80-bit integers on the byte path
 and byte keys (40 bits) are covered; the probes hold duplicates, keys
 never written, keys only the memtable holds and keys deleted then put
 again.
@@ -45,10 +46,11 @@ def reference_lookup_many(tree: OnlineLSMTree, keys) -> np.ndarray:
         sample = tree.memtable.sample_key()
         if sample is not None:
             expect_bytes = isinstance(sample, bytes)
+    keys = list(keys)
     arr = probe_key_array(keys, tree.width, expect_bytes=expect_bytes)
     found = np.zeros(arr.size, dtype=bool)
     resolved = np.zeros(arr.size, dtype=bool)
-    for position, key in enumerate(arr.tolist()):
+    for position, key in enumerate(keys):
         state = tree.memtable.get(key)
         if state is not None:
             resolved[position] = True
@@ -75,8 +77,14 @@ def reference_lookup_many(tree: OnlineLSMTree, keys) -> np.ndarray:
 
 POOL = 16
 
+#: Width 64: the pool holds 0, 2**64 - 1 and keys on both sides of 2**63;
+#: the never-written keys sit next to them.
+_HALF = 1 << 63
+_POOL_64 = [0, 2**64 - 1] + [_HALF + 1_000_003 * (i - 7) for i in range(POOL - 2)]
+
 KINDS = {
     "int32": (32, [3 + 7919 * i for i in range(POOL + 4)]),
+    "int64": (64, _POOL_64 + [1, 2**64 - 2, _HALF - 1, _HALF + 1]),
     "int80": (80, [(1 << 70) + 1_000_003 * i for i in range(POOL + 4)]),
     "bytes40": (
         40,

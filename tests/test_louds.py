@@ -315,14 +315,31 @@ class TestFSTPrefixIndex:
         ).all()
 
     def test_wide_key_space_falls_back(self):
-        keys = [3, 1 << 70, (1 << 70) + 5, 1 << 79]
-        reference = SortedPrefixIndex.from_keys(keys, 70, 80)
-        succinct = FSTPrefixIndex.from_keys(keys, 70, 80)
-        assert not succinct.is_vector
-        for key in keys:
-            assert succinct.contains_prefix_of(key)
-        for lo, hi in [(0, 10), (1 << 60, 1 << 61), (1 << 70, (1 << 70) + 2)]:
-            assert succinct.overlaps(lo, hi) == reference.overlaps(lo, hi)
+        # Width 64 stores keys and prefixes as int64 less 2**(l - 1); both
+        # indexes take those and agree, scalar and batched, up to l = 64.
+        from repro.workloads.batch import encode_ints
+
+        user = [0, 3, (1 << 63) - 1, 1 << 63, (1 << 63) + 5, (1 << 64) - 1]
+        keys = encode_ints(user, 64)
+        for length in (1, 7, 63, 64):
+            reference = SortedPrefixIndex.from_keys(keys, length, 64)
+            succinct = FSTPrefixIndex.from_keys(keys, length, 64)
+            assert len(reference) == len(succinct)
+            for key in keys.tolist():
+                assert succinct.contains_prefix_of(key) and reference.contains_prefix_of(key)
+            bounds = [
+                (0, 10), (1 << 62, 1 << 63), ((1 << 63) + 6, (1 << 64) - 2), (0, (1 << 64) - 1)
+            ]
+            los = encode_ints([lo for lo, _ in bounds], 64)
+            his = encode_ints([hi for _, hi in bounds], 64)
+            pairs = list(zip(los.tolist(), his.tolist()))
+            expected = [reference.overlaps(lo, hi) for lo, hi in pairs]
+            assert [succinct.overlaps(lo, hi) for lo, hi in pairs] == expected
+            assert succinct.overlaps_many(los, his).tolist() == expected
+            assert reference.overlaps_many(los, his).tolist() == expected
+            prefixes = keys >> np.int64(64 - length)
+            assert succinct.contains_many(prefixes).all()
+            assert reference.contains_many(prefixes).all()
 
     def test_validation(self):
         with pytest.raises(ValueError):

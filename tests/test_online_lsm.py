@@ -297,6 +297,21 @@ class TestFilterLifecycle:
         assert tree.design_queries is not before
         assert len(tree.design_queries) == len(lifecycle.rolling_sample())
 
+    @pytest.mark.parametrize("width", [64, 80])
+    def test_rolling_sample_keeps_the_users_bounds(self, width):
+        # The sample is re-encoded once when drawn: stored width-64 bounds
+        # or wide-integer bytes must not be encoded a second time.
+        tree = OnlineLSMTree(width, sst_keys=8, memtable_capacity=8)
+        half = 1 << 63
+        tree.apply([("put", key) for key in (0, half - 1, half, (1 << width) - 1)])
+        tree.flush()
+        pairs = [(0, (1 << width) - 1), (half - 2, half + 2), (half, half), (1, 5)]
+        lifecycle = FilterLifecycle(tree)
+        lifecycle.record_queries(pairs)
+        sample = lifecycle.rolling_sample()
+        assert list(sample.pairs()) == pairs
+        assert tree.probe(sample).required_reads.tolist() == [1, 1, 1, 0]
+
     def test_monitors_prune_when_ssts_compact_away(self):
         tree, lifecycle, shifted = self._shifted_epochs(min_empty=10**9)
         tree.probe(shifted[0], sst_stats=(stats := {}))
@@ -363,6 +378,16 @@ class TestTimelineBench:
         for record in report["epochs"]:
             assert record["adaptive"]["probe"]["missed_reads"] == 0
             assert record["static"]["probe"]["missed_reads"] == 0
+        assert report["integrity"]["lookup_consistent"] == {
+            "adaptive": True,
+            "static": True,
+        }
+
+    def test_width_64_lookups_stay_consistent(self):
+        # The end-of-run check probes the user's keys; handing it stored
+        # width-64 keys would encode them twice.
+        report = run_timeline_bench(**dict(TIMELINE_ARGS, width=64))
+        assert check_timeline_report(report) == []
         assert report["integrity"]["lookup_consistent"] == {
             "adaptive": True,
             "static": True,

@@ -6,8 +6,10 @@ the optional per-SST stats and the trace — from ``np.bincount``
 histograms of the classification codes.  :func:`reference_probe` below is
 the straightforward form it replaced: one Python iteration per routed SST
 group, tallying each field with its own numpy calls.  The two must agree
-exactly on every field, for every key representation (int64, >63-bit
-object-dtype, byte strings), for filtered, unfiltered and mixed trees, on
+exactly on every field, for every key representation (int64, stored
+width-64 keys with full-space queries and bounds on both sides of
+``2**63``, 72-bit integers on the byte path, byte strings), for filtered,
+unfiltered and mixed trees, on
 online snapshots with tombstones and an empty middle level, on empty
 batches, and on ranges that straddle SST fences.
 
@@ -217,8 +219,16 @@ def swapper(tree: LSMTree, seed: int, designs):
     return swap
 
 
-#: Integer key widths: the int64 fast path and the object-dtype fallback.
-INT_WIDTHS = {"int64": 16, "wide": 72}
+#: Integer key widths: plain int64, the width-64 stored form, and the
+#: byte path of integers wider than 64 bits.
+INT_WIDTHS = {"int64": 16, "width64": 64, "wide": 72}
+
+
+def user_int(key, width: int) -> int:
+    """A fence as the user's integer (wide integer keys come back as bytes)."""
+    if isinstance(key, bytes):
+        return int.from_bytes(key.ljust(width // 8, b"\x00"), "big")
+    return key
 
 
 def int_pairs(rng: random.Random, keys: list[int], fences: list[int], width: int, count: int):
@@ -300,12 +310,21 @@ def build_tree(kind: str, mode: str, seed: int, num_keys: int, sst_keys: int, de
     else:
         width = INT_WIDTHS[kind]
         top = 1 << width
-        keys = sorted(set(rng.randrange(top) for _ in range(num_keys)))
+        keys = set(rng.randrange(top) for _ in range(num_keys))
+        if width == 64 and num_keys > 2:
+            keys |= {(1 << 63) - 1, 1 << 63}  # the two sides of the sign change
+        keys = sorted(keys)
         tree = LSMTree.build(coerce_keys(keys, width), sst_keys=sst_keys, fanout=2, seed=seed)
-        fences = [int(f) for sst in tree.sstables() for f in (sst.min_key, sst.max_key)]
+        fences = [
+            user_int(f, width) for sst in tree.sstables() for f in (sst.min_key, sst.max_key)
+        ]
 
         def queries(qrng, count):
-            return int_pairs(qrng, keys, fences, width, count)
+            pairs = int_pairs(qrng, keys, fences, width, count)
+            if width == 64 and count:
+                # The full space, and a range straddling 2**63.
+                pairs += [(0, top - 1), ((1 << 63) - 3, (1 << 63) + 3)]
+            return pairs
 
     return attach(tree, mode, seed, designs), queries
 
@@ -362,7 +381,7 @@ def assert_probe_matches_reference(tree, first_pairs, second_pairs, capacity, be
     assert trace.reconcile(got) == []
 
 
-KINDS = ("int64", "wide", "bytes")
+KINDS = ("int64", "width64", "wide", "bytes")
 MODES = ("filtered", "unfiltered", "mixed", "proteus")
 
 
@@ -405,7 +424,7 @@ def test_static_tree_probe_matches_reference(
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    kind=st.sampled_from(("int64", "bytes")),
+    kind=st.sampled_from(("int64", "width64", "bytes")),
     mode=st.sampled_from(("proteus", "mixed")),
     designs=st.lists(DESIGNS, min_size=2, max_size=4),
     seed=st.integers(0, 2**16),
@@ -491,7 +510,7 @@ def test_online_snapshot_probe_matches_reference(
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    kind=st.sampled_from(("int64", "bytes")),
+    kind=st.sampled_from(("int64", "width64", "wide", "bytes")),
     designs=st.lists(DESIGNS, min_size=1, max_size=4),
     seed=st.integers(0, 2**16),
     num_keys=st.integers(1, 120),

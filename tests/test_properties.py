@@ -13,10 +13,10 @@ taken at every boundary.  The invariants pinned:
   inputs alike;
 * :func:`~repro.workloads.batch.coerce_query_batch` preserves pairs
   verbatim and rejects inverted/out-of-space ranges;
-* :func:`~repro.lsm.merge.merge_entry_runs` (vector + byte fast paths)
-  agrees entry-for-entry with the :func:`~repro.lsm.merge.
-  merge_entry_runs_scalar` heap-merge reference, for every tombstone
-  pattern and ``drop_tombstones`` flag;
+* :func:`~repro.lsm.merge.merge_entry_runs` (int64 + byte fast paths)
+  agrees entry-for-entry with the ``merge_entry_runs_scalar`` heap-merge
+  reference in ``tests/scalar_reference.py``, for every tombstone pattern
+  and ``drop_tombstones`` flag;
 * ``ByteKeySet.slice`` / ``sorted_take`` agree with plain python list
   slicing/selection while aliasing (slice) the parent buffers;
 * filters never produce a false negative against the
@@ -31,7 +31,7 @@ import pytest
 
 from repro.api import FilterSpec, Workload, build_filter
 from repro.filters.base import TrieOracle
-from repro.lsm.merge import EntryRun, merge_entry_runs, merge_entry_runs_scalar
+from repro.lsm.merge import EntryRun, merge_entry_runs
 from repro.workloads.batch import (
     EncodedKeySet,
     QueryBatch,
@@ -39,6 +39,7 @@ from repro.workloads.batch import (
     coerce_query_batch,
 )
 from repro.workloads.bytekeys import ByteKeySet
+from scalar_reference import merge_entry_runs_scalar
 
 WIDTH = 32
 NUM_TRIALS = 40  # trials per property; each trial draws a fresh input

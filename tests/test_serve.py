@@ -36,7 +36,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import FilterSpec, derive_shard_specs
+from repro.api import FilterSpec, Workload, derive_shard_specs
 from repro.evaluation.gates import check_regressions
 from repro.lsm.online import OnlineLSMTree
 from repro.lsm.tree import LSMTree
@@ -340,8 +340,56 @@ def _eval_queries(keys, seed=5, count=600):
     return np.array(los, dtype=np.int64), np.array(his, dtype=np.int64)
 
 
+def _wide_int_case(width):
+    """Keys at 0, on both sides of 2**63 and at the top of the space,
+    probed by points, short ranges, the full space and a range across
+    2**63."""
+    rng = random.Random(width)
+    top, half = (1 << width) - 1, 1 << 63
+    keys = sorted(
+        {0, half - 1, half, top}
+        | {rng.randrange(top + 1) for _ in range(600)}
+        | {half + rng.randint(-500, 500) for _ in range(60)}
+    )
+    los, his = [0, half - 2, 0], [top, half + 2, half - 1]
+    for _ in range(300):
+        if rng.random() < 0.5:
+            key = rng.choice(keys) if rng.random() < 0.5 else rng.randrange(top + 1)
+            los.append(key), his.append(key)
+        else:
+            lo = rng.randrange(top + 1)
+            los.append(lo), his.append(min(top, lo + rng.randrange(1 << 20)))
+    return keys, los, his
+
+
+def _serve_wide(width, mode):
+    keys, los, his = _wide_int_case(width)
+    key_set = coerce_keys(keys, width)
+    with ShardedLookupService.build(
+        key_set,
+        num_shards=2,
+        spec=FilterSpec("proteus", 12.0),
+        workload=Workload(key_set, list(zip(los, his))),
+        sst_keys=64,
+        mode=mode,
+    ) as service:
+        answers, _ = service.serve_batch(los, his)
+    return answers.tolist(), [_truth(keys, lo, hi) for lo, hi in zip(los, his)]
+
+
 @pytest.mark.parametrize("mode", ["inline", "process"])
 def test_service_matches_monolithic_tree_int_keys(mode):
+    # Width 64 (stored int64 keys) and 80 (byte keys) serve like width 24:
+    # the searchsorted truth, the same answers in both modes, and no
+    # shared-memory segment left behind.
+    before = _shm_segments()
+    for width in (64, 80):
+        answers, truth = _serve_wide(width, mode)
+        assert answers == truth, width
+        if mode == "process":
+            assert answers == _serve_wide(width, "inline")[0], width
+    assert _shm_segments() - before == set()
+
     keys = _population(seed=11, size=2000)
     los, his = _eval_queries(keys)
     spec = FilterSpec("bloom", 12.0)
@@ -459,6 +507,13 @@ def _segment_names(service):
 
 def _shm_exists(name):
     return os.path.exists(f"/dev/shm/{name.lstrip('/')}")
+
+
+def _shm_segments():
+    """Shared-memory segment names (``psm_*``) currently in /dev/shm."""
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
 
 
 def test_process_service_cleans_up_all_segments_on_close():

@@ -5,14 +5,13 @@ import random
 import numpy as np
 import pytest
 
+from repro.api import Workload
+from repro.filters.prefix_bloom import derived_prefix_len
 from repro.keys.keyspace import StringKeySpace
 from repro.keys.lcp import (
     bit_length_many,
-    lcp_bits,
     lcp_bits_many,
-    query_set_lcp,
     query_set_lcp_many,
-    unique_prefix_counts,
     unique_prefix_counts_array,
 )
 from repro.workloads import (
@@ -23,7 +22,8 @@ from repro.workloads import (
     random_keys,
     zipf_keys,
 )
-from repro.workloads.batch import probe_key_array
+from repro.workloads.batch import coerce_keys, decode_ints, probe_key_array
+from scalar_reference import lcp_bits, query_set_lcp, unique_prefix_counts
 
 WIDTH = 32
 
@@ -78,7 +78,7 @@ class TestEncodedKeySet:
     def test_sorted_distinct_and_bounds(self):
         ks = EncodedKeySet([5, 1, 5, 3], 8)
         assert ks.as_list() == [1, 3, 5]
-        assert len(ks) == 3 and ks.is_vector
+        assert len(ks) == 3 and ks.keys.dtype == np.int64
         with pytest.raises(ValueError):
             EncodedKeySet([300], 8)
         with pytest.raises(ValueError):
@@ -90,12 +90,33 @@ class TestEncodedKeySet:
         assert ks.prefixes(2).tolist() == [0b00, 0b10]
         assert ks.prefix_counts() == unique_prefix_counts([1, 2, 8], 4)
 
-    def test_wide_space_object_fallback(self):
-        ks = EncodedKeySet([1 << 127, 5], 128)
-        assert not ks.is_vector
-        assert ks.as_list() == [5, 1 << 127]
-        assert ks.prefixes(1).tolist() == [0, 1]
-        assert ks.prefix_counts()[0] == 1
+    def test_wide_space_takes_the_byte_path(self):
+        # Integers wider than 64 bits are their big-endian bytes.
+        ks = coerce_keys([1 << 127, 5], 128)
+        assert ks.is_bytes and ks.max_length == 16
+        assert ks.as_list() == [(5).to_bytes(16, "big"), b"\x80"]
+        assert ks.first == (5).to_bytes(16, "big") and ks.last == b"\x80"
+        assert ks.prefix_counts()[:2] == [1, 2]
+        with pytest.raises(ValueError, match="coerce_keys"):
+            EncodedKeySet([5], 128)
+        with pytest.raises(ValueError, match="whole number of bytes"):
+            coerce_keys([5], 70)
+
+    def test_width_64_stores_offset_binary(self):
+        top = (1 << 64) - 1
+        user = [top, 0, 1 << 63, (1 << 63) - 1, 1]
+        ks = EncodedKeySet(np.array(user, dtype=np.uint64), 64)
+        assert ks.as_list() == sorted(user)
+        assert ks.keys.tolist() == [-(1 << 63), 1 - (1 << 63), -1, 0, (1 << 63) - 1]
+        assert (ks.first, ks.last) == (0, top)
+        # l-bit prefixes are the user's prefixes less 2**(l - 1); no shift by 64.
+        assert ks.prefixes(1).tolist() == [-1, 0]
+        assert ks.prefixes(0).tolist() == [0]
+        assert ks.prefix_counts() == unique_prefix_counts(sorted(user), 64)
+        assert EncodedKeySet(sorted(user), 64).keys.tolist() == ks.keys.tolist()
+        for bad in (-1, 1 << 64):
+            with pytest.raises(ValueError, match=f"key {bad} outside the 64-bit"):
+                EncodedKeySet([0, bad], 64)
 
     def test_from_raw_string_key_space(self):
         space = StringKeySpace(4)
@@ -122,10 +143,13 @@ class TestEncodedKeySet:
                 ks.slice(start, stop)
 
     def test_slice_of_wide_space_keys(self):
-        ks = EncodedKeySet([5, 1 << 80, 1 << 90], 128)
+        ks = coerce_keys([5, 1 << 80, 1 << 90], 128)
         view = ks.slice(1, 3)
-        assert not view.is_vector
-        assert view.as_list() == [1 << 80, 1 << 90]
+        assert view.is_bytes
+        assert view.as_list() == [
+            (1 << 80).to_bytes(16, "big").rstrip(b"\x00"),
+            (1 << 90).to_bytes(16, "big").rstrip(b"\x00"),
+        ]
         assert view.keys.base is ks.keys
 
 
@@ -133,9 +157,14 @@ class TestQueryBatch:
     def test_roundtrip_and_points(self):
         batch = QueryBatch.from_pairs([(1, 4), (9, 9)], 8)
         assert batch.to_list() == [(1, 4), (9, 9)]
-        assert batch.spans().tolist() == [4, 1]
+        # The widest query spans 4 keys, 2 bits of slot: 6-bit prefixes.
+        assert derived_prefix_len(8, Workload(EncodedKeySet([2], 8), batch)) == 6
         points = QueryBatch.points([3, 7], 8)
         assert points.to_list() == [(3, 3), (7, 7)]
+        top = (1 << 64) - 1
+        wide = QueryBatch.from_pairs([(0, top), (1 << 63, 1 << 63)], 64)
+        assert wide.to_list() == [(0, top), (1 << 63, 1 << 63)]
+        assert wide.los.tolist() == [-(1 << 63), 0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -146,6 +175,20 @@ class TestQueryBatch:
             QueryBatch.from_pairs([(0, 256)], 8)
         with pytest.raises(ValueError):
             QueryBatch.from_pairs([(0, 1 << 70)], 16)
+
+    def test_out_of_space_bounds_report_the_users_values(self):
+        # A uint64 bound past int64 is reported as itself, never wrapped.
+        with pytest.raises(
+            ValueError,
+            match=r"query range \[1, 9223372036854775811\] outside the 32-bit key space",
+        ):
+            QueryBatch(np.array([1], np.uint64), np.array([2**63 + 3], np.uint64), 32)
+        with pytest.raises(ValueError, match=r"query range \[0, 18446744073709551616\] outside"):
+            QueryBatch([0], [1 << 64], 64)
+        with pytest.raises(ValueError, match=r"empty query range \[18446744073709551615, 5\]"):
+            QueryBatch([(1 << 64) - 1], [5], 64)
+        with pytest.raises(ValueError, match="coerce_query_batch"):
+            QueryBatch([0], [1], 80)
 
     def test_empty_batch(self):
         batch = QueryBatch.from_pairs([], 8)
@@ -181,6 +224,23 @@ class TestGenerators:
         )
         assert close > 1000
 
+    @pytest.mark.parametrize("width", [63, 64, 80])
+    def test_uniform_keys_at_wide_widths(self, width):
+        keys = random_keys(random.Random(21), 500, width)
+        assert keys == random_keys(random.Random(21), 500, width)
+        assert len(set(keys)) == 500
+        assert all(0 <= key < (1 << width) for key in keys)
+        assert max(keys) >= 1 << (width - 2)  # spread over the whole space
+        key_set, batch = generate_workload(200, 50, width, seed=3, key_dist="uniform")
+        assert len(key_set) == 200 and len(batch) == 50
+
+    def test_uniform_keys_below_63_bits_keep_their_draws(self):
+        # Up to 62 bits the draw is rng.sample over the whole space, so
+        # every seeded workload and committed report stays reproducible.
+        assert random_keys(random.Random(5), 4, 32) == [
+            2675342405, 3185950873, 4051686260, 2787324501,
+        ]
+
     def test_saturated_spaces_top_up(self):
         assert len(set(zipf_keys(random.Random(14), 256, 8))) == 256
         assert len(set(clustered_keys(random.Random(15), 256, 8))) == 256
@@ -205,12 +265,18 @@ class TestGenerators:
 
 @pytest.mark.parametrize("width", [8, 32, 63, 64, 80])
 def test_probe_key_array_checks_the_integer_range(width):
-    """Both ends of the space pass; one past either end raises, int64 or object."""
+    """Both ends of the space pass; one past either end raises, int64 or bytes."""
     top = (1 << width) - 1
     probes = probe_key_array([top, 0, top], width)
-    assert probes.tolist() == [top, 0, top]
-    assert probes.dtype == (np.int64 if top < 2**63 else object)
-    assert probe_key_array(np.array([0, 1, 0], dtype=np.uint8), width).tolist() == [0, 1, 0]
+    small = probe_key_array(np.array([0, 1, 0], dtype=np.uint8), width)
+    if width <= 64:
+        assert probes.dtype == np.int64
+        assert decode_ints(probes, width).tolist() == [top, 0, top]
+        assert decode_ints(small, width).tolist() == [0, 1, 0]
+    else:
+        assert probes.dtype == f"S{width // 8}"
+        assert probes.tolist() == [b"\xff" * (width // 8), b"", b"\xff" * (width // 8)]
+        assert small.tolist() == [b"", (1).to_bytes(width // 8, "big"), b""]
     for bad in (-1, top + 1, -(2**70)):
         with pytest.raises(ValueError, match=f"key {bad} outside the {width}-bit key space"):
             probe_key_array([0, bad, 0], width)
