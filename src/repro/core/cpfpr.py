@@ -53,9 +53,16 @@ Execution model
     given, and a 2-D ``sum(axis=1)`` rounds differently.  This keeps every
     prediction, and so every design Algorithm 1 picks, equal bit for bit
     to the per-candidate evaluation the test-suite keeps as its oracle.
-    Byte-string key spaces, and integers wider than 64 bits, run the same
-    pass over their slot counts.  The test-suite keeps the per-query
-    scalar evaluators as the reference both passes are held equal to.
+
+    The integer pass is the :func:`repro.kernels.cpfpr_row` kernel, one
+    call per trie depth: the numpy backend runs it as above, and the
+    compiled backend restates it in C with numpy's pairwise summation
+    order and numpy's ``(1 - p)^k`` table, so its values are the same bit
+    for bit.  Byte-string key spaces, and integers wider than 64 bits, run
+    the same pass in numpy over their slot counts, finishing it with the
+    numpy backend's gather-and-sum step.  The test-suite keeps the
+    per-query scalar evaluators as the reference both passes are held
+    equal to.
 """
 
 from __future__ import annotations
@@ -65,8 +72,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro import kernels
 from repro.amq.bloom import bloom_fpr
 from repro.filters.prefix_bloom import DEFAULT_MAX_PROBES
+from repro.kernels._numpy_backend import cpfpr_row_fprs
 from repro.keys.bytestr import byte_slot_bounds, lcp_bits_rows
 from repro.keys.lcp import query_neighbour_lcps_many
 from repro.workloads.batch import (
@@ -119,6 +128,7 @@ class CPFPRModel:
         self.design_step = 8 if keyset.is_bytes else 1
         #: ``prefix_counts[l] == |K_l|``, the number of distinct l-bit prefixes.
         self.prefix_counts = keyset.prefix_counts()
+        self._prefix_count_array = np.array(self.prefix_counts, dtype=np.int64)
         batch = coerce_query_batch(queries, width)
         self.num_queries = len(batch)
         self._empty_list: list[tuple[int, int, int]] | None = None
@@ -284,10 +294,11 @@ class CPFPRModel:
 
         One value per ``l2`` in ``bloom_prefix_lens``, each equal bit for
         bit to :meth:`proteus_fpr` on that design, computed in one pass
-        over the queries the trie gate admits.  Every ``l2`` must lie in
-        ``(trie_depth, width]``.  Unlike :meth:`proteus_fpr`, this counts
-        no ``cpfpr.evaluations``: Algorithm 1 counts the candidates it
-        reads, which may be fewer.
+        over the queries the trie gate admits (one
+        :func:`repro.kernels.cpfpr_row` call for integer keys).  Every
+        ``l2`` must lie in ``(trie_depth, width]``.  Unlike
+        :meth:`proteus_fpr`, this counts no ``cpfpr.evaluations``:
+        Algorithm 1 counts the candidates it reads, which may be fewer.
         """
         l1, lens = trie_depth, list(bloom_prefix_lens)
         if not lens:
@@ -296,58 +307,24 @@ class CPFPRModel:
             raise ValueError(f"Bloom prefix lengths {lens} must lie in ({l1}, {self.width}]")
         if not self.num_empty_queries:
             return [0.0] * len(lens)
+        if not self.is_bytes:
+            return kernels.cpfpr_row(
+                self._empty_lo, self._empty_hi, self._empty_lcp, self._empty_lo_lcp,
+                self._empty_hi_lcp, self.width, self.max_probes, l1,
+                np.array(lens, dtype=np.int64), bloom_bits, self._prefix_count_array,
+            ).tolist()
         admitted = np.flatnonzero(self._empty_lcp >= l1)  # the trie gate
         if not admitted.size:
             return [0.0] * len(lens)
-        l2 = np.array(lens, dtype=np.int64)[:, None]
-        uncertain = self._empty_lcp[admitted] < l2
-        if self.is_bytes:
-            # The byte filter probes every slot once its gate passes.
-            slots = [self._byte_slot_info(length) for length in lens]
-            probes = np.stack([count[admitted] for count, _ in slots])
-            clamped = np.stack([clamp[admitted] for _, clamp in slots])
-            return self._row_fprs(lens, bloom_bits, probes, uncertain & ~clamped)
-        lo, hi = self._empty_lo[admitted], self._empty_hi[admitted]
-        plo, phi, clamped = slot_bounds(lo, hi, self.width, l2, self.max_probes)
-        # phi - plo + 1 wraps only for clamped full-space queries, which
-        # stay inactive.
-        probes = phi - plo + 1
-        if l1:
-            # A query spanning two or more l1-blocks probes the slots of
-            # whichever boundary block is stored, and nothing in between.
-            shift1 = self.width - l1
-            split = np.flatnonzero((lo >> shift1) != (hi >> shift1))
-            if split.size:
-                low = ~(np.int64(-1) << (l2 - l1))  # the low l2 - l1 bits
-                lo_stored = self._empty_lo_lcp[admitted[split]] >= l1
-                hi_stored = self._empty_hi_lcp[admitted[split]] >= l1
-                probes[:, split] = lo_stored * (low + 1 - (plo[:, split] & low))
-                probes[:, split] += hi_stored * ((phi[:, split] & low) + 1)
-        active = uncertain & ~clamped
-        return self._row_fprs(lens, bloom_bits, probes, active)
-
-    def _row_fprs(
-        self, lens: list[int], bloom_bits: int, probes: np.ndarray, active: np.ndarray
-    ) -> list[float]:
-        """Finish a row pass from its ``(l2 x query)`` probe counts.
-
-        An inactive (certain) query counts 1; an active one ``1 - (1 -
-        p)^k`` for its ``k`` probes, gathered from a per-``l2`` table.  Each
-        candidate's sum is a 1-D ``.sum()`` over its active entries in
-        query order, the summation the per-candidate evaluator performs.
-        """
-        admitted = active.shape[1]
-        counts = active.sum(axis=1)
-        probes = probes[active]
-        size = int(probes.max(initial=0)) + 1  # at most max_probes + 1
+        uncertain = self._empty_lcp[admitted] < np.array(lens, dtype=np.int64)[:, None]
+        # The byte filter probes every slot once its gate passes.
+        slots = [self._byte_slot_info(length) for length in lens]
+        probes = np.stack([count[admitted] for count, _ in slots])
+        clamped = np.stack([clamp[admitted] for _, clamp in slots])
         keep = np.array([1.0 - self.bloom_probe_fpr(bloom_bits, length) for length in lens])
-        table = 1.0 - keep[:, None] ** np.arange(size)
-        probes += np.repeat(np.arange(0, len(lens) * size, size), counts)
-        values = table.ravel().take(probes)
-        ends = np.cumsum(counts).tolist()
-        sums = [values[start:end].sum() for start, end in zip([0] + ends, ends)]
-        fprs = (admitted - counts + np.array(sums)) / self.num_empty_queries
-        return fprs.tolist()
+        return cpfpr_row_fprs(
+            keep, probes, uncertain & ~clamped, self.num_empty_queries
+        ).tolist()
 
     def _slot_info(self, l2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-query ``(plo, phi, clamped)`` at prefix length ``l2`` (cached)."""
@@ -412,11 +389,16 @@ class CPFPRModel:
         second_prefix_len: int,
         first_bits: int,
         second_bits: int,
+        layers: dict | None = None,
     ) -> float:
         """Expected FPR of a two-layer prefix Bloom filter (2PBF).
 
         The layers use independent hash seeds, so on a query that neither
         layer certainly accepts the two false-positive events multiply.
+        ``layers`` optionally memoises each layer's per-query pass
+        probabilities by ``(length, bits)``: Algorithm 1's 2PBF search
+        passes one dict per search, so each layer vector is computed once
+        however many candidates share it.
         """
         l1, l2 = first_prefix_len, second_prefix_len
         if not 0 < l1 < l2 <= self.width:
@@ -425,13 +407,22 @@ class CPFPRModel:
             self.metrics.inc("cpfpr.evaluations")
         if not self.num_empty_queries:
             return 0.0
-        if self.is_bytes:
-            total = self._layer_pass_probability_bytes(l1, first_bits)
-            total = total * self._layer_pass_probability_bytes(l2, second_bits)
-        else:
-            total = self._layer_pass_probability(l1, first_bits)
-            total = total * self._layer_pass_probability(l2, second_bits)
+        if layers is None:
+            layers = {}
+        total = self._pass_probability(l1, first_bits, layers)
+        total = total * self._pass_probability(l2, second_bits, layers)
         return float(total.sum() / self.num_empty_queries)
+
+    def _pass_probability(self, length: int, bits: int, layers: dict) -> np.ndarray:
+        """One Bloom layer's per-query pass probabilities, memoised in ``layers``."""
+        probability = layers.get((length, bits))
+        if probability is None:
+            if self.is_bytes:
+                probability = self._layer_pass_probability_bytes(length, bits)
+            else:
+                probability = self._layer_pass_probability(length, bits)
+            layers[(length, bits)] = probability
+        return probability
 
     def _layer_pass_probability(self, length: int, bits: int) -> np.ndarray:
         """Per-query probability that one Bloom layer answers positively."""

@@ -25,9 +25,11 @@ queries are all far from the key set).
 Each trie depth ``l1`` is one evaluation pass.  The certain-FP floor does
 not rise with ``l2``, so the ``l2`` values it has not pruned at the start
 of a depth form a suffix of the depth's range; the CPFPR model evaluates
-that suffix in one numpy pass
-(:meth:`~repro.core.cpfpr.CPFPRModel.proteus_fpr_row`) over the queries
-its closed-form trie gate ``L(q) >= l1`` admits, with no searches.  Each
+that suffix in one pass
+(:meth:`~repro.core.cpfpr.CPFPRModel.proteus_fpr_row`, one compiled
+``cpfpr_row`` kernel call for integer keys where the cc backend is
+available) over the queries its closed-form trie gate ``L(q) >= l1``
+admits, with no searches.  Each
 candidate's FPR is still its own 1-D sum in query order: numpy's pairwise
 summation rounds by length and order, so summing the pass as one 2-D
 array would move ``expected_fpr`` in its last bits and could flip a tie.
@@ -42,6 +44,11 @@ incumbent prunes are dropped, so the design, the
 Layer depths advance in ``model.design_step``-bit increments: 1 for
 integer key spaces, 8 for byte-string ones (where the structures index at
 byte granularity, so sub-byte depths add cost without adding resolution).
+
+The 2PBF search evaluates every ``(l1, l2, split)`` candidate in turn, but
+computes each ``(length, bits)`` layer's per-query pass probabilities
+once per search and reuses them for every candidate that shares the
+layer; each candidate's product and sum, and so its FPR, are unchanged.
 """
 
 from __future__ import annotations
@@ -218,6 +225,7 @@ def design_two_pbf(
     candidates = pruned = 0
     best: FilterDesign | None = None
     step = getattr(model, "design_step", 1)
+    layers: dict = {}  # each (length, bits) layer's pass probabilities, this search only
     for first_len in range(step, width, step):
         for second_len in range(first_len + step, width + 1, step):
             if (
@@ -232,7 +240,9 @@ def design_two_pbf(
                 if first_bits < MIN_BLOOM_BITS or second_bits < MIN_BLOOM_BITS:
                     continue
                 candidates += 1
-                fpr = model.two_pbf_fpr(first_len, second_len, first_bits, second_bits)
+                fpr = model.two_pbf_fpr(
+                    first_len, second_len, first_bits, second_bits, layers
+                )
                 if best is None or fpr < best.expected_fpr:
                     best = FilterDesign(
                         "2pbf", first_len, second_len, first_bits, second_bits, fpr

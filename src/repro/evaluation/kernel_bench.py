@@ -2,8 +2,9 @@
 reference, with parity gating.
 
 For each kernel (``bloom_add``, ``bloom_contains``,
-``bloom_contains_hashed``, ``bitvector_get_rank1``, ``trie_levels``) and
-every backend available in this environment, the harness:
+``bloom_contains_hashed``, ``bitvector_get_rank1``, ``trie_levels``,
+``cpfpr_row``) and every backend available in this environment, the
+harness:
 
 * checks **parity** first — the backend's output must be byte-identical to
   the numpy reference on the same seeded inputs (a mismatch fails the run
@@ -42,6 +43,7 @@ from repro.amq.bitarray import BitArray
 from repro.amq.bloom import bloom_hash_count
 from repro.amq.hashing import hash_pair_many, premixed_pair_seeds
 from repro.evaluation.gates import check_regressions
+from repro.keys.lcp import query_neighbour_lcps_many, unique_prefix_counts_array
 from repro.trie.bitvector import RankSelectBitVector
 
 __all__ = ["run_kernel_bench", "main"]
@@ -137,12 +139,38 @@ def _make_cases(scale: float, seed: int) -> dict[str, Callable[[str], bytes]]:
             level, offsets[owner], owner_bits, owner_hashes, h1, h2, backend=backend
         ).tobytes()
 
+    # Algorithm 1's row pass: every other trie depth of a design over
+    # 32-bit keys sampled by 1-1000-wide ranges (the write-churn shape),
+    # each depth's full row of Bloom prefix lengths at 12 bits per key
+    # (drawn last, like the level probe).
+    width = 32
+    sample_keys = np.unique(rng.integers(0, 1 << width, size=max(512, int(16_384 * scale))))
+    num_samples = max(1_024, int(8_192 * scale))
+    sample_los = rng.integers(0, (1 << width) - 1_001, size=num_samples)
+    sample_his = sample_los + rng.integers(1, 1_001, size=num_samples)
+    lo_lcps, hi_lcps = query_neighbour_lcps_many(sample_keys, sample_los, sample_his, width)
+    lcps = np.maximum(lo_lcps, hi_lcps)
+    empty = lcps < width
+    row_queries = [a[empty] for a in (sample_los, sample_his, lcps, lo_lcps, hi_lcps)]
+    prefix_counts = unique_prefix_counts_array(sample_keys, width)
+
+    def cpfpr_row_case(backend: str) -> bytes:
+        rows = [
+            kernels.cpfpr_row(
+                *row_queries, width, 64, l1, np.arange(l1 + 1, width + 1),
+                12 * sample_keys.size, prefix_counts, backend=backend,
+            )
+            for l1 in range(0, width, 2)
+        ]
+        return np.concatenate(rows).tobytes()
+
     return {
         "bloom_add": bloom_add_case,
         "bloom_contains": bloom_contains_case,
         "bloom_contains_hashed": bloom_contains_hashed_case,
         "bitvector_get_rank1": bitvector_case,
         "trie_levels": trie_case,
+        "cpfpr_row": cpfpr_row_case,
     }
 
 

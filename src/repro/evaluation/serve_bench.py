@@ -46,7 +46,7 @@ from repro.api import FilterSpec, Workload
 from repro.evaluation.gates import check_regressions
 from repro.obs.metrics import MetricsRegistry, validate_metrics_payload
 from repro.serve import MicroBatcher, ShardedLookupService
-from repro.workloads.batch import decode_ints
+from repro.workloads.batch import decode_ints, int_key_bytes
 
 __all__ = ["run_serve_bench", "check_serve_report", "main"]
 
@@ -86,16 +86,33 @@ def _make_eval_queries(
 ) -> tuple[np.ndarray, np.ndarray]:
     """A seeded serving mix: key-hitting points, random points, short ranges.
 
-    ``keys`` are the user's keys (``uint64`` at width 64), and the bounds
-    come out in the same dtype.
+    ``keys`` are the user's keys (``uint64`` at width 64; above 64 bits,
+    the byte strings the key set stores), and the bounds come out in the
+    same dtype.  Above 64 bits the bounds are drawn as integers and
+    coerced to bytes as the keys are.
     """
     rng = np.random.default_rng(seed)
     top = (1 << width) - 1
     third = num_queries // 3
     hit_points = rng.choice(keys, size=third)
-    random_points = rng.integers(0, top, size=third, dtype=keys.dtype)
-    range_los = rng.integers(0, top - 1024, size=num_queries - 2 * third, dtype=keys.dtype)
-    range_his = range_los + rng.integers(1, 1024, size=range_los.size, dtype=keys.dtype)
+    if keys.dtype.kind == "S":
+
+        def draw(high: int, size: int) -> list[int]:
+            # Uniform in [0, high), up to a bias below 2**-64.
+            return [int.from_bytes(rng.bytes(width // 8 + 8), "big") % high for _ in range(size)]
+
+        def as_keys(values: list[int]) -> np.ndarray:
+            return np.array(int_key_bytes(values, width), dtype=keys.dtype)
+
+        starts = draw(top - 1024, num_queries - 2 * third)
+        steps = rng.integers(1, 1024, size=len(starts)).tolist()
+        random_points = as_keys(draw(top, third))
+        range_los = as_keys(starts)
+        range_his = as_keys([start + step for start, step in zip(starts, steps)])
+    else:
+        random_points = rng.integers(0, top, size=third, dtype=keys.dtype)
+        range_los = rng.integers(0, top - 1024, size=num_queries - 2 * third, dtype=keys.dtype)
+        range_his = range_los + rng.integers(1, 1024, size=range_los.size, dtype=keys.dtype)
     los = np.concatenate([hit_points, random_points, range_los])
     his = np.concatenate([hit_points, random_points, range_his])
     order = rng.permutation(num_queries)
@@ -143,9 +160,8 @@ async def _latency_pass(
     async def producer(offset: int) -> None:
         for index in range(offset, los.size, concurrency):
             start = perf_counter()
-            answers[index] = await batcher.lookup(
-                int(los[index]), int(his[index])
-            )
+            # .item(): the user's int, or a byte key's bytes.
+            answers[index] = await batcher.lookup(los[index].item(), his[index].item())
             latencies.append(perf_counter() - start)
 
     async with batcher:

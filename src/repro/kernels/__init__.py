@@ -3,9 +3,10 @@
 The batched numpy execution layer (PR 2) left loops numpy cannot fuse:
 the per-hash Bloom probe round-trips (also across the many Bloom layers of
 one LSM level, :func:`bloom_contains_hashed`), the rank+get pair inside
-every LOUDS traversal step, and the per-node Python walks of the trie
-builders.  This package exposes those loops as pure-function *kernels*
-served by one of two backends:
+every LOUDS traversal step, the per-node Python walks of the trie
+builders, and Algorithm 1's per-depth evaluation of every Bloom prefix
+length (:func:`cpfpr_row`).  This package exposes those loops as
+pure-function *kernels* served by one of two backends:
 
 * ``numpy`` — the vectorised reference implementation, always available;
   it defines kernel semantics and the compiled backend must match it
@@ -56,6 +57,7 @@ __all__ = [
     "bloom_contains",
     "bloom_contains_hashed",
     "bitvector_get_rank1",
+    "cpfpr_row",
     "trie_levels",
     "merge_runs",
 ]
@@ -245,6 +247,33 @@ def bitvector_get_rank1(
     resolved = _resolve(backend)
     _count(resolved.name, "bitvector_get_rank1")
     return resolved.bitvector_get_rank1(buffer, cumulative, num_bits, positions)
+
+
+def cpfpr_row(
+    los: np.ndarray, his: np.ndarray, lcps: np.ndarray, lo_lcps: np.ndarray,
+    hi_lcps: np.ndarray, width: int, max_probes: int, trie_depth: int,
+    lens: np.ndarray, num_bits: int, prefix_counts: np.ndarray,
+    backend: str | None = None,
+) -> np.ndarray:
+    """Expected FPRs of the Proteus designs ``(trie_depth, l2, num_bits)``.
+
+    One float64 per ``l2`` in the int64 array ``lens``, over an integer
+    CPFPR model's empty sample queries: stored bounds ``los``/``his``,
+    ``lcps`` = ``L(q)`` and its halves ``lo_lcps``/``hi_lcps``; ``width``
+    is at most 64 and ``prefix_counts[l]`` is ``|K_l|``.  This is one
+    trie depth of Algorithm 1; see
+    :func:`repro.kernels._numpy_backend.cpfpr_row` for the exact
+    contract.  Every ``l2`` must lie in ``(trie_depth, width]``.  The
+    compiled backend sums in numpy's pairwise order and builds the
+    ``(1 - p)^k`` table with numpy's power, so every value equals the
+    reference's bit for bit on one host.
+    """
+    resolved = _resolve(backend)
+    _count(resolved.name, "cpfpr_row")
+    return resolved.cpfpr_row(
+        los, his, lcps, lo_lcps, hi_lcps, width, max_probes, trie_depth, lens,
+        num_bits, prefix_counts,
+    )
 
 
 def merge_runs(

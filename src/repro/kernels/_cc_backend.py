@@ -2,11 +2,13 @@
 C compiler and loaded through ctypes.
 
 No Python extension machinery is involved — ``_ckernels.c`` is plain C with
-no ``Python.h`` dependency, compiled once per source hash into a cached
-shared object (``$REPRO_KERNEL_CACHE`` or the system temp directory).  Any
-failure (no compiler, sandboxed filesystem, broken toolchain) makes
-:func:`load` return ``None`` and the registry silently falls back, so this
-backend can never take an environment down.
+no ``Python.h`` dependency, compiled into a cached shared object
+(``$REPRO_KERNEL_CACHE`` or the system temp directory) named after a hash
+of the source and of the command line that builds it, so a changed flag
+never reuses a stale object.  Any failure (no compiler, sandboxed
+filesystem, broken toolchain) makes :func:`load` return ``None`` and the
+registry silently falls back, so this backend can never take an
+environment down.
 """
 
 from __future__ import annotations
@@ -25,6 +27,20 @@ name = "cc"
 
 _SOURCE = Path(__file__).with_name("_ckernels.c")
 
+#: Compiler flags.  ``-ffp-contract=off`` keeps the compiler from fusing a
+#: multiply and an add where FMA is baseline (aarch64, for one): kernels
+#: whose floating-point results must equal numpy's may not be fused.
+_FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
+
+#: Libraries, after the source on the command line: the CPFPR kernels call
+#: libm's ``exp``, ``log``, ``pow`` and ``ceil``.
+_LIBS = ("-lm",)
+
+#: Probe counts the first ``(1 - p)^k`` table of a row pass covers: all of
+#: them up to the filters' default ``max_probes``.  A pass that meets a
+#: larger count reports it and runs again with a table that wide.
+_TABLE_PROBES = 64
+
 _u8_p = ctypes.POINTER(ctypes.c_uint8)
 _u64_p = ctypes.POINTER(ctypes.c_uint64)
 _i64_p = ctypes.POINTER(ctypes.c_int64)
@@ -37,18 +53,24 @@ def _cache_dir() -> Path:
     return Path(tempfile.gettempdir()) / "repro-kernels"
 
 
+def _library_path(compiler: str, flags=_FLAGS, libs=_LIBS) -> Path:
+    """The cached shared object built from the source by this command line."""
+    digest = hashlib.sha256(_SOURCE.read_bytes())
+    digest.update("\0".join((compiler, *flags, "--", *libs)).encode())
+    return _cache_dir() / f"ckernels-{digest.hexdigest()[:16]}.so"
+
+
 def _compile() -> Path:
-    """Compile the C source (once per content hash) and return the .so path."""
+    """Compile the C source (once per source and command line) and return the .so path."""
     compiler = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     if compiler is None:
         raise RuntimeError("no C compiler on PATH")
-    tag = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
-    lib_path = _cache_dir() / f"ckernels-{tag}.so"
+    lib_path = _library_path(compiler)
     if not lib_path.exists():
         lib_path.parent.mkdir(parents=True, exist_ok=True)
         scratch = lib_path.with_name(f"{lib_path.stem}.{os.getpid()}.tmp.so")
         subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", "-o", str(scratch), str(_SOURCE)],
+            [compiler, *_FLAGS, "-o", str(scratch), str(_SOURCE), *_LIBS],
             check=True, capture_output=True, timeout=120,
         )
         os.replace(scratch, lib_path)  # atomic: concurrent builders agree
@@ -57,6 +79,18 @@ def _compile() -> Path:
 
 def _ptr(array: np.ndarray, ctype):  # noqa: ANN001 - ctypes pointer type
     return array.ctypes.data_as(ctypes.POINTER(ctype))
+
+
+def _address(array: np.ndarray) -> int:
+    """The data address of a C-contiguous array.
+
+    ``from_buffer`` costs a quarter of ``array.ctypes.data``, which counts
+    where a call passes many small arrays; it needs a writable, non-empty
+    buffer, so other arrays take the slow path.
+    """
+    if array.size and array.flags.writeable:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    return array.ctypes.data
 
 
 class _CcBackend:
@@ -91,6 +125,18 @@ class _CcBackend:
             _u8_p, _i64_p, _u8_p, _i64_p, _i64_p, _i64_p, _i64_p,
         ]
         lib.trie_levels.restype = ctypes.c_int64
+        # Raw addresses, as above: Algorithm 1 calls these once per trie depth.
+        lib.cpfpr_bloom_keep.argtypes = [
+            ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+            ctypes.c_int64, ctypes.c_void_p,
+        ]
+        lib.cpfpr_bloom_keep.restype = ctypes.c_int64
+        lib.cpfpr_row.argtypes = [ctypes.c_void_p] * 5 + [
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_uint64, ctypes.c_int64,
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+            ctypes.c_void_p,
+        ]
+        lib.cpfpr_row.restype = ctypes.c_int64
 
     def bloom_add(self, buffer, num_bits, values, s1, s2, k):
         v = np.ascontiguousarray(np.asarray(values).astype(np.uint64, copy=False))
@@ -134,6 +180,42 @@ class _CcBackend:
             _ptr(bits, ctypes.c_uint8), _ptr(ranks, ctypes.c_int64),
         )
         return bits.view(bool), ranks
+
+    def cpfpr_row(self, los, his, lcps, lo_lcps, hi_lcps, width, max_probes,
+                  trie_depth, lens, num_bits, prefix_counts):
+        arrays = [
+            np.ascontiguousarray(a, dtype=np.int64)
+            for a in (los, his, lcps, lo_lcps, hi_lcps, lens, prefix_counts)
+        ]
+        n, rows, counts = arrays[0].size, arrays[5].size, arrays[6].size
+        if any(a.size != n for a in arrays[1:5]):
+            raise ValueError("los, his, lcps, lo_lcps and hi_lcps differ in length")
+        addresses = [_address(a) for a in arrays]
+        keep = np.empty((rows, 1))  # each row's 1 - p, a column for the table
+        if self._lib.cpfpr_bloom_keep(
+            num_bits, addresses[6], counts, addresses[5], rows, _address(keep)
+        ):
+            raise ValueError(f"prefix lengths {arrays[5].tolist()} outside prefix_counts")
+        out = np.empty(rows)
+        out_address = _address(out)
+        size = min(max_probes, _TABLE_PROBES) + 1
+        while True:
+            # numpy's power, as in the reference: libm's pow differs from
+            # it in the last bit on some hosts.
+            table = 1.0 - keep ** np.arange(size, dtype=np.float64)
+            largest = self._lib.cpfpr_row(
+                *addresses[:5], n, width, min(max_probes, 2**64 - 1), trie_depth,
+                addresses[5], rows, _address(table), size, out_address,
+            )
+            if largest == -2:
+                raise ValueError(
+                    f"prefix lengths {arrays[5].tolist()} must lie in ({trie_depth}, {width}]"
+                )
+            if largest < 0:
+                raise MemoryError("cpfpr_row could not allocate its workspace")
+            if largest < size:
+                return out
+            size = largest + 1
 
     def trie_levels(self, mat, lengths):
         mat = np.ascontiguousarray(mat, dtype=np.uint8)

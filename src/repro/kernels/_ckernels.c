@@ -9,13 +9,17 @@
  *   - 64-bit hashing is the MurmurHash3 fmix64 finaliser; uint64_t
  *     arithmetic wraps modulo 2**64 exactly like the numpy uint64 lanes;
  *   - Bloom probe positions follow the enhanced double hashing recurrence
- *     x_{i+1} = (x_i + y_i) % m, y_{i+1} = (y_i + i) % m.
+ *     x_{i+1} = (x_i + y_i) % m, y_{i+1} = (y_i + i) % m;
+ *   - floating-point results follow numpy's operation order exactly, so
+ *     the build passes -ffp-contract=off (no fused multiply-adds).
  *
- * Built once per source hash with `cc -O2 -shared -fPIC` and loaded via
- * ctypes; no Python.h dependency, so any C toolchain suffices.
+ * Built once per source and command-line hash (see _cc_backend.py) and
+ * loaded via ctypes; no Python.h dependency, so any C toolchain suffices.
  */
 
+#include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 static const uint8_t BIT_MASKS[8] = {128, 64, 32, 16, 8, 4, 2, 1};
 
@@ -171,4 +175,178 @@ int64_t trie_levels(const uint8_t *mat, const int64_t *lengths, int64_t n,
         nact = next_nact;
     }
     return out_pos;
+}
+
+/* ------------------------------------------------------------------ */
+/* Algorithm 1's row pass (repro.core.cpfpr)                           */
+/* ------------------------------------------------------------------ */
+
+/* x >> s with the sign copied in, as numpy shifts int64 (s in [0, 63]).
+ * Spelled out because >> of a negative signed value is
+ * implementation-defined in C. */
+static inline int64_t shift_right(int64_t x, int64_t s) {
+    return x < 0 ? ~(~x >> s) : x >> s;
+}
+
+/* numpy's pairwise summation of n contiguous doubles: below 8 items a
+ * sequential sum from -0.0; up to 128, eight strided accumulators
+ * combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail in
+ * order; above 128, halves split at n/2 rounded down to a multiple of 8.
+ * np.sum adds the result to 0.0. */
+static double pairwise_sum(const double *a, int64_t n) {
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
+/* keep[r] = 1 - bloom_fpr(num_bits, prefix_counts[lens[r]]): the analytic
+ * Bloom FPR of repro.amq.bloom, with its hash count rule
+ * max(1, min(32, ceil(m / n * ln 2))), through the libm exp and pow that
+ * CPython's math.exp and float.__pow__ call.  Returns -1, writing
+ * nothing, if some lens[r] is outside [0, num_counts). */
+int64_t cpfpr_bloom_keep(int64_t num_bits, const int64_t *prefix_counts,
+                         int64_t num_counts, const int64_t *lens,
+                         int64_t num_lens, double *keep) {
+    for (int64_t r = 0; r < num_lens; r++)
+        if (lens[r] < 0 || lens[r] >= num_counts)
+            return -1;
+    for (int64_t r = 0; r < num_lens; r++) {
+        int64_t items = prefix_counts[lens[r]];
+        double fpr = 1.0;
+        if (items <= 0) {
+            fpr = 0.0;
+        } else if (num_bits > 0) {
+            double optimal = ceil((double)num_bits / (double)items * log(2.0));
+            int64_t k = optimal >= 32.0 ? 32 : (optimal <= 1.0 ? 1 : (int64_t)optimal);
+            /* k * items is exact in a double below 2**53, as Python's int is. */
+            fpr = pow(1.0 - exp(-(double)k * (double)items / (double)num_bits), (double)k);
+        }
+        keep[r] = 1.0 - fpr;
+    }
+    return 0;
+}
+
+/* One row of cpfpr_row: the values of the admitted queries that are
+ * active at this l2 (neither certain nor clamped), in query order, into
+ * values; returns their count.  No branch depends on the data: every
+ * query writes values[count] and only an active one advances count.
+ * split != 0 when some admitted query spans several l1-blocks (blocks[i]
+ * then holds its stored-boundary bits); the function is inlined once for
+ * each value of split, so the common no-split case skips that
+ * arithmetic. */
+static inline int64_t row_values(const int64_t *lo, const int64_t *hi,
+                                 const int64_t *lcp, const int64_t *blocks,
+                                 int64_t admitted, int64_t l2, int64_t shift,
+                                 uint64_t low, uint64_t max_probes,
+                                 const double *row, uint64_t table_width,
+                                 double *values, uint64_t *largest, int split) {
+    int64_t count = 0;
+    uint64_t most = *largest;
+    for (int64_t i = 0; i < admitted; i++) {
+        uint64_t plo = (uint64_t)shift_right(lo[i], shift);
+        uint64_t phi = (uint64_t)shift_right(hi[i], shift);
+        uint64_t span = phi - plo;
+        uint64_t k = span + 1;
+        if (split) {
+            uint64_t stored = (uint64_t)blocks[i];
+            uint64_t parts = (-(stored & 1) & (low + 1 - (plo & low)))
+                           + (-((stored >> 1) & 1) & ((phi & low) + 1));
+            k = stored ? parts : k;
+        }
+        uint64_t active = (uint64_t)((lcp[i] < l2) & (span < max_probes));
+        k &= -active;
+        most = k > most ? k : most;
+        values[count] = row[k < table_width ? k : 0];
+        count += (int64_t)active;
+    }
+    *largest = most;
+    return count;
+}
+
+/* Expected FPRs of the Proteus designs (l1, lens[r], bits) over the n
+ * empty sample queries (stored int64 bounds, L(q) and its two halves):
+ * the numpy reference cpfpr_row in _numpy_backend.py, restated.
+ *
+ * The trie gate admits L(q) >= l1.  At each l2, an admitted query is
+ * certain (L(q) >= l2) or clamped (more than max_probes slots) and counts
+ * 1; otherwise it counts table[r][k] = 1 - keep[r]^k for its k probed
+ * slots, where a query spanning several l1-blocks probes only its stored
+ * boundary blocks.  Each row's values are summed in query order by
+ * pairwise_sum.  table holds table_width columns; returns the largest k
+ * met, and the outputs are valid only if it is below table_width.  With
+ * no query admitted every FPR is 0.  Returns -2, writing nothing, unless
+ * 0 <= l1 < lens[r] <= width <= 64 for every r, and -1 when the workspace
+ * cannot be allocated. */
+int64_t cpfpr_row(const int64_t *los, const int64_t *his, const int64_t *lcps,
+                  const int64_t *lo_lcps, const int64_t *hi_lcps, int64_t n,
+                  int64_t width, uint64_t max_probes, int64_t l1,
+                  const int64_t *lens, int64_t num_lens, const double *table,
+                  int64_t table_width, double *out) {
+    for (int64_t r = 0; r < num_lens; r++)
+        if (l1 < 0 || lens[r] <= l1 || lens[r] > width || width > 64)
+            return -2;
+    size_t slots = n > 0 ? (size_t)n : 1;
+    int64_t *work = malloc(4 * slots * sizeof(int64_t));
+    double *values = malloc(slots * sizeof(double));
+    if (work == NULL || values == NULL) {
+        free(work);
+        free(values);
+        return -1;
+    }
+    int64_t *lo = work, *hi = work + slots, *lcp = work + 2 * slots;
+    int64_t *blocks = work + 3 * slots;
+    int64_t admitted = 0;
+    int split = 0;
+    for (int64_t q = 0; q < n; q++) {
+        if (lcps[q] < l1)
+            continue;
+        lo[admitted] = los[q];
+        hi[admitted] = his[q];
+        lcp[admitted] = lcps[q];
+        /* 0: one l1-block; else bit 0 / bit 1 mark a stored low / high
+         * boundary block of a query that spans several. */
+        int64_t stored = 0;
+        if (l1 && shift_right(los[q], width - l1) != shift_right(his[q], width - l1)) {
+            stored = 4 | (lo_lcps[q] >= l1) | ((int64_t)(hi_lcps[q] >= l1) << 1);
+            split = 1;
+        }
+        blocks[admitted] = stored;
+        admitted++;
+    }
+    uint64_t largest = 0;
+    for (int64_t r = 0; r < num_lens; r++) {
+        int64_t l2 = lens[r];
+        /* the low l2 - l1 bits: a slot's position inside its l1-block */
+        uint64_t low = l1 ? ~(~(uint64_t)0 << (l2 - l1)) : 0;
+        const double *row = table + r * table_width;
+        int64_t count = split
+            ? row_values(lo, hi, lcp, blocks, admitted, l2, width - l2, low, max_probes,
+                         row, (uint64_t)table_width, values, &largest, 1)
+            : row_values(lo, hi, lcp, blocks, admitted, l2, width - l2, low, max_probes,
+                         row, (uint64_t)table_width, values, &largest, 0);
+        double sum = 0.0 + pairwise_sum(values, count);
+        out[r] = admitted ? ((double)(admitted - count) + sum) / (double)n : 0.0;
+    }
+    free(work);
+    free(values);
+    return largest > (uint64_t)INT64_MAX ? INT64_MAX : (int64_t)largest;
 }

@@ -125,6 +125,78 @@ def merge_runs(keys: np.ndarray, tombstones: np.ndarray, priorities: np.ndarray
     return sorted_keys[keep], tombstones[order][keep]
 
 
+def cpfpr_row(los: np.ndarray, his: np.ndarray, lcps: np.ndarray,
+              lo_lcps: np.ndarray, hi_lcps: np.ndarray, width: int,
+              max_probes: int, trie_depth: int, lens: np.ndarray,
+              num_bits: int, prefix_counts: np.ndarray) -> np.ndarray:
+    """Expected FPRs of the Proteus designs ``(trie_depth, l2, num_bits)``.
+
+    One value per ``l2`` in ``lens``, over a CPFPR model's empty sample
+    queries in the int64 stored form: bounds ``los``/``his``, ``lcps`` =
+    ``L(q)`` and its halves ``lo_lcps``/``hi_lcps`` (the LCPs of ``lo``
+    with its predecessor key and of ``hi`` with its successor).  The trie
+    gate admits ``L(q) >= trie_depth``.  An admitted query is a certain
+    false positive at ``l2`` when ``L(q) >= l2`` or when it spans more
+    than ``max_probes`` slots; otherwise it probes its ``l2``-slots (only
+    those of its stored boundary blocks when it spans several
+    ``trie_depth``-blocks).  ``prefix_counts[l]`` is ``|K_l|``, sizing
+    each Bloom layer's probe FPR.  :func:`cpfpr_row_fprs` finishes the
+    pass.
+    """
+    # Both modules import this package (through repro.kernels) at load time.
+    from repro.amq.bloom import bloom_fpr
+    from repro.workloads.batch import slot_bounds
+
+    l1 = trie_depth
+    admitted = np.flatnonzero(lcps >= l1)  # the trie gate
+    if not admitted.size:
+        return np.zeros(lens.size)
+    l2 = lens[:, None]
+    uncertain = lcps[admitted] < l2
+    lo, hi = los[admitted], his[admitted]
+    plo, phi, clamped = slot_bounds(lo, hi, width, l2, max_probes)
+    # phi - plo + 1 wraps only for clamped full-space queries, which
+    # stay inactive.
+    probes = phi - plo + 1
+    if l1:
+        # A query spanning two or more l1-blocks probes the slots of
+        # whichever boundary block is stored, and nothing in between.
+        shift1 = width - l1
+        split = np.flatnonzero((lo >> shift1) != (hi >> shift1))
+        if split.size:
+            low = ~(np.int64(-1) << (l2 - l1))  # the low l2 - l1 bits
+            lo_stored = lo_lcps[admitted[split]] >= l1
+            hi_stored = hi_lcps[admitted[split]] >= l1
+            probes[:, split] = lo_stored * (low + 1 - (plo[:, split] & low))
+            probes[:, split] += hi_stored * ((phi[:, split] & low) + 1)
+    keep = np.array([1.0 - bloom_fpr(num_bits, count) for count in prefix_counts[lens].tolist()])
+    return cpfpr_row_fprs(keep, probes, uncertain & ~clamped, lcps.size)
+
+
+def cpfpr_row_fprs(keep: np.ndarray, probes: np.ndarray, active: np.ndarray,
+                   num_empty: int) -> np.ndarray:
+    """Finish a CPFPR row pass from its ``(l2 x query)`` probe counts.
+
+    ``active`` marks, per row, the admitted queries the Bloom layer may
+    reject: each counts ``1 - keep[row] ** k`` for its ``k`` probes,
+    gathered from one table, and every other admitted query counts 1.
+    Each row's values are summed with their own 1-D ``.sum()`` in query
+    order (numpy's pairwise summation rounds by length and order), and the
+    total is divided by ``num_empty``.  The byte-key row pass of
+    :class:`~repro.core.cpfpr.CPFPRModel` shares this step.
+    """
+    admitted = active.shape[1]
+    counts = active.sum(axis=1)
+    probes = probes[active]
+    size = int(probes.max(initial=0)) + 1  # at most max_probes + 1
+    table = 1.0 - keep[:, None] ** np.arange(size)
+    probes += np.repeat(np.arange(0, keep.size * size, size), counts)
+    values = table.ravel().take(probes)
+    ends = np.cumsum(counts).tolist()
+    sums = [values[start:end].sum() for start, end in zip([0] + ends, ends)]
+    return (admitted - counts + np.array(sums)) / num_empty
+
+
 def trie_levels(mat: np.ndarray, lengths: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-level edge arrays of a sorted, distinct, prefix-free string set.

@@ -153,7 +153,9 @@ class ScalarCPFPRModel:
     def one_pbf_fpr(self, l2, bloom_bits):
         return self.proteus_fpr(0, l2, bloom_bits)
 
-    def two_pbf_fpr(self, l1, l2, first_bits, second_bits):
+    def two_pbf_fpr(self, l1, l2, first_bits, second_bits, layers=None):
+        # ``layers`` is the numpy model's per-search memo; every query is
+        # recomputed here.
         if not self.num_empty_queries:
             return 0.0
         layers = [

@@ -14,10 +14,18 @@ time.  The two must agree exactly:
   ``cpfpr.evaluations`` counts;
 * the closed-form gate and the searchsorted gate, query by query.
 
+Integer rows are served by the ``cpfpr_row`` kernel, so every test runs
+under each backend in ``kernels.available_backends()``: the compiled row
+pass must pick the same designs, bit for bit, as the numpy one.
+
 Workloads cover int64 key spaces of 8–64 bits (uniform and clustered
 keys; point, short, wide and full-space queries; ``max_probes`` 1, 2 and
 64; at width 64, stored offset-binary keys and bounds on both sides of
 ``2**63``), 72- and 80-bit integers on the byte path, and byte-string keys.
+
+The 2PBF search computes each layer's pass probabilities once per
+search; :func:`reference_two_pbf_design` is its per-candidate loop, and
+the two must pick the same design with the same counts.
 """
 
 from __future__ import annotations
@@ -28,8 +36,16 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.core.cpfpr import CPFPRModel
-from repro.core.design import MIN_BLOOM_BITS, FilterDesign, design_proteus
+from repro.core.design import (
+    MIN_BLOOM_BITS,
+    TWO_PBF_SPLITS,
+    FilterDesign,
+    design_one_pbf,
+    design_proteus,
+    design_two_pbf,
+)
 from repro.keys.bytestr import byte_slot_bounds, mask_rows, rows_as_strings
 from repro.obs.metrics import MetricsRegistry
 from repro.trie.size_model import binary_trie_size_estimate
@@ -193,6 +209,39 @@ def reference_design(model, total_bits):
     return best, candidates, pruned, evaluations
 
 
+def reference_two_pbf_design(model, total_bits):
+    """Algorithm 1's 2PBF search, each candidate's layers computed afresh.
+
+    Returns ``(design, candidates, pruned, evaluations)``.
+    """
+    width, step = model.width, model.design_step
+    if not model.num_empty_queries:
+        half = total_bits // 2
+        return FilterDesign("2pbf", 1, width, max(1, half), max(1, total_bits - half), 0.0), 0, 0, 0
+    candidates = pruned = evaluations = 0
+    best = None
+    for first_len in range(step, width, step):
+        for second_len in range(first_len + step, width + 1, step):
+            if best is not None and model.certain_fp_fraction(second_len) >= best.expected_fpr:
+                pruned += 1
+                continue
+            for split in TWO_PBF_SPLITS:
+                first_bits = int(total_bits * split)
+                second_bits = total_bits - first_bits
+                if first_bits < MIN_BLOOM_BITS or second_bits < MIN_BLOOM_BITS:
+                    continue
+                candidates += 1
+                evaluations += 1
+                fpr = model.two_pbf_fpr(first_len, second_len, first_bits, second_bits)
+                if best is None or fpr < best.expected_fpr:
+                    best = FilterDesign(
+                        "2pbf", first_len, second_len, first_bits, second_bits, fpr
+                    )
+    if best is None:
+        return design_one_pbf(model, total_bits), None, None, None
+    return best, candidates, pruned, evaluations
+
+
 # --------------------------------------------------------------------- #
 # Workloads                                                             #
 # --------------------------------------------------------------------- #
@@ -351,18 +400,38 @@ def check_gate(model):
         assert np.array_equal(has_hi[split], model._empty_hi_lcp[split] >= l1)
 
 
+def check_two_pbf(keys, width, queries, max_probes):
+    for bits_per_key in (1, 4, 16):
+        registry = MetricsRegistry()
+        model = CPFPRModel(keys, width, queries, max_probes, metrics=registry)
+        total_bits = max(1, bits_per_key * len(model._keyset))
+        design = design_two_pbf(model, total_bits, registry)
+        expected, candidates, pruned, evaluations = reference_two_pbf_design(
+            CPFPRModel(keys, width, queries, max_probes), total_bits
+        )
+        assert design == expected
+        assert design.expected_fpr.hex() == expected.expected_fpr.hex()
+        if candidates is None:
+            continue  # too small a budget for two layers: the 1PBF search ran
+        counters = registry.to_dict()["counters"]
+        assert counters.get("design.candidates", 0) == candidates
+        assert counters.get("design.pruned_dominated", 0) == pruned
+        assert counters.get("cpfpr.evaluations", 0) == evaluations
+
+
 def check_case(case, seed):
     keys, width, queries, max_probes = case
-    model = CPFPRModel(keys, width, queries, max_probes)
-    check_gate(model)
-    check_rows(model, random.Random(seed))
-    check_designs(keys, width, queries, max_probes)
+    for backend in kernels.available_backends():
+        with kernels.use_backend(backend):
+            model = CPFPRModel(keys, width, queries, max_probes)
+            check_gate(model)
+            check_rows(model, random.Random(seed))
+            check_designs(keys, width, queries, max_probes)
 
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-
 
 @SETTINGS
 @given(case=int_cases(), seed=st.integers(0, 2**16))
@@ -382,6 +451,12 @@ def test_byte_keys_match_per_candidate_evaluation(case, seed):
     check_case(case, seed)
 
 
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.one_of(int_cases(), byte_cases()))
+def test_two_pbf_search_matches_per_candidate_evaluation(case):
+    check_two_pbf(*case)
+
+
 def test_only_a_stored_boundary_block_is_probed():
     # Each query crosses the l1 = 4 block boundary at 16 and has a key on
     # one side only, so one boundary block is stored and one is not.
@@ -389,9 +464,11 @@ def test_only_a_stored_boundary_block_is_probed():
         model = CPFPRModel(keys, 8, [query])
         for l1 in range(8):
             lens = list(range(l1 + 1, 9))
-            row = model.proteus_fpr_row(l1, lens, 16)
             expected = [reference_fpr(model, l1, l2, 16) for l2 in lens]
-            assert [v.hex() for v in row] == [v.hex() for v in expected], (keys, l1)
+            for backend in kernels.available_backends():
+                with kernels.use_backend(backend):
+                    row = model.proteus_fpr_row(l1, lens, 16)
+                assert [v.hex() for v in row] == [v.hex() for v in expected], (keys, l1, backend)
 
 
 def test_full_space_queries_at_width_63():
@@ -421,6 +498,12 @@ def test_churn_scale_designs_match():
     # One larger case per regime: 32-bit uniform keys under 1-1000-wide
     # ranges, as the write-churn benchmark designs them, and a clustered
     # 48-bit set where the trie branch wins.
+    for backend in kernels.available_backends():
+        with kernels.use_backend(backend):
+            churn_scale_designs()
+
+
+def churn_scale_designs():
     rng = random.Random(7)
     keys = int_keys(rng, 32, 600, clustered=False)
     queries = []

@@ -12,13 +12,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.kernels as kernels
 from repro.amq.bitarray import BitArray
-from repro.amq.bloom import BloomFilter
+from repro.amq.bloom import BloomFilter, bloom_fpr
 from repro.amq.hashing import mix64_many, premixed_pair_seeds
 from repro.evaluation.gates import check_regressions
 from repro.evaluation.kernel_bench import run_kernel_bench
+from repro.kernels import _cc_backend
 from repro.obs.metrics import MetricsRegistry
 from repro.trie.bitvector import RankSelectBitVector
 from repro.trie.fst import FastSuccinctTrie
@@ -301,6 +304,205 @@ def test_compiled_trie_levels_kernel_is_bit_identical(backend):
 
 
 # --------------------------------------------------------------------- #
+# cpfpr_row: Algorithm 1's row pass                                     #
+# --------------------------------------------------------------------- #
+
+
+#: Key widths of the row tests, width 64 (stored negatives) drawn often.
+WIDTHS = st.one_of(st.sampled_from([8, 63, 64]), st.integers(8, 64))
+
+
+def _stored_domain(width):
+    """The int64 range stored keys of a ``width``-bit space occupy."""
+    return (-(1 << 63), (1 << 63) - 1) if width == 64 else (0, (1 << width) - 1)
+
+
+def _row_call(width, l1, lens, los, his, lcps, lo_lcps, hi_lcps, rng, max_probes):
+    counts = np.sort(rng.integers(0, 5_000, size=width + 1))
+    counts[0] = min(counts[0], 1)
+    num_bits = int(rng.choice([0, 8, 64, 6_144, 1 << 20, rng.integers(1, 1 << 16)]))
+    as_int64 = [np.array(a, dtype=np.int64) for a in (los, his, lcps, lo_lcps, hi_lcps)]
+    return (*as_int64, width, max_probes, l1, np.array(lens, dtype=np.int64), num_bits, counts)
+
+
+def _row_lens(draw, width, l1):
+    lens = list(range(l1 + 1, width + 1))
+    if draw(st.booleans()):  # any subset, in any order
+        lens = draw(st.permutations(lens))[: draw(st.integers(1, len(lens)))]
+    return lens
+
+
+def _halves(rng, lcps):
+    """``lo_lcps``/``hi_lcps`` whose maximum is ``lcps``: one or both sides."""
+    side = rng.integers(0, 3, size=lcps.size)
+    lower = (lcps * rng.random(lcps.size)).astype(np.int64)
+    lo_lcps = np.where(side == 1, lower, lcps)
+    hi_lcps = np.where(side == 0, lower, lcps)
+    return lo_lcps, hi_lcps
+
+
+@st.composite
+def exact_count_rows(draw):
+    """Every admitted query active in every row, so each row sums exactly
+    ``active`` values: queries narrower than ``max_probes`` slots at
+    ``L(q) == l1``; with ``l1 > 0`` half of them straddle an ``l1``-block
+    boundary, one or both boundary blocks stored, and queries below the
+    gate pad the batch."""
+    width = draw(WIDTHS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    l1 = draw(st.sampled_from([0, draw(st.integers(1, width - 1))]))
+    max_probes = draw(st.sampled_from([1, 2, 64, 1_000]))
+    active = draw(st.sampled_from([0, 1, 7, 8, 9, 127, 128, 129, 136, 4_096, 4_500]))
+    bottom, top = _stored_domain(width)
+    block = 1 << (width - l1)
+    los, his = [], []
+    for _ in range(active):
+        span = int(rng.integers(0, min(max_probes, top - bottom + 1)))
+        lo = int(rng.integers(bottom, top - span, endpoint=True))
+        if l1 and span and rng.random() < 0.5:
+            # Up to span slots before the end of lo's l1-block.
+            end = (lo - bottom) // block * block + bottom + block - 1
+            lo = max(bottom, min(end - int(rng.integers(0, span)), top - span))
+        los.append(lo), his.append(lo + span)
+    lcps = np.full(active, l1)
+    lo_lcps, hi_lcps = _halves(rng, lcps)
+    padding = draw(st.integers(0, 50)) if l1 else 0
+    points = [int(v) for v in rng.integers(bottom, top, size=padding, endpoint=True)]
+    gated = rng.integers(0, max(l1, 1), size=padding)
+    order = rng.permutation(active + padding)
+    columns = [
+        np.array(los + points, dtype=np.int64), np.array(his + points, dtype=np.int64),
+        np.concatenate([lcps, gated]), np.concatenate([lo_lcps, gated]),
+        np.concatenate([hi_lcps, gated]),
+    ]
+    return _row_call(
+        width, l1, _row_lens(draw, width, l1), *(c[order] for c in columns), rng, max_probes
+    )
+
+
+@st.composite
+def mixed_rows(draw):
+    """Points, short, wide and full-space queries (stored negatives at
+    width 64), with ``L(q)`` anywhere below the width: certain, clamped,
+    split and gated-out queries in one row."""
+    width = draw(WIDTHS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    l1 = draw(st.sampled_from([0, draw(st.integers(0, width - 1))]))
+    max_probes = draw(st.sampled_from([1, 2, 64, 1_000]))
+    count = draw(st.integers(1, 300))
+    bottom, top = _stored_domain(width)
+    los, his = [], []
+    for _ in range(count):
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            los.append(bottom), his.append(top)  # the full space
+            continue
+        span = [0, int(rng.integers(0, 64)), 1 << int(rng.integers(0, width))][kind - 1]
+        span = min(span, top - bottom)
+        lo = int(rng.integers(bottom, top - span, endpoint=True))
+        los.append(lo), his.append(lo + span)
+    lcps = rng.integers(0, width, size=count)
+    lo_lcps, hi_lcps = _halves(rng, lcps)
+    lens = _row_lens(draw, width, l1)
+    return _row_call(width, l1, lens, los, his, lcps, lo_lcps, hi_lcps, rng, max_probes)
+
+
+def _same_rows(args, backend):
+    want = kernels.cpfpr_row(*args, backend="numpy")
+    got = kernels.cpfpr_row(*args, backend=backend)
+    assert got.dtype == want.dtype == np.float64
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
+ROW_SETTINGS = settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@pytest.mark.parametrize("backend", COMPILED)
+@ROW_SETTINGS
+@given(args=exact_count_rows())
+def test_compiled_cpfpr_row_sums_like_numpy(backend, args):
+    _same_rows(args, backend)
+
+
+@pytest.mark.parametrize("backend", COMPILED)
+@ROW_SETTINGS
+@given(args=mixed_rows())
+def test_compiled_cpfpr_row_matches_numpy_on_mixed_queries(backend, args):
+    _same_rows(args, backend)
+
+
+def _small_row_call():
+    rng = np.random.default_rng(4)
+    los = rng.integers(0, 1 << 15, size=40)
+    his = los + rng.integers(0, 9, size=40)
+    lcps = rng.integers(0, 10, size=40)
+    return list(_row_call(16, 0, [4, 9, 16], los, his, lcps, lcps, lcps, rng, 64))
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_cpfpr_row_edges(backend):
+    # Nothing passes a gate deeper than every L(q): every FPR is 0.
+    gated_out = _small_row_call()
+    gated_out[7] = 12
+    gated_out[8] = np.array([13, 16], dtype=np.int64)
+    assert kernels.cpfpr_row(*gated_out, backend=backend).tolist() == [0.0, 0.0]
+    # A max_probes far above every span must not size a table by it.
+    huge = _small_row_call()
+    huge[6] = 1 << 40
+    _same_rows(tuple(huge), backend)
+
+
+@pytest.mark.parametrize("backend", COMPILED)
+def test_compiled_cpfpr_row_checks_what_it_indexes(backend):
+    bad = _small_row_call()
+    bad[8] = np.array([0, 4], dtype=np.int64)  # l2 must exceed l1
+    with pytest.raises(ValueError, match="prefix lengths"):
+        kernels.cpfpr_row(*bad, backend=backend)
+    beyond = _small_row_call()
+    beyond[8] = np.array([4, 17], dtype=np.int64)  # past the width and prefix_counts
+    with pytest.raises(ValueError, match="prefix lengths"):
+        kernels.cpfpr_row(*beyond, backend=backend)
+    short = _small_row_call()
+    short[1] = short[1][:-1]
+    with pytest.raises(ValueError, match="differ in length"):
+        kernels.cpfpr_row(*short, backend=backend)
+
+
+@pytest.mark.parametrize("backend", COMPILED)
+def test_compiled_bloom_keep_is_pythons_bloom_fpr(backend):
+    # The compiled row pass restates bloom_fpr (hash count rule, exp, pow)
+    # in C; it must round exactly as CPython's math does.
+    lib = kernels._backend(backend)._lib
+    rng = np.random.default_rng(12)
+    items = np.concatenate(
+        [[0, 1, 2, 3, 7, 512, 100_000], rng.integers(1, 1 << 20, size=400)]
+    ).astype(np.int64)
+    lens = np.arange(items.size, dtype=np.int64)
+    for num_bits in [-1, 0, 1, 7, 8, 64, 6_144, 10**6, 1 << 40] + rng.integers(
+        1, 1 << 24, size=40
+    ).tolist():
+        keep = np.empty(items.size)
+        assert lib.cpfpr_bloom_keep(
+            num_bits, items.ctypes.data, items.size, lens.ctypes.data, lens.size,
+            keep.ctypes.data,
+        ) == 0
+        want = [(1.0 - bloom_fpr(num_bits, count)).hex() for count in items.tolist()]
+        assert [v.hex() for v in keep.tolist()] == want, num_bits
+
+
+def test_cc_cache_path_hashes_the_command_line():
+    # A changed flag must build a new shared object, never reuse a stale one.
+    base = _cc_backend._library_path("cc", ("-O2",), ("-lm",))
+    assert base == _cc_backend._library_path("cc", ("-O2",), ("-lm",))
+    assert base != _cc_backend._library_path("cc", ("-O3",), ("-lm",))
+    assert base != _cc_backend._library_path("cc", ("-O2",), ())
+    assert base != _cc_backend._library_path("gcc", ("-O2",), ("-lm",))
+    assert "-ffp-contract=off" in _cc_backend._FLAGS
+
+
+# --------------------------------------------------------------------- #
 # kernel_bench harness                                                  #
 # --------------------------------------------------------------------- #
 
@@ -312,7 +514,7 @@ def test_kernel_bench_reports_parity_and_speedups():
     assert report["workload"]["rounds"] == 2
     assert set(report["benchmarks"]) == {
         "bloom_add", "bloom_contains", "bloom_contains_hashed", "bitvector_get_rank1",
-        "trie_levels",
+        "trie_levels", "cpfpr_row",
     }
     for kernel_name, parity in report["parity"].items():
         assert all(parity.values()), kernel_name

@@ -38,6 +38,7 @@ import pytest
 
 from repro.api import FilterSpec, Workload, derive_shard_specs
 from repro.evaluation.gates import check_regressions
+from repro.evaluation.serve_bench import check_serve_report, run_serve_bench
 from repro.lsm.online import OnlineLSMTree
 from repro.lsm.tree import LSMTree
 from repro.obs.metrics import MetricsRegistry
@@ -629,6 +630,20 @@ def test_process_mode_reports_worker_probe_time_per_shard():
                 assert probe_s == 0.0
         _, point_stats = service.serve_batch([keys[0]])  # one shard touched
         assert sum(probe_s > 0 for probe_s in point_stats["shard_probe_s"]) == 1
+
+
+@pytest.mark.parametrize("width", [32, 64, 80])
+def test_serve_bench_answers_exactly_at_every_width(width):
+    # Width 80 keys are byte keys: serve_bench draws its evaluation bounds
+    # as integers and coerces them to bytes as the keys are.
+    report = run_serve_bench(
+        families=("none", "proteus"), shard_counts=(1,), num_keys=2_000,
+        num_queries=256, width=width, latency_requests=64, mode="inline",
+    )
+    assert check_serve_report(report, min_speedup=0.0) == []
+    for family, per_shards in report["configs"].items():
+        assert per_shards["1"]["answer_mismatches"] == 0, family
+        assert per_shards["1"]["positives"] > 0, family
 
 
 def test_serve_bench_regression_check():
