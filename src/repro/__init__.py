@@ -9,10 +9,11 @@ The package is organised as a set of small, focused subpackages:
     Approximate membership query structures (Bloom filters and friends) and
     the hashing substrate they rely on.
 ``repro.trie``
-    Trie substrate: rank/select bit vectors, the byte-trie oracle, the
-    physical LOUDS-Dense/Sparse + Fast Succinct Trie encoders, the
-    sorted/succinct prefix indexes behind Proteus' trie layer and the
-    succinct size models used by SuRF and Algorithm 1.
+    Trie substrate: rank/select bit vectors, the physical
+    LOUDS-Dense/Sparse + Fast Succinct Trie encoders (SuRF's one trie),
+    the sorted prefix indexes Proteus' trie layer queries (and their
+    succinct twin the size audit checks) and the succinct size models
+    used by SuRF and Algorithm 1.
 ``repro.filters``
     Range filters: the common interface, the exact trie oracle, prefix Bloom
     filters, SuRF and Rosetta.

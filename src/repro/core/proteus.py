@@ -6,15 +6,11 @@ evaluates the CPFPR model over the full (trie depth ``l1``, Bloom prefix
 length ``l2``) design space under a bits-per-key budget (Algorithm 1), and
 instantiates the winning hybrid:
 
-* a uniform-depth trie holding every distinct ``l1``-bit key prefix — by
-  default a :class:`~repro.trie.sorted_index.SortedPrefixIndex` query
-  engine, swappable for the physical succinct
-  :class:`~repro.trie.fst.FSTPrefixIndex` via ``trie_impl="fst"``; either
-  way the footprint is *charged* at the modelled succinct size
+* a uniform-depth trie holding every distinct ``l1``-bit key prefix,
+  queried as a :class:`~repro.trie.sorted_index.SortedPrefixIndex` and
+  *charged* at the modelled succinct size
   (:func:`repro.trie.size_model.binary_trie_size_estimate`), the quantity
-  Algorithm 1 optimised, while the FST realisation also exposes its
-  measured byte-granular LOUDS-DS bits through
-  :meth:`Proteus.trie_layer_measured_bits` — and
+  Algorithm 1 optimised — and
 * a Bloom filter over the distinct ``l2``-bit key prefixes, holding the rest
   of the budget.
 
@@ -28,8 +24,8 @@ dropped key — so the filter has **zero false negatives** by construction.
 
 Byte-string key sets (:class:`~repro.workloads.ByteKeySet`) build the same
 two layers over canonical prefix *bytes*: the trie becomes a
-:class:`~repro.trie.sorted_index.SortedBytePrefixIndex` (so
-``trie_impl="sorted"`` only) and the Bloom layer hashes
+:class:`~repro.trie.sorted_index.SortedBytePrefixIndex` and the Bloom layer
+hashes
 :func:`~repro.keys.bytestr.prefix_item_bytes` items.  One semantic
 difference: the byte range path probes every covered ``l2``-slot once the
 trie gate passes, with no per-slot ``l1`` pruning — the CPFPR byte
@@ -60,7 +56,6 @@ from repro.keys.bytestr import (
     scalar_slot_clamped,
 )
 from repro.obs.metrics import timed
-from repro.trie.fst import FSTPrefixIndex
 from repro.trie.sorted_index import SortedBytePrefixIndex, SortedPrefixIndex
 from repro.workloads.batch import (
     as_key_array,
@@ -74,11 +69,6 @@ from repro.workloads.bytekeys import ByteQueryBatch, byte_probe_matrix
 class Proteus(RangeFilter):
     """The self-designing range filter (trie layer + Bloom layer)."""
 
-    #: The trie-layer implementations ``trie_impl`` can name: the sorted
-    #: prefix array (query engine, modelled footprint) or the physical
-    #: succinct FST (measured footprint, same answers).
-    TRIE_IMPLS = {"sorted": SortedPrefixIndex, "fst": FSTPrefixIndex}
-
     def __init__(
         self,
         keys: Iterable[int],
@@ -86,7 +76,6 @@ class Proteus(RangeFilter):
         design: FilterDesign,
         max_probes: int = DEFAULT_MAX_PROBES,
         seed: int = 0,
-        trie_impl: str = "sorted",
     ):
         if design.bloom_prefix_len and design.trie_depth >= design.bloom_prefix_len:
             raise ValueError(
@@ -95,25 +84,14 @@ class Proteus(RangeFilter):
             )
         if max_probes < 1:
             raise ValueError("max_probes must be at least 1")
-        if trie_impl not in self.TRIE_IMPLS:
-            raise ValueError(
-                f"unknown trie_impl {trie_impl!r}; "
-                f"choose from {sorted(self.TRIE_IMPLS)}"
-            )
         self.width = width
         self.design = design
         self.max_probes = max_probes
-        self.trie_impl = trie_impl
         key_set = coerce_keys(keys, width)
         self.num_keys = len(key_set)
         self.is_bytes = key_set.is_bytes
-        if self.is_bytes and trie_impl != "sorted":
-            raise ValueError(
-                "byte-string key sets support trie_impl='sorted' only"
-            )
         l1, l2 = design.trie_depth, design.bloom_prefix_len
-        self._trie: SortedPrefixIndex | SortedBytePrefixIndex | FSTPrefixIndex | None
-        self._trie = None
+        self._trie: SortedPrefixIndex | SortedBytePrefixIndex | None = None
         self._bloom: BloomFilter | None = None
         if self.is_bytes:
             if l1 > 0:
@@ -126,7 +104,7 @@ class Proteus(RangeFilter):
                 self._bloom.add_bytes_rows(rows)
             return
         if l1 > 0:
-            self._trie = self.TRIE_IMPLS[trie_impl](key_set.prefixes(l1), l1, width)
+            self._trie = SortedPrefixIndex(key_set.prefixes(l1), l1, width)
         if l2 > 0:
             prefixes = key_set.prefixes(l2)
             self._bloom = BloomFilter(
@@ -150,7 +128,7 @@ class Proteus(RangeFilter):
             raise ValueError(
                 "the self-designing 'proteus' family needs a workload (query sample)"
             )
-        params = check_spec_params(spec, ("max_probes", "seed", "trie_impl"))
+        params = check_spec_params(spec, ("max_probes", "seed"))
         max_probes = int(params.get("max_probes", DEFAULT_MAX_PROBES))
         key_set, total_bits = resolve_spec_inputs(spec, keys, workload)
         with timed(metrics, "build.model_seconds"):
@@ -163,7 +141,6 @@ class Proteus(RangeFilter):
             instance = cls(
                 key_set, key_set.width, design,
                 max_probes=max_probes, seed=int(params.get("seed", 0)),
-                trie_impl=str(params.get("trie_impl", "sorted")),
             )
         instance.key_space = workload.key_space
         return instance
@@ -174,7 +151,7 @@ class Proteus(RangeFilter):
         return self.design.expected_fpr
 
     @property
-    def trie_layer(self) -> SortedPrefixIndex | SortedBytePrefixIndex | FSTPrefixIndex | None:
+    def trie_layer(self) -> SortedPrefixIndex | SortedBytePrefixIndex | None:
         """The trie layer's prefix index (``None`` when ``trie_depth == 0``)."""
         return self._trie
 
@@ -329,16 +306,6 @@ class Proteus(RangeFilter):
                 hits &= trie.contains_many(flat >> np.int64(l2 - l1))
             out[todo] = np.logical_or.reduceat(hits, seg_starts)
         return out
-
-    def trie_layer_measured_bits(self) -> int | None:
-        """Return the trie layer's own ``size_in_bits`` (None without a trie).
-
-        For ``trie_impl="fst"`` this is the measured LOUDS-DS footprint of
-        the realised byte-granular trie; for the sorted-array engine it is
-        the raw array bits.  Distinct from ``design.trie_bits``, the
-        bit-granular modelled cost the budget charged.
-        """
-        return self._trie.size_in_bits() if self._trie is not None else None
 
     def size_in_bits(self) -> int:
         """Modelled trie footprint + actual Bloom bits (paper accounting)."""

@@ -9,9 +9,10 @@
   versus the no-filter and whole-key-Bloom baselines
   (``python -m repro.evaluation.lsm_bench``).
 * :mod:`repro.evaluation.size_check` audits the physical succinct tries:
-  measured LOUDS-DS footprints vs the size model's predictions, zero
-  false negatives and succinct-vs-reference answer parity across every
-  seeded workload family (``python -m repro.evaluation.size_check``).
+  SuRF's measured LOUDS-DS footprint vs the size model's prediction it
+  charges, zero false negatives, scalar-vs-batch SuRF parity and
+  succinct-vs-sorted Proteus trie-layer parity across every seeded
+  workload family (``python -m repro.evaluation.size_check``).
 * :mod:`repro.evaluation.serve_bench` measures the sharded serving layer
   — sustained QPS and micro-batched p50/p95/p99 latency per filter
   family and shard count, every answer cross-checked, with a

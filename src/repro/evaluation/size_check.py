@@ -1,13 +1,15 @@
 """Physical-vs-modelled succinct-trie size check.
 
 The paper charges SuRF (and Proteus' trie layer) the memory its LOUDS-DS
-encoding would occupy; since PR 5 those encodings are *materialised*
-(:mod:`repro.trie.fst`), so the accounting can be audited instead of
-trusted.  This driver builds the physical structures over every seeded
-workload family and pins three properties:
+encoding would occupy.  SuRF stores its trie in that encoding
+(:mod:`repro.trie.fst`) and charges the size model's estimate of it, so
+the accounting can be audited instead of trusted.  This audit builds the
+succinct structures over every seeded workload family and pins three
+properties:
 
-* **size**: the measured ``FastSuccinctTrie`` footprint brackets the size
-  model's per-level-minimum estimate — ``predicted <= measured <=
+* **size**: SuRF's measured trie footprint (``surf.trie.size_in_bits()``)
+  brackets the size model's per-level-minimum estimate it charges
+  (``surf.size_in_bits()``) — ``predicted <= measured <=
   predicted * (1 + tolerance)``.  The lower bound is structural (the model
   may pick dense or sparse per level independently; a physical layout must
   use a dense *prefix*), and it is met with equality whenever the
@@ -15,12 +17,14 @@ workload family and pins three properties:
   uniform families sit at exactly 1.0; the skewed (zipf/clustered)
   families peak at ~1.024 at the committed 5k-key scale and ~1.084 at the
   1.5k-key CI smoke scale, so the default 10% tolerance has real margin.
-* **zero false negatives**: the physical SuRF answers True on every stored
-  key and on every oracle-positive held-out query, for scalar and batched
-  probes.
-* **parity**: the succinct structures answer *identically* to their
-  pointer/sorted-array references — physical SuRF vs pointer-trie SuRF,
-  and ``FSTPrefixIndex`` vs ``SortedPrefixIndex`` behind Proteus.
+* **zero false negatives**: SuRF answers True on every stored key and on
+  every oracle-positive held-out query.
+* **parity**: the succinct ``FSTPrefixIndex`` answers *identically* to
+  the ``SortedPrefixIndex`` Proteus queries, both standalone and at the
+  trie depth Proteus designs, and SuRF's scalar range probes answer as its
+  batched ones.  A scalar probe is a one-row batch walk, so the SuRF term
+  only catches interference between rows; SuRF's answers are held to an
+  independent pointer-trie reference in ``tests/test_louds.py``.
 
 Results go to a JSON report (the committed ``BENCH_pr5.json``):
 
@@ -64,32 +68,28 @@ QUERY_FAMILIES = ("uniform", "point", "correlated", "mixed")
 def _surf_record(
     workload: Workload, oracle_truth: np.ndarray, max_depth: int | None
 ) -> dict:
-    """Build pointer and physical SuRF at one depth; measure and compare."""
+    """Build SuRF at one depth; measure its trie against the charged estimate."""
     keys = workload.keys
-    pointer = SuRF(keys, workload.width, max_depth)
-    physical = SuRF(keys, workload.width, max_depth, physical=True)
-    predicted = physical.modelled_size_in_bits()
-    measured = physical.size_in_bits()
-    point_answers = physical.may_contain_many(keys)
-    range_answers = physical.may_intersect_many(workload.queries)
-    pointer_ranges = pointer.may_intersect_many(workload.queries)
+    surf = SuRF(keys, workload.width, max_depth)
+    predicted = surf.size_in_bits()
+    measured = surf.trie.size_in_bits()
+    point_answers = surf.may_contain_many(keys)
+    range_answers = surf.may_intersect_many(workload.queries)
     scalar_sample = [
-        physical.may_intersect(lo, hi)
-        for lo, hi in list(workload.queries.pairs())[:200]
+        surf.may_intersect(lo, hi) for lo, hi in list(workload.queries.pairs())[:200]
     ]
     return {
         "structure": "surf",
-        "max_depth": physical.max_depth,
-        "trie_height": physical.trie_height(),
-        "num_keys": physical.num_keys,
+        "max_depth": surf.max_depth,
+        "trie_height": surf.trie_height(),
+        "num_keys": surf.num_keys,
         "predicted_bits": predicted,
         "measured_bits": measured,
         "measured_over_predicted": measured / predicted if predicted else 1.0,
-        "size_breakdown": physical.size_breakdown(),
+        "size_breakdown": surf.trie.size_breakdown(),
         "point_false_negatives": int((~point_answers).sum()),
         "range_false_negatives": int((~range_answers & oracle_truth).sum()),
-        "parity_mismatches": int((range_answers != pointer_ranges).sum())
-        + int(scalar_sample != [bool(a) for a in range_answers[:200]]),
+        "parity_mismatches": int(scalar_sample != [bool(a) for a in range_answers[:200]]),
     }
 
 
@@ -162,30 +162,30 @@ def run_size_check(
                     record = _prefix_index_record(workload, length)
                     record.update(key_dist=key_dist, query_family=query_family)
                     records.append(record)
-        # One end-to-end Proteus build per key distribution: the FST trie
-        # layer must answer exactly as the sorted-array layer.
+        # One end-to-end Proteus build per key distribution: its trie layer,
+        # realised as a succinct trie at the designed depth, must answer
+        # exactly as the sorted-array layer the filter queries.
         workload = Workload.generate(
             num_keys, num_queries, width, seed=seed,
             key_dist=key_dist, query_family="mixed",
         )
-        sorted_filter = build_filter(
-            FilterSpec("proteus", 14.0), None, workload, metrics=metrics
-        )
-        fst_filter = build_filter(
-            FilterSpec("proteus", 14.0, {"trie_impl": "fst"}), None, workload,
-            metrics=metrics,
-        )
-        answers_sorted = sorted_filter.may_intersect_many(workload.queries)
-        answers_fst = fst_filter.may_intersect_many(workload.queries)
-        proteus_parity.append(
-            {
-                "key_dist": key_dist,
-                "trie_depth": fst_filter.design.trie_depth,
-                "charged_trie_bits": fst_filter.design.trie_bits,
-                "measured_trie_bits": fst_filter.trie_layer_measured_bits(),
-                "parity_mismatches": int((answers_sorted != answers_fst).sum()),
-            }
-        )
+        proteus = build_filter(FilterSpec("proteus", 14.0), None, workload, metrics=metrics)
+        depth = proteus.design.trie_depth
+        record = {
+            "key_dist": key_dist,
+            "trie_depth": depth,
+            "charged_trie_bits": proteus.design.trie_bits,
+            "measured_trie_bits": None,
+            "parity_mismatches": 0,
+        }
+        if depth:
+            los, his = workload.queries.los, workload.queries.his
+            succinct = FSTPrefixIndex.from_keys(workload.keys.keys, depth, width)
+            layer = proteus.trie_layer
+            mismatched = succinct.overlaps_many(los, his) != layer.overlaps_many(los, his)
+            record["measured_trie_bits"] = succinct.size_in_bits()
+            record["parity_mismatches"] = int(mismatched.sum())
+        proteus_parity.append(record)
     size_records = [r for r in records if r["structure"] == "surf"]
     summary = {
         "num_records": len(records),

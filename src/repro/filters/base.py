@@ -10,25 +10,24 @@ Every filter in :mod:`repro.filters` and :mod:`repro.core` implements
 
 with *no false negatives*: a ``False`` answer is definite, a ``True`` answer
 may be wrong with some false positive rate.  :class:`TrieOracle` is the one
-filter with a zero false positive rate — it stores the full key set in a
-:class:`~repro.trie.node_trie.ByteTrie` — and serves as the ground truth the
-randomized test-suite checks every probabilistic filter against.
+filter with a zero false positive rate — it keeps the key set's sorted
+stored array and answers every probe by binary search — and serves as the
+ground truth the randomized test-suite checks every probabilistic filter
+against.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
 from repro.keys.keyspace import KeySpace
-from repro.trie.node_trie import ByteTrie
 from repro.workloads.batch import (
     as_key_array,
     coerce_keys,
     coerce_query_batch,
-    decode_ints,
     encode_ints,
 )
 from repro.workloads.keyset import KeySet
@@ -251,7 +250,9 @@ class RangeFilter(ABC):
 class TrieOracle(RangeFilter):
     """Exact range filter: zero false positives *and* zero false negatives.
 
-    Stores every key, unabridged, in a byte trie.  Its answers define
+    Stores every key, unabridged: the key set's sorted stored array (``int64``
+    or padded ``S`` dtype, both of which sort in key order), searched by
+    ``searchsorted`` for scalar and batched probes alike.  Its answers define
     correctness for every other filter: ``other.may_*`` must be ``True``
     whenever the oracle's is.
     """
@@ -263,19 +264,6 @@ class TrieOracle(RangeFilter):
         key_set = coerce_keys(keys, width)
         self.num_keys = len(key_set)
         self.is_bytes = key_set.is_bytes
-        if self.is_bytes:
-            length = (width + 7) // 8
-            self._trie = ByteTrie(
-                key.ljust(length, b"\x00") for key in key_set.as_list()
-            )
-        else:
-            self._trie = ByteTrie(
-                key_to_bytes(key, width)
-                for key in decode_ints(key_set.keys, width).tolist()
-            )
-        # The stored (int64 or padded S-dtype) array searchsorts in key
-        # order, so batch answers are two searchsorted calls instead of a
-        # trie walk per query.
         self._sorted = key_set.keys
 
     @classmethod
@@ -290,45 +278,52 @@ class TrieOracle(RangeFilter):
         key_set, _ = resolve_spec_inputs(spec, keys, workload)
         return cls(key_set, key_set.width)
 
+    def _probe(self, key) -> np.ndarray:
+        """One scalar probe as a one-element array in the stored form.
+
+        Integer keys are encoded once (:func:`~repro.workloads.batch.
+        encode_ints`); a byte key set's probes are padded big-endian
+        integers, rendered into the array's ``S`` dtype.
+        """
+        if self.is_bytes:
+            return np.array([key_to_bytes(key, self.width)], dtype=self._sorted.dtype)
+        return np.array([encode_ints(key, self.width)], dtype=np.int64)
+
+    def _contains(self, probes: np.ndarray) -> np.ndarray:
+        """Whether each stored-form probe is a stored key."""
+        if not self.num_keys:
+            return np.zeros(probes.size, dtype=bool)
+        index = np.searchsorted(self._sorted, probes)
+        return (index < self.num_keys) & (self._sorted.take(index, mode="clip") == probes)
+
+    def _intersects(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+        """Whether each stored-form ``[lo, hi]`` holds a key: the first key >= lo is <= hi."""
+        if not self.num_keys:
+            return np.zeros(los.size, dtype=bool)
+        index = np.searchsorted(self._sorted, los)
+        return (index < self.num_keys) & (self._sorted.take(index, mode="clip") <= his)
+
     def may_contain(self, key: int) -> bool:
-        if self.num_keys == 0:
-            return False
-        return self._trie.match_prefix_of(key_to_bytes(key, self.width)) is not None
+        return bool(self._contains(self._probe(key))[0])
 
     def may_intersect(self, lo: int, hi: int) -> bool:
         self._check_range(lo, hi)
-        if self.num_keys == 0:
-            return False
-        return self._trie.range_overlaps(
-            key_to_bytes(lo, self.width), key_to_bytes(hi, self.width)
-        )
+        return bool(self._intersects(self._probe(lo), self._probe(hi))[0])
 
     def may_contain_many(self, keys) -> np.ndarray:
-        if self.is_bytes:
-            # Byte mode: probe the padded S-dtype view (memcmp == key order).
-            arr = keys.keys if isinstance(keys, KeySet) else np.asarray(keys)
-            if arr.dtype.kind != "S" or not self.num_keys:
-                return super().may_contain_many(keys)
-        elif not self.num_keys:
-            return super().may_contain_many(keys)
-        else:
-            arr = as_key_array(keys, self.width)
-        idx = np.searchsorted(self._sorted, arr, side="left")
-        safe = np.minimum(idx, self.num_keys - 1)
-        return (idx < self.num_keys) & (self._sorted[safe] == arr)
+        if not self.is_bytes:
+            return self._contains(as_key_array(keys, self.width))
+        # Byte mode: probe the padded S-dtype view (memcmp == key order).
+        arr = keys.keys if isinstance(keys, KeySet) else np.asarray(keys)
+        if arr.dtype.kind != "S":
+            return super().may_contain_many(keys)  # padded big-integer probes
+        return self._contains(arr)
 
     def may_intersect_many(self, queries) -> np.ndarray:
         batch = coerce_query_batch(queries, self.width)
-        if self.num_keys == 0 or self.is_bytes != (batch.los.dtype.kind == "S"):
-            return super().may_intersect_many(batch)
-        # [lo, hi] contains a key iff the first key >= lo exists and is <= hi.
-        idx = np.searchsorted(self._sorted, batch.los, side="left")
-        safe = np.minimum(idx, self.num_keys - 1)
-        return (idx < self.num_keys) & (self._sorted[safe] <= batch.his)
-
-    def match(self, key: int) -> Optional[bytes]:
-        """Return the stored byte string matching ``key``, if any."""
-        return self._trie.match_prefix_of(key_to_bytes(key, self.width))
+        if self.is_bytes != (batch.los.dtype.kind == "S"):
+            return super().may_intersect_many(batch)  # padded big-integer bounds
+        return self._intersects(batch.los, batch.his)
 
     def size_in_bits(self) -> int:
         # The oracle stores every key verbatim; charge the raw key bits.

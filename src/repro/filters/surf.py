@@ -1,4 +1,4 @@
-"""SuRF-Base on the byte-trie machinery.
+"""SuRF-Base on the succinct trie.
 
 SuRF (Zhang et al., SIGMOD 2018) is the trie-only baseline Proteus is
 measured against.  SuRF-Base prunes each key's branch at its *minimum
@@ -10,27 +10,21 @@ no key.
 
 The pruned prefix set is computed vectorised (numpy LCPs over the stored
 keys + per-depth prefix dedup; bit-identity to the per-key reference loop
-is pinned in ``tests/test_batch_parity.py``) and the trie is stored one of
-two ways:
-
-* ``physical=False`` (default): a pointer-based
-  :class:`~repro.trie.node_trie.ByteTrie`, with the footprint its LOUDS-DS
-  encoding *would* have reported via
-  :func:`repro.trie.size_model.fst_size_estimate` — the paper's size
-  accounting, as a model.
-* ``physical=True``: the prefixes are encoded as a
-  :class:`~repro.trie.fst.FastSuccinctTrie` (LOUDS-Dense top + LOUDS-Sparse
-  bottom at the footprint-minimising cutoff); queries — scalar and batched —
-  run on the succinct structure and ``size_in_bits()`` /
-  ``size_breakdown()`` report the *measured* bits actually stored.  The
-  LOUDS halves are built directly from the sorted prefix list by
-  :meth:`FastSuccinctTrie.from_sorted_prefix_bytes` (one
-  ``repro.kernels.trie_levels`` pass) without materialising a pointer trie.
+is pinned in ``tests/test_batch_parity.py``) and encoded as a
+:class:`~repro.trie.fst.FastSuccinctTrie` (LOUDS-Dense top + LOUDS-Sparse
+bottom at the footprint-minimising cutoff), built straight from the sorted
+prefix list by :meth:`FastSuccinctTrie.from_sorted_prefix_bytes` (one
+``repro.kernels.trie_levels`` pass).  Scalar and batched probes run on the
+succinct structure.  ``size_in_bits()`` is the size model's LOUDS-DS
+estimate (:meth:`FastSuccinctTrie.modelled_size_in_bits`), the paper's
+accounting; the trie's measured bits are ``surf.trie.size_in_bits()``,
+which :mod:`repro.evaluation.size_check` holds within a documented
+tolerance of the estimate.
 
 ``max_depth`` caps the trie depth in bytes — the knob the paper turns to
 trade SuRF's memory against its FPR.  Prefixes truncated by the cap may
-collide across keys; the trie's prefix-free insertion handles that by
-keeping the shorter (covering) prefix, which preserves zero false negatives.
+collide across keys; the bulk build keeps the shorter (covering) prefix of
+two that nest, which preserves zero false negatives.
 """
 
 from __future__ import annotations
@@ -48,8 +42,6 @@ from repro.filters.base import (
 from repro.keys.bytestr import unique_rows
 from repro.keys.lcp import min_distinguishing_prefix_lengths_array
 from repro.trie.fst import FastSuccinctTrie
-from repro.trie.node_trie import ByteTrie
-from repro.trie.size_model import fst_size_estimate
 from repro.workloads.batch import (
     EncodedKeySet,
     as_key_array,
@@ -67,13 +59,7 @@ from repro.workloads.bytekeys import (
 class SuRF(RangeFilter):
     """SuRF-Base: a pruned trie of minimum distinguishing key prefixes."""
 
-    def __init__(
-        self,
-        keys: Iterable[int],
-        width: int,
-        max_depth: int | None = None,
-        physical: bool = False,
-    ):
+    def __init__(self, keys: Iterable[int], width: int, max_depth: int | None = None):
         if width <= 0:
             raise ValueError("key width must be positive")
         self.width = width
@@ -83,7 +69,6 @@ class SuRF(RangeFilter):
         if not 1 <= max_depth <= num_bytes:
             raise ValueError(f"trie depth {max_depth} outside [1, {num_bytes}]")
         self.max_depth = max_depth
-        self.physical = physical
         key_set = coerce_keys(keys, width)
         self.is_bytes = key_set.is_bytes
         if self.is_bytes:
@@ -93,14 +78,7 @@ class SuRF(RangeFilter):
             prefixes = self._vector_prefixes_bytes(key_set, max_depth)
         else:
             prefixes = self._vector_prefixes(key_set, width, max_depth, num_bytes)
-        self._trie: ByteTrie | None = None
-        self._fst: FastSuccinctTrie | None = None
-        if physical:
-            # Kernel-backed bulk build: the LOUDS halves come straight
-            # from the sorted prefix list — no pointer trie at all.
-            self._fst = FastSuccinctTrie.from_sorted_prefix_bytes(prefixes)
-        else:
-            self._trie = ByteTrie.from_sorted_prefix_free(prefixes)
+        self._fst = FastSuccinctTrie.from_sorted_prefix_bytes(prefixes)
 
     def _vector_prefixes(
         self, key_set: EncodedKeySet, width: int, max_depth: int, num_bytes: int
@@ -114,11 +92,11 @@ class SuRF(RangeFilter):
         materialised.  Capped-depth
         collisions dedup to equal strings and a natural (uncapped)
         distinguishing prefix is never a prefix of another key's, so the
-        merged sorted list is prefix-free up to the covering rule the bulk
-        builders (:meth:`ByteTrie.from_sorted_prefix_free` /
-        :meth:`FastSuccinctTrie.from_sorted_prefix_bytes`) apply.  Keys are
-        MSB-padded to whole bytes (:func:`~repro.filters.base.key_to_bytes`),
-        so a prefix of ``bits`` key bits occupies padded-encoding bits
+        merged sorted list is prefix-free up to the covering rule of the bulk
+        build (:meth:`FastSuccinctTrie.from_sorted_prefix_bytes`).
+        Keys are MSB-padded to whole bytes
+        (:func:`~repro.filters.base.key_to_bytes`), so a prefix of ``bits``
+        key bits occupies padded-encoding bits
         ``[pad, pad + bits)`` and needs ``ceil((pad + bits) / 8)`` bytes —
         ignoring the pad would round distinct keys onto one coarser byte
         prefix for non-byte widths.
@@ -174,21 +152,16 @@ class SuRF(RangeFilter):
         When even the one-byte trie exceeds the budget it is returned anyway
         — ``size_in_bits()`` stays the authoritative footprint, as with
         Rosetta's per-level floors.  An explicit ``max_depth`` parameter
-        overrides the search.  ``physical: true`` selects the succinct
-        LOUDS-DS storage, in which case the budget search compares
-        *measured* sizes.
+        overrides the search.
         """
-        params = check_spec_params(spec, ("max_depth", "physical"))
-        physical = bool(params.get("physical", False))
+        params = check_spec_params(spec, ("max_depth",))
         key_set, total_bits = resolve_spec_inputs(spec, keys, workload)
         if "max_depth" in params:
-            return cls(
-                key_set, key_set.width, int(params["max_depth"]), physical=physical
-            )
+            return cls(key_set, key_set.width, int(params["max_depth"]))
         num_bytes = (key_set.width + 7) // 8
         best = None
         for depth in range(1, num_bytes + 1):
-            candidate = cls(key_set, key_set.width, depth, physical=physical)
+            candidate = cls(key_set, key_set.width, depth)
             if best is not None and candidate.size_in_bits() > total_bits:
                 break
             best = candidate
@@ -199,62 +172,36 @@ class SuRF(RangeFilter):
         assert best is not None
         return best
 
+    @property
+    def trie(self) -> FastSuccinctTrie:
+        """The pruned trie; ``trie.size_in_bits()`` is its measured footprint."""
+        return self._fst
+
     def may_contain(self, key: int) -> bool:
-        if self.num_keys == 0:
-            return False
-        encoded = key_to_bytes(key, self.width)
-        if self._fst is not None:
-            return self._fst.match_prefix_of(encoded)
-        assert self._trie is not None
-        return self._trie.match_prefix_of(encoded) is not None
+        return self._fst.match_prefix_of(key_to_bytes(key, self.width))
 
     def may_intersect(self, lo: int, hi: int) -> bool:
         self._check_range(lo, hi)
-        if self.num_keys == 0:
-            return False
-        lo_bytes = key_to_bytes(lo, self.width)
-        hi_bytes = key_to_bytes(hi, self.width)
-        if self._fst is not None:
-            return self._fst.range_overlaps(lo_bytes, hi_bytes)
-        assert self._trie is not None
-        return self._trie.range_overlaps(lo_bytes, hi_bytes)
+        return self._fst.range_overlaps(
+            key_to_bytes(lo, self.width), key_to_bytes(hi, self.width)
+        )
 
     def may_contain_many(self, keys) -> np.ndarray:
-        """Batched point probes; LOUDS rank-arithmetic when ``physical``."""
+        """Batched point probes: one level-synchronous walk of the trie."""
         if self.is_bytes:
             mat = byte_probe_matrix(keys, self.width)
             if mat is None:
                 # Padded big-integer probes: the scalar loop handles them.
                 return super().may_contain_many(keys)
-            if self.num_keys == 0:
-                return np.zeros(mat.shape[0], dtype=bool)
-            if self._fst is not None:
-                return self._fst.may_contain_matrix(mat)
-            assert self._trie is not None
-            # Full padded rows, not the (null-stripped) S values: a pruned
-            # prefix can extend past a short key's end into its null padding.
-            return np.fromiter(
-                (
-                    self._trie.match_prefix_of(row.tobytes()) is not None
-                    for row in mat
-                ),
-                dtype=bool,
-                count=mat.shape[0],
-            )
-        if self._fst is None:
-            return super().may_contain_many(keys)
+            return self._fst.may_contain_matrix(mat)
         arr = as_key_array(keys, self.width)
-        if self.num_keys == 0:
-            return np.zeros(arr.size, dtype=bool)
         return self._fst.may_contain_many(decode_ints(arr, self.width), (self.width + 7) // 8)
 
     def may_intersect_many(self, queries) -> np.ndarray:
-        """Batched range probes; LOUDS rank-arithmetic when ``physical``."""
+        """Batched range probes: one level-synchronous walk of the trie."""
         batch = coerce_query_batch(queries, self.width)
-        if self._fst is None or self.is_bytes != isinstance(batch, ByteQueryBatch):
-            return super().may_intersect_many(batch)
-        if self.num_keys == 0:
-            return np.zeros(len(batch), dtype=bool)
+        if self.is_bytes != isinstance(batch, ByteQueryBatch):
+            return super().may_intersect_many(batch)  # padded big-integer bounds
         if self.is_bytes:
             return self._fst.may_intersect_matrix(batch.lo_matrix, batch.hi_matrix)
         return self._fst.may_intersect_many(
@@ -265,39 +212,18 @@ class SuRF(RangeFilter):
 
     def trie_height(self) -> int:
         """Return the pruned trie's height in bytes."""
-        if self._trie is None:
-            assert self._fst is not None
-            return self._fst.height
-        return self._trie.height
+        return self._fst.height
 
     def size_in_bits(self) -> int:
-        """Return the LOUDS-DS footprint of the pruned trie.
+        """Return the size model's LOUDS-DS estimate of the pruned trie.
 
-        *Measured* from the stored bitmaps and arrays when ``physical``;
-        otherwise the size model's estimate (the paper's convention for the
-        structures it does not materialise).
+        The paper's accounting, and what the budget search compares; the
+        measured footprint is ``self.trie.size_in_bits()``.
         """
-        if self._fst is not None:
-            return self._fst.size_in_bits()
-        return self.modelled_size_in_bits()
-
-    def modelled_size_in_bits(self) -> int:
-        """Return the size model's LOUDS-DS estimate, physical or not."""
-        if self._trie is None:
-            assert self._fst is not None
-            return self._fst.modelled_size_in_bits()
-        edges, internal_nodes = self._trie.level_counts()
-        return fst_size_estimate(edges, internal_nodes)
-
-    def size_breakdown(self) -> dict[str, int]:
-        """Return per-component charged bits (measured halves when physical)."""
-        if self._fst is not None:
-            return self._fst.size_breakdown()
-        return {"total": self.size_in_bits()}
+        return self._fst.modelled_size_in_bits()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SuRF(keys={self.num_keys}, width={self.width}, "
-            f"max_depth={self.max_depth}, height={self.trie_height()}, "
-            f"physical={self.physical})"
+            f"max_depth={self.max_depth}, height={self.trie_height()})"
         )

@@ -41,11 +41,6 @@ _LIBS = ("-lm",)
 #: larger count reports it and runs again with a table that wide.
 _TABLE_PROBES = 64
 
-_u8_p = ctypes.POINTER(ctypes.c_uint8)
-_u64_p = ctypes.POINTER(ctypes.c_uint64)
-_i64_p = ctypes.POINTER(ctypes.c_int64)
-
-
 def _cache_dir() -> Path:
     override = os.environ.get("REPRO_KERNEL_CACHE")
     if override:
@@ -77,16 +72,13 @@ def _compile() -> Path:
     return lib_path
 
 
-def _ptr(array: np.ndarray, ctype):  # noqa: ANN001 - ctypes pointer type
-    return array.ctypes.data_as(ctypes.POINTER(ctype))
-
-
 def _address(array: np.ndarray) -> int:
-    """The data address of a C-contiguous array.
+    """The data address of a C-contiguous array, passed as a ``void *``.
 
-    ``from_buffer`` costs a quarter of ``array.ctypes.data``, which counts
-    where a call passes many small arrays; it needs a writable, non-empty
-    buffer, so other arrays take the slow path.
+    Every kernel takes its arrays this way.  ``from_buffer`` costs a
+    quarter of ``array.ctypes.data``, which counts where a call passes
+    many small arrays; it needs a writable, non-empty buffer, so other
+    arrays take the slow path.
     """
     if array.size and array.flags.writeable:
         return ctypes.addressof(ctypes.c_char.from_buffer(array))
@@ -100,57 +92,48 @@ class _CcBackend:
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
+        # Arrays cross as raw addresses (``_address``) into ``void *``
+        # parameters; scalars keep their C types.
+        ptr = ctypes.c_void_p
         lib.bloom_add.argtypes = [
-            _u8_p, ctypes.c_uint64, _u64_p, ctypes.c_int64,
+            ptr, ctypes.c_uint64, ptr, ctypes.c_int64,
             ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64,
         ]
         lib.bloom_add.restype = None
         lib.bloom_contains.argtypes = [
-            _u8_p, ctypes.c_uint64, _u64_p, ctypes.c_int64,
-            ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64, _u8_p,
+            ptr, ctypes.c_uint64, ptr, ctypes.c_int64,
+            ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64, ptr,
         ]
         lib.bloom_contains.restype = None
-        # Raw addresses: the level pass calls this once per LSM level per
-        # probe, where building seven typed pointers costs more than the work.
-        lib.bloom_contains_hashed.argtypes = [ctypes.c_void_p] * 6 + [
-            ctypes.c_int64, ctypes.c_void_p,
-        ]
+        lib.bloom_contains_hashed.argtypes = [ptr] * 6 + [ctypes.c_int64, ptr]
         lib.bloom_contains_hashed.restype = None
         lib.bitvector_get_rank1.argtypes = [
-            _u8_p, _i64_p, ctypes.c_int64, _i64_p, ctypes.c_int64, _u8_p, _i64_p,
+            ptr, ptr, ctypes.c_int64, ptr, ctypes.c_int64, ptr, ptr,
         ]
         lib.bitvector_get_rank1.restype = None
         lib.trie_levels.argtypes = [
-            _u8_p, _i64_p, ctypes.c_int64, ctypes.c_int64,
-            _u8_p, _i64_p, _u8_p, _i64_p, _i64_p, _i64_p, _i64_p,
+            ptr, ptr, ctypes.c_int64, ctypes.c_int64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
         ]
         lib.trie_levels.restype = ctypes.c_int64
-        # Raw addresses, as above: Algorithm 1 calls these once per trie depth.
         lib.cpfpr_bloom_keep.argtypes = [
-            ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-            ctypes.c_int64, ctypes.c_void_p,
+            ctypes.c_int64, ptr, ctypes.c_int64, ptr, ctypes.c_int64, ptr,
         ]
         lib.cpfpr_bloom_keep.restype = ctypes.c_int64
-        lib.cpfpr_row.argtypes = [ctypes.c_void_p] * 5 + [
+        lib.cpfpr_row.argtypes = [ptr] * 5 + [
             ctypes.c_int64, ctypes.c_int64, ctypes.c_uint64, ctypes.c_int64,
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-            ctypes.c_void_p,
+            ptr, ctypes.c_int64, ptr, ctypes.c_int64, ptr,
         ]
         lib.cpfpr_row.restype = ctypes.c_int64
 
     def bloom_add(self, buffer, num_bits, values, s1, s2, k):
         v = np.ascontiguousarray(np.asarray(values).astype(np.uint64, copy=False))
-        self._lib.bloom_add(
-            _ptr(buffer, ctypes.c_uint8), num_bits, _ptr(v, ctypes.c_uint64),
-            v.size, s1, s2, k,
-        )
+        self._lib.bloom_add(_address(buffer), num_bits, _address(v), v.size, s1, s2, k)
 
     def bloom_contains(self, buffer, num_bits, values, s1, s2, k):
         v = np.ascontiguousarray(np.asarray(values).astype(np.uint64, copy=False))
         out = np.empty(v.size, dtype=np.uint8)
         self._lib.bloom_contains(
-            _ptr(buffer, ctypes.c_uint8), num_bits, _ptr(v, ctypes.c_uint64),
-            v.size, s1, s2, k, _ptr(out, ctypes.c_uint8),
+            _address(buffer), num_bits, _address(v), v.size, s1, s2, k, _address(out)
         )
         return out.view(bool)
 
@@ -165,8 +148,7 @@ class _CcBackend:
             raise ValueError("byte_offsets, num_bits, num_hashes, h1 and h2 differ in length")
         out = np.empty(a.size, dtype=np.uint8)
         self._lib.bloom_contains_hashed(
-            buf.ctypes.data, offsets.ctypes.data, bits.ctypes.data,
-            hashes.ctypes.data, a.ctypes.data, b.ctypes.data, a.size, out.ctypes.data,
+            *map(_address, (buf, offsets, bits, hashes, a, b)), a.size, _address(out)
         )
         return out.view(bool)
 
@@ -175,9 +157,8 @@ class _CcBackend:
         bits = np.empty(pos.size, dtype=np.uint8)
         ranks = np.empty(pos.size, dtype=np.int64)
         self._lib.bitvector_get_rank1(
-            _ptr(buffer, ctypes.c_uint8), _ptr(cumulative, ctypes.c_int64),
-            num_bits, _ptr(pos, ctypes.c_int64), pos.size,
-            _ptr(bits, ctypes.c_uint8), _ptr(ranks, ctypes.c_int64),
+            _address(buffer), _address(cumulative), num_bits, _address(pos), pos.size,
+            _address(bits), _address(ranks),
         )
         return bits.view(bool), ranks
 
@@ -230,11 +211,8 @@ class _CcBackend:
         grp = np.empty(n, dtype=np.int64)
         idx = np.empty(n, dtype=np.int64)
         total = self._lib.trie_levels(
-            _ptr(mat, ctypes.c_uint8), _ptr(lengths, ctypes.c_int64), n, height,
-            _ptr(labels, ctypes.c_uint8), _ptr(parents, ctypes.c_int64),
-            _ptr(leaves, ctypes.c_uint8), _ptr(edge_counts, ctypes.c_int64),
-            _ptr(group_counts, ctypes.c_int64), _ptr(grp, ctypes.c_int64),
-            _ptr(idx, ctypes.c_int64),
+            _address(mat), _address(lengths), n, height,
+            *map(_address, (labels, parents, leaves, edge_counts, group_counts, grp, idx)),
         )
         return (
             labels[:total].copy(), parents[:total].copy(),

@@ -39,8 +39,9 @@ Integer levels hold the int64 stored form (:mod:`repro.workloads.batch`),
 so width-64 trees take the same pass: shifts of stored keys are stored
 prefixes and block starts, and the probe clamp reads slot spans as
 ``uint64`` (:func:`~repro.workloads.batch.slot_bounds`).  Filters the
-layout does not cover — other families and ``trie_impl="fst"`` tries —
-keep one ``SSTable.probe_many`` call per routed SST group, in SST order.
+layout does not cover — other families, and Proteus filters with a stored
+block outside their SST's fences — keep one ``SSTable.probe_many`` call
+per routed SST group, in SST order.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from repro.keys.bytestr import (
     strings_as_rows,
 )
 from repro.lsm.sstable import SSTable
-from repro.trie.sorted_index import SortedBytePrefixIndex, SortedPrefixIndex
 from repro.workloads.batch import QueryBatch, slot_bounds
 
 __all__ = ["LevelLayout"]
@@ -101,12 +101,8 @@ def _level_keys(level: list[SSTable]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _covers(filt, is_bytes: bool) -> bool:
-    """Whether the level pass can answer for ``filt`` (a sorted-trie Proteus)."""
-    if not isinstance(filt, Proteus) or filt.num_keys == 0 or filt.is_bytes != is_bytes:
-        return False
-    trie = filt.trie_layer
-    index = SortedBytePrefixIndex if is_bytes else SortedPrefixIndex
-    return trie is None or isinstance(trie, index)
+    """Whether the level pass can answer for ``filt``: a non-empty Proteus over its kind of key."""
+    return isinstance(filt, Proteus) and filt.num_keys > 0 and filt.is_bytes == is_bytes
 
 
 class LevelLayout:

@@ -2,24 +2,22 @@
 
 SuRF encodes its pruned trie as a Fast Succinct Trie (LOUDS-DS): the top
 levels use the LOUDS-Dense bitmap encoding and the remaining levels use
-LOUDS-Sparse.  Proteus reuses the same machinery for its uniform-depth trie.
+LOUDS-Sparse.  Proteus queries its uniform-depth trie layer as a sorted
+prefix array and charges it the modelled size of a succinct trie.
 
 The package provides:
 
 * :class:`~repro.trie.bitvector.RankSelectBitVector` — plain bit vector with
   O(1) rank (scalar and batched) and O(log n) select.
-* :class:`~repro.trie.node_trie.ByteTrie` — a pointer-based byte trie used as
-  the builder input and as a correctness oracle in tests.
 * :class:`~repro.trie.louds_dense.LoudsDenseTrie`,
   :class:`~repro.trie.louds_sparse.LoudsSparseTrie` and
   :class:`~repro.trie.fst.FastSuccinctTrie` — the physical succinct
   encodings, navigated purely by rank arithmetic, with measured
-  ``size_in_bits``; ``SuRF(..., physical=True)`` stores its pruned trie
-  this way.
+  ``size_in_bits``; SuRF stores its pruned trie this way.
 * :class:`~repro.trie.sorted_index.SortedPrefixIndex` — a sorted-array query
-  engine for uniform-depth prefix sets, Proteus' default trie layer — and
-  :class:`~repro.trie.fst.FSTPrefixIndex`, its succinct drop-in
-  replacement.
+  engine for uniform-depth prefix sets, Proteus' trie layer — and
+  :class:`~repro.trie.fst.FSTPrefixIndex`, the same set as a succinct trie,
+  which the size audit holds to the sorted array's answers.
 * :mod:`~repro.trie.size_model` — the ``trieMem(l)`` estimator from
   Algorithm 1 of the paper plus SuRF's LOUDS-DS size formulas, against
   which the physical encoders' measured sizes are pinned
@@ -34,7 +32,6 @@ from importlib import import_module
 
 _LAZY_EXPORTS = {
     "RankSelectBitVector": "repro.trie.bitvector",
-    "ByteTrie": "repro.trie.node_trie",
     "SortedPrefixIndex": "repro.trie.sorted_index",
     "fst_size_estimate": "repro.trie.size_model",
     "fst_prefix_cutoff": "repro.trie.size_model",

@@ -10,16 +10,17 @@ minimise the total footprint over all dense prefixes.  ``size_in_bits()``
 is therefore *measured* — it is exactly what the stored bitmaps and arrays
 charge — and is bounded below by the model's per-level-minimum estimate.
 
-Query semantics match :class:`~repro.trie.node_trie.ByteTrie`: a stored
-prefix ``p`` covers the key interval ``[p·00…, p·FF…]``, so point probes
-ask "is a stored prefix a prefix of this key?" and range probes ask "does
-any stored prefix's interval intersect ``[lo, hi]``?".  Both exploit the
-prefix-free-trie invariant that *every node has a leaf descendant*: a
-traversal that reaches any edge strictly inside the query interval can
-answer True immediately, which makes the range walk two point-like
-descents (a lo-tight and a hi-tight walker) plus one interior-label check
-per node — each step pure rank arithmetic, and vectorised level-
-synchronously across a whole query batch in the ``*_many`` methods.
+The trie stores a prefix-free set of byte strings, each read as a
+key-space prefix: a stored prefix ``p`` covers the key interval ``[p·00…,
+p·FF…]``, so point probes ask "is a stored prefix a prefix of this key?"
+and range probes ask "does any stored prefix's interval intersect ``[lo,
+hi]``?".  Both exploit the prefix-free-trie invariant that *every node has
+a leaf descendant*: a traversal that reaches any edge strictly inside the
+query interval can answer True immediately, which makes the range walk two
+point-like descents (a lo-tight and a hi-tight walker) plus one
+interior-label check per node — each step pure rank arithmetic, run
+level-synchronously across a whole batch of probes.  The scalar probes are
+one-row batches.
 
 >>> fst = FastSuccinctTrie.from_prefixes([b"ab", b"ad", b"x"])
 >>> fst.match_prefix_of(b"adz"), fst.match_prefix_of(b"az")
@@ -40,7 +41,6 @@ from repro import kernels
 from repro.amq.bitarray import BitArray
 from repro.trie.louds_dense import LoudsDenseTrie
 from repro.trie.louds_sparse import LoudsSparseTrie
-from repro.trie.node_trie import ByteTrie
 from repro.trie.size_model import fst_prefix_cutoff, fst_size_estimate
 from repro.trie.sorted_index import stored_prefix_array
 from repro.workloads.batch import decode_ints
@@ -58,6 +58,11 @@ def _byte_matrix(values: np.ndarray, num_bytes: int) -> np.ndarray:
     """
     words = np.asarray(values).astype(">u8")
     return words.view(np.uint8).reshape(-1, 8)[:, 8 - num_bytes :]
+
+
+def _row(key: bytes) -> np.ndarray:
+    """One byte string as a ``(1, len(key))`` byte matrix."""
+    return np.frombuffer(key, dtype=np.uint8).reshape(1, -1)
 
 
 class FastSuccinctTrie:
@@ -116,9 +121,7 @@ class FastSuccinctTrie:
         """Build from an iterable of byte-string prefixes (any order).
 
         Input is sorted and deduplicated, then routed through the
-        kernel-backed bulk builder — structurally identical to the
-        historical ``from_byte_trie(ByteTrie(prefixes))`` path without
-        materialising a pointer trie.
+        kernel-backed bulk build :meth:`from_sorted_prefix_bytes`.
         """
         return cls.from_sorted_prefix_bytes(
             sorted(set(bytes(p) for p in prefixes)), cutoff
@@ -132,14 +135,12 @@ class FastSuccinctTrie:
 
         Input must be in ascending lexicographic order with no duplicates
         (the layout SuRF's vectorised prefix extraction produces); a string
-        extending an earlier, shorter one is dropped by the same covering
-        rule as :meth:`ByteTrie.from_sorted_prefix_free`.  The whole trie
-        shape — per-level edge labels, parent groups and leaf flags — then
-        falls out of one :func:`repro.kernels.trie_levels` pass over the
-        padded byte matrix, and both LOUDS halves are assembled with array
-        arithmetic.  The result is bit-identical to
-        ``from_byte_trie(ByteTrie(prefixes))`` on the same input, with no
-        pointer trie and no per-node Python walk.
+        extending an earlier, shorter one is dropped, as the shorter one
+        already covers its keys (no answer loses a true positive).  The
+        whole trie shape — per-level edge labels, parent groups and leaf
+        flags — then falls out of one :func:`repro.kernels.trie_levels` pass
+        over the padded byte matrix, and both LOUDS halves are assembled
+        with array arithmetic, with no per-node Python walk.
         """
         kept: list[bytes] = []
         previous = b""
@@ -209,70 +210,6 @@ class FastSuccinctTrie:
         return cls(dense, sparse, cutoff, height, n, edges, internal)
 
     @classmethod
-    def from_byte_trie(
-        cls, trie: ByteTrie, cutoff: int | None = None
-    ) -> "FastSuccinctTrie":
-        """Encode a built :class:`ByteTrie`.
-
-        ``cutoff`` (number of dense-encoded top levels) defaults to the
-        footprint-minimising prefix cutoff; pass it explicitly to pin a
-        layout (0 = all sparse, ``trie.height`` = all dense) in tests.
-        """
-        edges, internal = trie.level_counts()
-        if cutoff is None:
-            cutoff, _ = fst_prefix_cutoff(edges, internal)
-        if not 0 <= cutoff <= len(edges):
-            raise ValueError(f"dense cutoff {cutoff} outside [0, {len(edges)}]")
-        levels = trie.level_slices()
-        # Dense half: internal nodes of levels [0, cutoff), level order.
-        label_positions: list[int] = []
-        child_positions: list[int] = []
-        node_id = 0
-        for level in levels[:cutoff]:
-            for node, _ in level:
-                if node.is_leaf:
-                    continue
-                base = node_id * _FANOUT
-                for label in node.sorted_labels():
-                    label_positions.append(base + label)
-                    if not node.children[label].is_leaf:
-                        child_positions.append(base + label)
-                node_id += 1
-        dense = (
-            LoudsDenseTrie.from_positions(label_positions, child_positions, node_id)
-            if cutoff > 0
-            else None
-        )
-        # Sparse half: internal nodes of levels [cutoff, height), level order.
-        labels: list[int] = []
-        has_child: list[int] = []
-        louds: list[int] = []
-        num_roots = 0
-        for depth, level in enumerate(levels[cutoff:]):
-            for node, _ in level:
-                if node.is_leaf or not node.children:
-                    continue
-                if depth == 0:
-                    num_roots += 1
-                louds.append(len(labels))
-                for label in node.sorted_labels():
-                    if not node.children[label].is_leaf:
-                        has_child.append(len(labels))
-                    labels.append(label)
-        sparse = None
-        if labels:
-            child_bits = BitArray(len(labels))
-            child_bits.set_many(has_child)
-            louds_bits = BitArray(len(labels))
-            louds_bits.set_many(louds)
-            sparse = LoudsSparseTrie(
-                np.array(labels, dtype=np.uint8), child_bits, louds_bits, num_roots
-            )
-        return cls(
-            dense, sparse, cutoff, trie.height, trie.num_leaves, edges, internal
-        )
-
-    @classmethod
     def from_uniform_prefixes(
         cls, prefixes: np.ndarray, num_bytes: int, cutoff: int | None = None
     ) -> "FastSuccinctTrie":
@@ -284,9 +221,8 @@ class FastSuccinctTrie:
         stored prefixes, padded to whole bytes).
         Uniform depth means every node above ``num_bytes`` is internal and
         every bottom edge is a leaf, so each level's label, LOUDS and
-        has-child content falls out of a shift + ``np.unique`` per level —
-        no pointer trie is materialised.  The result is structurally
-        identical to ``from_byte_trie(ByteTrie(...))`` on the same input.
+        has-child content falls out of a shift + ``np.unique`` per level,
+        with no per-node walk.
         """
         prefixes = np.asarray(prefixes)
         if num_bytes <= 0:
@@ -387,22 +323,10 @@ class FastSuccinctTrie:
     def match_prefix_of(self, key: bytes) -> bool:
         """Return whether a stored prefix is a prefix of ``key``.
 
-        Same semantics as :meth:`ByteTrie.match_prefix_of` (truthiness):
-        keys shorter than every stored prefix on their path are not
-        covered.
+        Keys shorter than every stored prefix on their path are not
+        covered.  A one-row :meth:`may_contain_matrix` call.
         """
-        if self.num_leaves == 0:
-            return False
-        node = 0
-        for level in range(min(len(key), self.height)):
-            half, rebase = self._part(level)
-            exists, is_leaf, child = half.probe(node, key[level])
-            if not exists:
-                return False
-            if is_leaf:
-                return True
-            node = child - rebase
-        return False
+        return bool(self.may_contain_matrix(_row(key))[0])
 
     def may_contain_many(self, keys: np.ndarray, num_bytes: int) -> np.ndarray:
         """Vectorise :meth:`match_prefix_of` over an unsigned key array.
@@ -462,62 +386,19 @@ class FastSuccinctTrie:
     #     mirrors with labels < hi[l].
     # Walkers that outlive the key width sit at an internal node whose path
     # equals the (exhausted) bound — its subtree intersects [lo, hi], so
-    # they resolve True, matching ByteTrie's depth >= len(lo) case.
+    # they resolve True.
 
     def range_overlaps(self, lo: bytes, hi: bytes) -> bool:
         """Return whether any stored prefix interval intersects ``[lo, hi]``.
 
-        ``lo`` and ``hi`` must have equal length and satisfy ``lo <= hi``,
-        exactly as :meth:`ByteTrie.range_overlaps`.
+        ``lo`` and ``hi`` must have equal length and satisfy ``lo <= hi``.
+        A one-row :meth:`may_intersect_matrix` call.
         """
         if len(lo) != len(hi):
             raise ValueError("range bounds must have the same byte length")
         if lo > hi:
             raise ValueError("empty query range")
-        if self.num_leaves == 0:
-            return False
-        node = 0
-        for level in range(min(len(lo), self.height)):
-            half, rebase = self._part(level)
-            a, b = lo[level], hi[level]
-            if a != b:
-                if half.any_label_between(node, a + 1, b - 1):
-                    return True
-                return self._tight_walk(node, level, lo, low_side=True) or (
-                    self._tight_walk(node, level, hi, low_side=False)
-                )
-            exists, is_leaf, child = half.probe(node, a)
-            if not exists:
-                return False
-            if is_leaf:
-                return True
-            node = child - rebase
-        return True  # bounds exhausted at an internal node: subtree overlaps
-
-    def _tight_walk(self, node: int, level: int, bound: bytes, low_side: bool) -> bool:
-        """Walk one one-sided-tight bound from the divergence node.
-
-        ``level`` is the divergence level: there the walker only follows
-        its bound's edge (the interior check already covered the labels
-        between the bounds); from the next level on, any label on the open
-        side of the bound byte proves an overlap.
-        """
-        for depth in range(level, min(len(bound), self.height)):
-            half, rebase = self._part(depth)
-            c = bound[depth]
-            if depth > level:
-                if low_side:
-                    if half.any_label_between(node, c + 1, _FANOUT - 1):
-                        return True
-                elif half.any_label_between(node, 0, c - 1):
-                    return True
-            exists, is_leaf, child = half.probe(node, c)
-            if not exists:
-                return False
-            if is_leaf:
-                return True
-            node = child - rebase
-        return True
+        return bool(self.may_intersect_matrix(_row(lo), _row(hi))[0])
 
     def may_intersect_many(
         self, los: np.ndarray, his: np.ndarray, num_bytes: int
@@ -652,18 +533,18 @@ class FastSuccinctTrie:
 
 
 class FSTPrefixIndex:
-    """A drop-in succinct replacement for ``SortedPrefixIndex``.
+    """Proteus' trie layer realised as a succinct trie, for the size audit.
 
     Proteus' trie layer stores every distinct ``length``-bit key prefix.
     This index realises that set as a uniform-depth
     :class:`FastSuccinctTrie` over the prefixes' ``ceil(length / 8)``-byte
     big-endian renderings (MSB-padded, which preserves order and prefix
     structure exactly as :func:`repro.filters.base.key_to_bytes` does for
-    keys), and answers the same queries Proteus issues against
-    :class:`~repro.trie.sorted_index.SortedPrefixIndex`: point membership,
-    key-prefix membership and interval overlap, scalar and batched.
-    Prefixes and keys arrive in the key set's stored form and are rendered
-    through :func:`~repro.workloads.batch.decode_ints`.
+    keys), and answers the batched queries of
+    :class:`~repro.trie.sorted_index.SortedPrefixIndex` — prefix membership
+    and interval overlap — so :mod:`repro.evaluation.size_check` can hold
+    the two equal.  Prefixes and keys arrive in the key set's stored form
+    and are rendered through :func:`~repro.workloads.batch.decode_ints`.
 
     ``size_in_bits`` is the trie's *measured* LOUDS-DS footprint.  Note the
     charged design-time cost in Algorithm 1 remains the bit-granular
@@ -690,43 +571,23 @@ class FSTPrefixIndex:
         return cls(np.asarray(keys, dtype=np.int64) >> np.int64(width - length), length, width)
 
     def _unsigned(self, prefixes):
-        """Return stored prefixes (an int or an array) as unsigned ``length``-bit values."""
+        """Return an array of stored prefixes as unsigned ``length``-bit values."""
         return decode_ints(prefixes, self.width, self.length)
 
     def __len__(self) -> int:
         """Return the number of stored prefixes."""
         return len(self._fst)
 
-    def contains(self, prefix: int) -> bool:
-        """Return whether ``prefix`` (a stored ``length``-bit value) is stored."""
-        return self._fst.match_prefix_of(
-            self._unsigned(int(prefix)).to_bytes(self.num_bytes, "big")
-        )
-
-    def contains_prefix_of(self, key: int) -> bool:
-        """Return whether the ``length``-bit prefix of ``key`` is stored."""
-        return self.contains(int(key) >> (self.width - self.length))
-
-    def overlaps(self, lo: int, hi: int) -> bool:
-        """Return whether any stored prefix interval intersects ``[lo, hi]``.
-
-        ``lo`` and ``hi`` are full ``width``-bit keys with ``lo <= hi``,
-        the :meth:`SortedPrefixIndex.overlaps` contract.
-        """
-        if lo > hi:
-            raise ValueError(f"empty query range [{lo}, {hi}]")
-        shift = self.width - self.length
-        return self._fst.range_overlaps(
-            self._unsigned(int(lo) >> shift).to_bytes(self.num_bytes, "big"),
-            self._unsigned(int(hi) >> shift).to_bytes(self.num_bytes, "big"),
-        )
-
     def contains_many(self, prefixes: np.ndarray) -> np.ndarray:
-        """Vectorise :meth:`contains` over an int64 array of stored prefixes."""
+        """Return whether each ``length``-bit prefix (in stored form) is in the index."""
         return self._fst.may_contain_many(self._unsigned(prefixes), self.num_bytes)
 
     def overlaps_many(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-        """Vectorise :meth:`overlaps` over parallel stored full-key arrays."""
+        """Return whether a stored prefix interval meets each ``[lo, hi]``.
+
+        ``los`` and ``his`` are parallel arrays of stored full keys with
+        ``lo <= hi``.
+        """
         shift = np.int64(self.width - self.length)
         return self._fst.may_intersect_many(
             self._unsigned(los >> shift), self._unsigned(his >> shift), self.num_bytes

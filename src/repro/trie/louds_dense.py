@@ -97,26 +97,15 @@ class LoudsDenseTrie:
         """Return the total number of edges (set ``D-Labels`` bits)."""
         return self._labels.count_ones()
 
-    def probe(self, node: int, label: int) -> tuple[bool, bool, int]:
-        """Resolve the edge ``label`` out of ``node``: ``(exists, is_leaf, child)``.
-
-        ``child`` is the level-order rank of the internal child
-        (``rank1(D-HasChild, pos + 1)``); it is meaningful only when
-        ``exists and not is_leaf``.
-        """
-        exists, is_leaf, child = self.probe_many(
-            np.array([node], dtype=np.int64), np.array([label], dtype=np.int64)
-        )
-        return bool(exists[0]), bool(is_leaf[0]), int(child[0])
-
     def probe_many(
         self, nodes: np.ndarray, labels: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorise :meth:`probe` over parallel node/label int64 arrays.
+        """Resolve each edge ``labels[i]`` out of ``nodes[i]``: ``(exists, is_leaf, child)``.
 
-        Entries whose edge does not exist return garbage in ``is_leaf`` /
-        ``child``; callers mask with ``exists`` (exactly as the scalar
-        protocol's "meaningful only when" clause).
+        ``child`` is the level-order rank of the internal child
+        (``rank1(D-HasChild, pos + 1)``).  Entries whose edge does not
+        exist, or is a leaf, return garbage in ``is_leaf`` / ``child``;
+        callers mask with ``exists`` (and ``~is_leaf``).
         """
         pos = nodes * FANOUT + labels
         exists = self._labels.get_many(pos)
@@ -125,25 +114,15 @@ class LoudsDenseTrie:
         has_child, child = self._has_child.get_and_rank1_many(pos)
         return exists, ~has_child, child
 
-    def any_label_between(self, node: int, lo: int, hi: int) -> bool:
-        """Return whether ``node`` has an edge labelled in ``[lo, hi]``.
+    def any_label_between_many(
+        self, nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    ) -> np.ndarray:
+        """Return whether each ``nodes[i]`` has an edge labelled in ``[lo[i], hi[i]]``.
 
         An empty interval (``lo > hi``) is False; bounds are clipped to the
         byte alphabet, so callers can pass ``lo = c + 1`` / ``hi = c - 1``
         without boundary checks.
         """
-        return bool(
-            self.any_label_between_many(
-                np.array([node], dtype=np.int64),
-                np.array([lo], dtype=np.int64),
-                np.array([hi], dtype=np.int64),
-            )[0]
-        )
-
-    def any_label_between_many(
-        self, nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray
-    ) -> np.ndarray:
-        """Vectorise :meth:`any_label_between` over parallel int64 arrays."""
         valid = lo <= hi
         lo_c = np.clip(lo, 0, FANOUT - 1)
         hi_c = np.clip(hi, 0, FANOUT - 1)

@@ -20,8 +20,8 @@ select1(S-LOUDS, n + 2))``.
 
 For *lookup* the implementation keeps a derived ``node_id * 256 + label``
 composite array, which level-order layout and per-node label sorting make
-strictly increasing — so edge resolution is one ``searchsorted`` instead of
-a select-then-scan, for scalar and batched probes alike.  The composite is
+strictly increasing — so resolving a batch of edges is one ``searchsorted``
+instead of a select-then-scan per edge.  The composite is
 navigation acceleration, like the rank directories, and is excluded from
 the charged footprint: 10 bits per edge (8 label + has-child + LOUDS),
 matching :func:`repro.trie.size_model.louds_sparse_level_bits`.
@@ -95,24 +95,15 @@ class LoudsSparseTrie:
         """Return the number of encoded edges (same as ``len``)."""
         return int(self.labels.size)
 
-    def probe(self, node: int, label: int) -> tuple[bool, bool, int]:
-        """Resolve the edge ``label`` out of ``node``: ``(exists, is_leaf, child)``.
-
-        ``child`` is the sparse node id ``num_roots + rank1(S-HasChild,
-        pos + 1) - 1``, meaningful only when ``exists and not is_leaf``.
-        """
-        exists, is_leaf, child = self.probe_many(
-            np.array([node], dtype=np.int64), np.array([label], dtype=np.int64)
-        )
-        return bool(exists[0]), bool(is_leaf[0]), int(child[0])
-
     def probe_many(
         self, nodes: np.ndarray, labels: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorise :meth:`probe` over parallel node/label int64 arrays.
+        """Resolve each edge ``labels[i]`` out of ``nodes[i]``: ``(exists, is_leaf, child)``.
 
-        Entries whose edge does not exist return garbage in ``is_leaf`` /
-        ``child``; callers mask with ``exists``.
+        ``child`` is the sparse node id ``num_roots + rank1(S-HasChild,
+        pos + 1) - 1``.  Entries whose edge does not exist, or is a leaf,
+        return garbage in ``is_leaf`` / ``child``; callers mask with
+        ``exists`` (and ``~is_leaf``).
         """
         targets = nodes * _FANOUT + labels
         pos = np.searchsorted(self._comp, targets, side="left")
@@ -127,24 +118,14 @@ class LoudsSparseTrie:
         child = self.num_roots + rank - 1
         return exists, ~has_child, child
 
-    def any_label_between(self, node: int, lo: int, hi: int) -> bool:
-        """Return whether ``node`` has an edge labelled in ``[lo, hi]``.
+    def any_label_between_many(
+        self, nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    ) -> np.ndarray:
+        """Return whether each ``nodes[i]`` has an edge labelled in ``[lo[i], hi[i]]``.
 
         Empty intervals (``lo > hi``) are False; bounds are clipped to the
         byte alphabet.
         """
-        return bool(
-            self.any_label_between_many(
-                np.array([node], dtype=np.int64),
-                np.array([lo], dtype=np.int64),
-                np.array([hi], dtype=np.int64),
-            )[0]
-        )
-
-    def any_label_between_many(
-        self, nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray
-    ) -> np.ndarray:
-        """Vectorise :meth:`any_label_between` over parallel int64 arrays."""
         valid = lo <= hi
         lo_c = np.clip(lo, 0, _FANOUT - 1)
         hi_c = np.clip(hi, 0, _FANOUT - 1)

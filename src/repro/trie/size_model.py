@@ -17,9 +17,12 @@ Two families of estimates are provided:
   used by Proteus' trie layer, where every node stores a 2-bit child bitmap.
   This is the ``trieMem(l)`` that Algorithm 1 charges against the bit budget.
 
-The Python reference structures in this repository (pointer tries, sorted
-prefix arrays) do not themselves realise these footprints; the estimates
-define the *size accounting convention*, exactly as the paper's model does.
+The structures that charge these estimates — SuRF's succinct trie
+(:class:`~repro.trie.fst.FastSuccinctTrie`) and Proteus' sorted prefix
+array — do not store exactly these bits; the estimates define the *size
+accounting convention*, exactly as the paper's model does, and
+:mod:`repro.evaluation.size_check` bounds the measured succinct bits
+against them.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ def fst_size_estimate(
     """Estimate the LOUDS-DS footprint of a byte trie in bits.
 
     ``edges_per_level[i]`` is the number of edges entering level ``i + 1``
-    (the layout produced by :meth:`repro.trie.node_trie.ByteTrie.edges_per_level`).
+    (the layout of :attr:`repro.trie.fst.FastSuccinctTrie.edges_per_level`).
     ``nodes_per_level[i]``, when given, is the number of nodes *emitting*
     those edges (i.e. internal nodes at level ``i``); absent that, each
     level's node count is approximated by the edge count entering it, with

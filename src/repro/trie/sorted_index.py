@@ -159,8 +159,8 @@ class SortedBytePrefixIndex:
     those fixed-width strings equals prefix-integer order, so every query is
     a ``searchsorted`` call or two — with no 63-bit width ceiling.  The
     scalar entry points keep :class:`SortedPrefixIndex`'s integer signatures
-    (prefixes and keys as padded big-endian ints), so byte-mode Proteus can
-    use either engine behind the same calls.
+    (prefixes and keys as padded big-endian ints), so Proteus' scalar paths
+    call either index the same way.
     """
 
     __slots__ = ("keys", "length", "width")

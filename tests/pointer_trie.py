@@ -1,10 +1,14 @@
-"""Pointer-based byte trie.
+"""The pointer byte trie: the reference the succinct trie is held to.
 
-This is the builder input for the succinct encodings and the correctness
-oracle used by the test suite.  The trie stores a *prefix-free* set of byte
-strings (if one inserted string is a prefix of another, only the shorter one
-is kept: it covers a superset of the key space, so keeping it preserves the
-no-false-negative guarantee of every filter built on top).
+:class:`ByteTrie` stores a *prefix-free* set of byte strings (if one
+inserted string is a prefix of another, only the shorter one is kept: it
+covers a superset of the key space, so keeping it preserves the
+no-false-negative guarantee of every filter built on top), one dict node
+per byte.  :func:`fst_from_byte_trie` encodes a built trie into the
+LOUDS-DS layout node by node, and :func:`reference_surf_trie` builds
+SuRF-Base's pruned trie one key at a time.  Production code builds
+:class:`~repro.trie.fst.FastSuccinctTrie` straight from sorted prefixes;
+the parity tests hold that build and its probes equal to these.
 
 Stored strings are interpreted as key-space *prefixes*: a stored prefix ``p``
 covers the key interval ``[p·00…00, p·FF…FF]``.  The two queries every range
@@ -18,6 +22,18 @@ filter needs are therefore:
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
+
+from repro.amq.bitarray import BitArray
+from repro.filters.base import key_to_bytes
+from repro.trie.fst import FastSuccinctTrie
+from repro.trie.louds_dense import LoudsDenseTrie
+from repro.trie.louds_sparse import LoudsSparseTrie
+from repro.trie.size_model import fst_prefix_cutoff
+from scalar_reference import min_distinguishing_prefix_lengths
+
+_FANOUT = 256
 
 
 class ByteTrieNode:
@@ -45,47 +61,6 @@ class ByteTrie:
         self.height = 0
         for prefix in sorted(set(bytes(p) for p in prefixes)):
             self._insert(prefix)
-
-    @classmethod
-    def from_sorted_prefix_free(cls, prefixes: Iterable[bytes]) -> "ByteTrie":
-        """Bulk-build from prefixes that are sorted and (nearly) prefix-free.
-
-        The streaming builder behind SuRF's vectorised construction: input
-        must be in ascending lexicographic order with no duplicates; a
-        string that extends an earlier (shorter) one is dropped, exactly as
-        :meth:`insert`'s covering rule would — in sorted order every
-        extension of ``p`` follows ``p`` before any string above ``p``'s
-        subtree, so comparing against the last *kept* leaf suffices.  The
-        result is structurally identical to ``ByteTrie(prefixes)`` at
-        O(total bytes) cost with no per-level dict walks.
-
-        When only the succinct encoding is wanted, skip this class
-        entirely: :meth:`FastSuccinctTrie.from_sorted_prefix_bytes` derives
-        the LOUDS halves from the same sorted input in one
-        ``repro.kernels.trie_levels`` pass, without pointer nodes.
-        """
-        trie = cls()
-        stack = [trie.root]  # stack[d] = node at depth d on the current path
-        previous = b""
-        for prefix in prefixes:
-            if not prefix:
-                raise ValueError("cannot insert an empty prefix")
-            if previous and prefix[: len(previous)] == previous:
-                continue  # covered by the previously kept (shorter) leaf
-            common = 0
-            limit = min(len(previous), len(prefix))
-            while common < limit and previous[common] == prefix[common]:
-                common += 1
-            del stack[common + 1 :]
-            for byte in prefix[common:]:
-                node = ByteTrieNode()
-                stack[-1].children[byte] = node
-                stack.append(node)
-            stack[-1].is_leaf = True
-            trie.num_leaves += 1
-            trie.height = max(trie.height, len(prefix))
-            previous = prefix
-        return trie
 
     def insert(self, prefix: bytes) -> None:
         """Insert ``prefix``, maintaining the prefix-free invariant.
@@ -256,10 +231,6 @@ class ByteTrie:
         """Return the number of edges entering each level (level 1 onwards)."""
         return self.level_counts()[0]
 
-    def internal_nodes_per_level(self) -> list[int]:
-        """Return the number of internal (non-leaf) nodes at each level."""
-        return self.level_counts()[1]
-
     def level_counts(self) -> tuple[list[int], list[int]]:
         """Return ``(edges_per_level, internal_nodes_per_level)`` in one walk.
 
@@ -277,3 +248,92 @@ class ByteTrie:
             if level:
                 edges.append(len(level))
         return edges, internal
+
+
+def fst_from_byte_trie(trie: ByteTrie, cutoff: int | None = None) -> FastSuccinctTrie:
+    """Encode a built :class:`ByteTrie` node by node, in level order.
+
+    ``cutoff`` (number of dense-encoded top levels) defaults to the
+    footprint-minimising prefix cutoff; pass it explicitly to pin a
+    layout (0 = all sparse, ``trie.height`` = all dense) in tests.
+    """
+    edges, internal = trie.level_counts()
+    if cutoff is None:
+        cutoff, _ = fst_prefix_cutoff(edges, internal)
+    if not 0 <= cutoff <= len(edges):
+        raise ValueError(f"dense cutoff {cutoff} outside [0, {len(edges)}]")
+    levels = trie.level_slices()
+    # Dense half: internal nodes of levels [0, cutoff), level order.
+    label_positions: list[int] = []
+    child_positions: list[int] = []
+    node_id = 0
+    for level in levels[:cutoff]:
+        for node, _ in level:
+            if node.is_leaf:
+                continue
+            base = node_id * _FANOUT
+            for label in node.sorted_labels():
+                label_positions.append(base + label)
+                if not node.children[label].is_leaf:
+                    child_positions.append(base + label)
+            node_id += 1
+    dense = (
+        LoudsDenseTrie.from_positions(label_positions, child_positions, node_id)
+        if cutoff > 0
+        else None
+    )
+    # Sparse half: internal nodes of levels [cutoff, height), level order.
+    labels: list[int] = []
+    has_child: list[int] = []
+    louds: list[int] = []
+    num_roots = 0
+    for depth, level in enumerate(levels[cutoff:]):
+        for node, _ in level:
+            if node.is_leaf or not node.children:
+                continue
+            if depth == 0:
+                num_roots += 1
+            louds.append(len(labels))
+            for label in node.sorted_labels():
+                if not node.children[label].is_leaf:
+                    has_child.append(len(labels))
+                labels.append(label)
+    sparse = None
+    if labels:
+        child_bits = BitArray(len(labels))
+        child_bits.set_many(has_child)
+        louds_bits = BitArray(len(labels))
+        louds_bits.set_many(louds)
+        sparse = LoudsSparseTrie(
+            np.array(labels, dtype=np.uint8), child_bits, louds_bits, num_roots
+        )
+    return FastSuccinctTrie(
+        dense, sparse, cutoff, trie.height, trie.num_leaves, edges, internal
+    )
+
+
+def fst_payload(fst: FastSuccinctTrie) -> tuple:
+    """Everything a succinct trie stores, as comparable values."""
+    return (
+        fst.cutoff,
+        fst.height,
+        fst.num_leaves,
+        fst.edges_per_level,
+        None if fst._dense is None else fst._dense.to_bytes(),
+        None if fst._sparse is None else (fst._sparse.to_bytes(), fst._sparse.num_roots),
+    )
+
+
+def reference_surf_trie(keys, width, max_depth=None) -> ByteTrie:
+    """SuRF-Base's pruned trie, one key at a time."""
+    num_bytes = (width + 7) // 8
+    max_depth = max_depth or num_bytes
+    sorted_keys = sorted(set(keys))
+    # Keys are MSB-padded to whole bytes, so a prefix of `bits` key bits
+    # needs ceil((pad + bits) / 8) bytes.
+    pad_bits = 8 * num_bytes - width
+    prefixes = set()
+    for key, bits in zip(sorted_keys, min_distinguishing_prefix_lengths(sorted_keys, width)):
+        depth = min(max_depth, (pad_bits + bits + 7) // 8)
+        prefixes.add(key_to_bytes(key, width)[: max(1, depth)])
+    return ByteTrie(prefixes)

@@ -4,9 +4,9 @@ re-statement of the scalar reference paths.
 Three layers of parity are pinned:
 
 * every filter's ``may_contain_many`` / ``may_intersect_many`` equals a
-  loop over the scalar ``may_contain`` / ``may_intersect`` — including the
-  filters that only have the base-class fallback (SuRF, Rosetta) and
-  integer keys wider than 64 bits, which take the byte path;
+  loop over the scalar ``may_contain`` / ``may_intersect`` — including
+  Rosetta's base-class range fallback and integer keys wider than 64
+  bits, which take the byte path;
 * the numpy CPFPR model agrees with :class:`ScalarCPFPRModel`, the
   per-query reference kept here, to float-summation noise across a grid
   of design points;
@@ -14,9 +14,9 @@ Three layers of parity are pinned:
   seeded workloads (expected FPR may differ in the last ulps — the design
   fields must match exactly).
 
-The per-key SuRF and Rosetta builds are kept here as references too, and
-the compaction merge is pinned to ``tests/scalar_reference.py``'s heap
-merge.
+The per-key SuRF build (``tests/pointer_trie.py``) and Rosetta build are
+references too, and the compaction merge is pinned to
+``tests/scalar_reference.py``'s heap merge.
 
 Since PR 7 the batched paths dispatch through ``repro.kernels``; the
 filter-parity tests therefore run once per *available backend* (forced via
@@ -33,25 +33,23 @@ import pytest
 
 import repro.kernels as kernels
 from conftest import correlated_queries, mixed_queries, random_keys
+from pointer_trie import fst_from_byte_trie, fst_payload, reference_surf_trie
 from repro.amq.bloom import BloomFilter, bloom_fpr
 from repro.api import FilterSpec, Workload, build_filter
 from repro.core.cpfpr import DEFAULT_MAX_PROBES, CPFPRModel
 from repro.core.design import design_one_pbf, design_proteus, design_two_pbf
 from repro.core.prf import OnePBF
 from repro.core.proteus import Proteus
-from repro.filters.base import TrieOracle, key_to_bytes
+from repro.filters.base import TrieOracle
 from repro.filters.prefix_bloom import PrefixBloomFilter, derived_prefix_len
 from repro.filters.rosetta import Rosetta
 from repro.filters.surf import SuRF
 from repro.keys.keyspace import IntegerKeySpace
-from repro.trie.fst import FastSuccinctTrie
-from repro.trie.node_trie import ByteTrie
 from repro.trie.size_model import fst_size_estimate
 from repro.workloads.batch import QueryBatch, coerce_keys, coerce_query_batch
 from repro.workloads.bytekeys import ByteQueryBatch
 from scalar_reference import (
     merge_entry_runs_scalar,
-    min_distinguishing_prefix_lengths,
     query_set_lcp,
     unique_prefix_counts,
 )
@@ -175,21 +173,6 @@ class ScalarCPFPRModel:
         return total / self.num_empty_queries
 
 
-def reference_surf_trie(keys, width, max_depth=None):
-    """SuRF-Base's pruned trie, one key at a time."""
-    num_bytes = (width + 7) // 8
-    max_depth = max_depth or num_bytes
-    sorted_keys = sorted(set(keys))
-    # Keys are MSB-padded to whole bytes, so a prefix of `bits` key bits
-    # needs ceil((pad + bits) / 8) bytes.
-    pad_bits = 8 * num_bytes - width
-    prefixes = set()
-    for key, bits in zip(sorted_keys, min_distinguishing_prefix_lengths(sorted_keys, width)):
-        depth = min(max_depth, (pad_bits + bits + 7) // 8)
-        prefixes.add(key_to_bytes(key, width)[: max(1, depth)])
-    return ByteTrie(prefixes)
-
-
 def reference_rosetta_blooms(keys, width, total_bits, num_levels, seed):
     """Rosetta's per-level Bloom filters, one prefix ``add`` at a time."""
     sorted_keys = sorted(set(keys))
@@ -227,7 +210,6 @@ FILTER_FACTORIES = {
         keys, WIDTH, prefix_len=16, num_bits=24_000
     ),
     "surf": lambda keys, queries: SuRF(keys, WIDTH),
-    "surf_physical": lambda keys, queries: SuRF(keys, WIDTH, physical=True),
     "rosetta": lambda keys, queries: Rosetta(
         keys, WIDTH, total_bits=32_000, num_levels=16
     ),
@@ -308,8 +290,8 @@ def _backend_snapshot(keys, queries, probes) -> dict:
     batch = QueryBatch.from_pairs(queries, WIDTH)
     bloom = BloomFilter(20_000, len(keys), seed=5)
     bloom.add_many(np.array(keys, dtype=np.int64))
-    surf = SuRF(keys, WIDTH, physical=True)
-    fst = surf._fst
+    surf = SuRF(keys, WIDTH)
+    fst = surf.trie
     model = CPFPRModel(keys, WIDTH, queries)
     design = design_proteus(model, 12 * len(keys))
     proteus = Proteus(np.array(keys, dtype=np.int64), WIDTH, design)
@@ -437,28 +419,17 @@ def test_wide_key_space_batch_equals_scalar_loop():
 
 
 def test_surf_vectorised_build_is_bit_identical(workload):
-    # Satellite of the "batched build path" ROADMAP item: the numpy
-    # LCP/depth computation + from_sorted_prefix_free bulk insertion must
-    # produce structurally the same pruned trie as the scalar per-key loop,
-    # at every depth cap.
+    # The numpy LCP/depth computation + the kernel-backed bulk build must
+    # produce the succinct payload of the scalar per-key loop's pruned
+    # pointer trie, encoded node by node, at every depth cap.
     keys, queries, probes = workload
     for max_depth in (None, 2, 3):
         bulk = SuRF(keys, WIDTH, max_depth)
         scalar = reference_surf_trie(keys, WIDTH, max_depth)
-        assert list(bulk._trie.leaves()) == list(scalar.leaves()), max_depth
-        assert bulk._trie.level_counts() == scalar.level_counts(), max_depth
-        assert bulk._trie.height == scalar.height
+        assert fst_payload(bulk.trie) == fst_payload(fst_from_byte_trie(scalar)), max_depth
+        assert bulk.trie_height() == scalar.height
         assert bulk.num_keys == len(set(keys))
         assert bulk.size_in_bits() == fst_size_estimate(*scalar.level_counts()), max_depth
-    # Physical mode encodes the same trie: identical succinct payloads
-    # whichever build path produced it.
-    bulk_fst = SuRF(keys, WIDTH, physical=True)._fst
-    scalar_fst = FastSuccinctTrie.from_byte_trie(reference_surf_trie(keys, WIDTH))
-    assert bulk_fst.size_breakdown() == scalar_fst.size_breakdown()
-    if bulk_fst._sparse is not None:
-        assert bulk_fst._sparse.to_bytes() == scalar_fst._sparse.to_bytes()
-    if bulk_fst._dense is not None:
-        assert bulk_fst._dense.to_bytes() == scalar_fst._dense.to_bytes()
 
 
 def test_surf_non_byte_width_vectorised_build_matches_scalar():
@@ -466,7 +437,8 @@ def test_surf_non_byte_width_vectorised_build_matches_scalar():
     # pad bits) is where they would drift first.
     keys = [0, 64, 65, 300]
     bulk = SuRF(keys, width=9)
-    assert list(bulk._trie.leaves()) == list(reference_surf_trie(keys, 9).leaves())
+    reference = fst_from_byte_trie(reference_surf_trie(keys, 9))
+    assert fst_payload(bulk.trie) == fst_payload(reference)
 
 
 def test_rosetta_vectorised_build_is_bit_identical(workload):

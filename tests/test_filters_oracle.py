@@ -7,8 +7,10 @@ point and range queries alike.  Each filter is driven through the same
 seeded mixed workload (uniform ranges, point lookups, near-miss ranges).
 """
 
+import bisect
 import random
 
+import numpy as np
 import pytest
 
 from conftest import mixed_queries, random_keys
@@ -19,6 +21,7 @@ from repro.filters.prefix_bloom import PrefixBloomFilter
 from repro.filters.rosetta import Rosetta, dyadic_intervals
 from repro.filters.surf import SuRF
 from repro.keys.keyspace import IntegerKeySpace
+from repro.workloads.batch import coerce_keys
 
 WIDTH = 32
 NUM_KEYS = 1500
@@ -77,20 +80,74 @@ def test_zero_false_negatives(name, workload):
         assert filt.may_intersect(key, key)
 
 
-def test_oracle_is_exact(workload):
-    keys, queries, oracle = workload
-    key_set = set(keys)
-    rng = random.Random(103)
-    for _ in range(500):
-        key = rng.randrange(1 << WIDTH)
-        assert oracle.may_contain(key) == (key in key_set)
-    sorted_keys = sorted(key_set)
-    import bisect
+def _int_oracle_case(rng: random.Random, width: int):
+    """Keys and probes in a ``width``-bit space, with the keys around ``2**63``."""
+    top = (1 << width) - 1
+    keys = {0, (1 << 63) - 1, (1 << 63) + 1, top} | {rng.randrange(top) for _ in range(300)}
+    points = sorted(keys)[::3] + [1 << 63, 1, top - 1] + [rng.randrange(top) for _ in range(200)]
+    ranges = [(0, top), (1 << 63, 1 << 63), ((1 << 63) - 1, 1 << 63), (top - 1, top)]
+    for key in sorted(keys)[::2]:
+        span = rng.randrange(1 << rng.choice((4, width // 2)))
+        ranges += [(key, min(key + span, top)), (min(key + 1, top), min(key + 1 + span, top))]
+    return width, sorted(keys), points, ranges
 
-    for lo, hi in queries:
-        index = bisect.bisect_left(sorted_keys, lo)
-        truth = index < len(sorted_keys) and sorted_keys[index] <= hi
-        assert oracle.may_intersect(lo, hi) == truth
+
+def test_oracle_is_exact(workload):
+    # The oracle's scalar and batched answers are one sorted-array search;
+    # bisect over the user's keys pins both, at every key representation:
+    # plain int64 (width 32), the width-64 stored form (keys 0, 2**63 ± 1
+    # and 2**64 - 1, the full-space query), integers wider than 64 bits and
+    # byte strings.
+    keys, queries, _ = workload
+    rng = random.Random(103)
+    cases = [
+        (WIDTH, sorted(set(keys)), [rng.randrange(1 << WIDTH) for _ in range(500)], queries),
+        _int_oracle_case(rng, 64),
+        _int_oracle_case(rng, 80),
+    ]
+    byte_keys = sorted(
+        {
+            bytes([rng.choice(b"abyz")]) + bytes(rng.choice(b"ab\x00yz") for _ in range(length))
+            for length in (rng.randrange(4) for _ in range(200))
+        }
+    )
+    for width, stored, points, ranges in cases:
+        oracle = TrieOracle(stored, width)
+        key_set = set(stored)
+        truth = [point in key_set for point in points]
+        assert [oracle.may_contain(point) for point in points] == truth, width
+        assert oracle.may_contain_many(points).tolist() == truth, width
+        truth = [
+            (index := bisect.bisect_left(stored, lo)) < len(stored) and stored[index] <= hi
+            for lo, hi in ranges
+        ]
+        assert [oracle.may_intersect(lo, hi) for lo, hi in ranges] == truth, width
+        assert oracle.may_intersect_many(ranges).tolist() == truth, width
+    # Byte keys: scalar probes are padded big-endian integers, batched ones
+    # raw byte strings; keys that differ only in trailing nulls are one key.
+    key_set = coerce_keys(byte_keys)
+    oracle = TrieOracle(key_set, key_set.width)
+    length = key_set.width // 8
+
+    def padded(key: bytes) -> int:
+        return int.from_bytes(key.ljust(length, b"\x00"), "big")
+
+    stored = sorted({padded(key) for key in byte_keys})
+    probes = byte_keys[::3] + [key + b"a" for key in byte_keys[::7]] + [b"b\x00", b"zzzzz"]
+    probes = [probe[:length] for probe in probes]
+    truth = [padded(probe) in set(stored) for probe in probes]
+    assert [oracle.may_contain(padded(probe)) for probe in probes] == truth
+    assert oracle.may_contain_many(np.array(probes, dtype=f"S{length}")).tolist() == truth
+    pairs = [tuple(sorted(rng.sample(byte_keys, 2))) for _ in range(150)]
+    pairs += [(key + b"\x01", key + b"\x02") for key in byte_keys[::5] if len(key) < length]
+    pairs += [(b"\x00", b"\xff" * length)]
+    truth = [
+        (index := bisect.bisect_left(stored, padded(lo))) < len(stored)
+        and stored[index] <= padded(hi)
+        for lo, hi in pairs
+    ]
+    assert [oracle.may_intersect(padded(lo), padded(hi)) for lo, hi in pairs] == truth
+    assert oracle.may_intersect_many(pairs).tolist() == truth
 
 
 def test_oracle_empty_key_set():

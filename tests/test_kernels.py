@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.kernels as kernels
+from pointer_trie import ByteTrie, fst_from_byte_trie
 from repro.amq.bitarray import BitArray
 from repro.amq.bloom import BloomFilter, bloom_fpr
 from repro.amq.hashing import mix64_many, premixed_pair_seeds
@@ -25,7 +26,6 @@ from repro.kernels import _cc_backend
 from repro.obs.metrics import MetricsRegistry
 from repro.trie.bitvector import RankSelectBitVector
 from repro.trie.fst import FastSuccinctTrie
-from repro.trie.node_trie import ByteTrie
 
 COMPILED = [name for name in kernels.available_backends() if name != "numpy"]
 
@@ -144,7 +144,7 @@ def test_bulk_fst_builder_matches_byte_trie_encoding():
     rng = random.Random(29)
     for _ in range(10):
         prefixes = _random_prefix_set(rng)
-        reference = FastSuccinctTrie.from_byte_trie(ByteTrie(prefixes))
+        reference = fst_from_byte_trie(ByteTrie(prefixes))
         bulk = FastSuccinctTrie.from_sorted_prefix_bytes(prefixes)
         assert bulk.cutoff == reference.cutoff
         assert bulk.num_leaves == reference.num_leaves

@@ -3,17 +3,18 @@
 Four layers of guarantees are pinned here:
 
 * **navigation** — FastSuccinctTrie answers point and range probes exactly
-  like the pointer ByteTrie it encodes, across every dense/sparse cutoff,
-  including the edge cases the ISSUE calls out (empty trie, single key,
-  all-keys-share-prefix, cutoff boundary) and rank/select round-trips;
+  like the pointer ``ByteTrie`` (``tests/pointer_trie.py``) it encodes,
+  across every dense/sparse cutoff, including the edge cases (empty trie,
+  single key, all-keys-share-prefix, cutoff boundary) and rank/select
+  round-trips;
 * **build** — the vectorised uniform-prefix bulk build is byte-identical
-  to the ByteTrie-walk build;
+  to the node-by-node encoding of the pointer trie;
 * **size** — measured footprints bracket the size model's prediction
   within the documented tolerance (and hit it exactly at the pinned
   layouts);
-* **integration** — SuRF's ``physical=True`` mode and Proteus'
-  ``trie_impl="fst"`` answer identically to their reference
-  implementations with zero false negatives, through the registry.
+* **integration** — SuRF answers identically to the pruned pointer trie
+  of its reference build, with zero false negatives, and
+  ``FSTPrefixIndex`` answers as the ``SortedPrefixIndex`` Proteus queries.
 """
 
 import random
@@ -21,14 +22,14 @@ import random
 import numpy as np
 import pytest
 
-from conftest import clustered_keys, mixed_queries, random_keys
+from conftest import clustered_keys, mixed_queries, random_keys, zipf_keys
+from pointer_trie import ByteTrie, fst_from_byte_trie, reference_surf_trie
 from repro.api import FilterSpec, Workload, build_filter
-from repro.core.proteus import Proteus
 from repro.filters.base import TrieOracle, key_to_bytes
 from repro.filters.surf import SuRF
+from repro.keys.keyspace import IntegerKeySpace
 from repro.trie.bitvector import RankSelectBitVector
 from repro.trie.fst import FastSuccinctTrie, FSTPrefixIndex
-from repro.trie.node_trie import ByteTrie
 from repro.trie.size_model import (
     DENSE_BITS_PER_NODE,
     SPARSE_BITS_PER_EDGE,
@@ -36,7 +37,7 @@ from repro.trie.size_model import (
     fst_size_estimate,
 )
 from repro.trie.sorted_index import SortedPrefixIndex
-from repro.workloads.batch import EncodedKeySet, QueryBatch
+from repro.workloads.batch import QueryBatch, encode_ints
 
 WIDTH = 32
 
@@ -60,6 +61,26 @@ def _assert_matches_byte_trie(trie, fst, rng, width_bytes, samples=300):
             lo,
             hi,
         )
+
+
+def _assert_surf_matches_pointer_trie(keys, queries, max_depth, rng):
+    """SuRF answers as the per-key pruned pointer trie, with zero false negatives."""
+    surf = SuRF(keys, WIDTH, max_depth)
+    pointer = reference_surf_trie(keys, WIDTH, max_depth)
+    truth = TrieOracle(keys, WIDTH).may_intersect_many(QueryBatch.from_pairs(queries, WIDTH))
+    answers = surf.may_intersect_many(QueryBatch.from_pairs(queries, WIDTH))
+    assert not (~answers & truth).any()
+    expected = [
+        pointer.range_overlaps(key_to_bytes(lo, WIDTH), key_to_bytes(hi, WIDTH))
+        for lo, hi in queries
+    ]
+    assert answers.tolist() == expected
+    assert [surf.may_intersect(lo, hi) for lo, hi in queries[:150]] == expected[:150]
+    assert surf.may_contain_many(np.array(keys, dtype=np.int64)).all()
+    probes = keys[:100] + [rng.randrange(1 << WIDTH) for _ in range(200)]
+    assert [surf.may_contain(key) for key in probes] == [
+        pointer.match_prefix_of(key_to_bytes(key, WIDTH)) is not None for key in probes
+    ]
 
 
 class TestRankSelect:
@@ -101,14 +122,14 @@ class TestLoudsNavigation:
         }
         trie = ByteTrie(prefixes)
         resolved = trie.height if cutoff == "height" else cutoff
-        fst = FastSuccinctTrie.from_byte_trie(trie, resolved)
+        fst = fst_from_byte_trie(trie, resolved)
         if resolved is not None:
             assert fst.cutoff == resolved
         assert len(fst) == trie.num_leaves
         _assert_matches_byte_trie(trie, fst, rng, width_bytes)
 
     def test_empty_trie(self):
-        fst = FastSuccinctTrie.from_byte_trie(ByteTrie())
+        fst = fst_from_byte_trie(ByteTrie())
         assert len(fst) == 0 and fst.height == 0
         assert fst.size_in_bits() == 0
         assert not fst.match_prefix_of(b"\x00")
@@ -142,7 +163,7 @@ class TestLoudsNavigation:
         prefixes = [int(k).to_bytes(3, "big") for k in keys]
         trie = ByteTrie(prefixes)
         for cutoff in (0, 1, 2, 3):
-            fst = FastSuccinctTrie.from_byte_trie(trie, cutoff)
+            fst = fst_from_byte_trie(trie, cutoff)
             _assert_matches_byte_trie(trie, fst, rng, 3, samples=200)
 
     def test_cutoff_boundary_sizes(self):
@@ -152,7 +173,7 @@ class TestLoudsNavigation:
         edges, internal = trie.level_counts()
         assert edges == [2, 2]
         for cutoff in (0, 1, 2):
-            fst = FastSuccinctTrie.from_byte_trie(trie, cutoff)
+            fst = fst_from_byte_trie(trie, cutoff)
             expected = sum(
                 DENSE_BITS_PER_NODE * internal[level]
                 if level < cutoff
@@ -163,7 +184,7 @@ class TestLoudsNavigation:
             breakdown = fst.size_breakdown()
             assert breakdown["dense"] + breakdown["sparse"] == expected
         with pytest.raises(ValueError):
-            FastSuccinctTrie.from_byte_trie(trie, 3)
+            fst_from_byte_trie(trie, 3)
 
     def test_default_cutoff_minimises_over_prefixes(self):
         rng = random.Random(44)
@@ -171,12 +192,12 @@ class TestLoudsNavigation:
         trie = ByteTrie(key_to_bytes(k, WIDTH) for k in keys)
         edges, internal = trie.level_counts()
         cutoff, total = fst_prefix_cutoff(edges, internal)
-        fst = FastSuccinctTrie.from_byte_trie(trie)
+        fst = fst_from_byte_trie(trie)
         assert fst.cutoff == cutoff
         assert fst.size_in_bits() == total
         assert fst_size_estimate(edges, internal) <= total
         others = [
-            FastSuccinctTrie.from_byte_trie(trie, c).size_in_bits()
+            fst_from_byte_trie(trie, c).size_in_bits()
             for c in range(len(edges) + 1)
         ]
         assert total == min(others)
@@ -220,7 +241,7 @@ class TestBulkBuild:
         )
         for cutoff in (None, 0, num_bytes):
             bulk = FastSuccinctTrie.from_uniform_prefixes(values, num_bytes, cutoff)
-            reference = FastSuccinctTrie.from_byte_trie(reference_trie, cutoff)
+            reference = fst_from_byte_trie(reference_trie, cutoff)
             assert bulk.cutoff == reference.cutoff
             assert bulk.size_in_bits() == reference.size_in_bits()
             assert (bulk._dense is None) == (reference._dense is None)
@@ -292,21 +313,30 @@ class TestFSTPrefixIndex:
             np.array(keys, dtype=np.int64), length, width
         )
         assert len(reference) == len(succinct)
-        for prefix in range(1 << length):
-            assert reference.contains(prefix) == succinct.contains(prefix)
-        for _ in range(300):
-            key = rng.randrange(1 << width)
-            assert reference.contains_prefix_of(key) == succinct.contains_prefix_of(
-                key
-            )
-            lo = rng.randrange(1 << width)
-            hi = min((1 << width) - 1, lo + rng.randrange(1, 50_000))
-            assert reference.overlaps(lo, hi) == succinct.overlaps(lo, hi)
+        every_prefix = np.arange(1 << length, dtype=np.int64)
+        assert succinct.contains_many(every_prefix).tolist() == [
+            reference.contains(prefix) for prefix in range(1 << length)
+        ]
+        probes = [rng.randrange(1 << width) for _ in range(300)]
+        assert succinct.contains_many(
+            np.array(probes, dtype=np.int64) >> (width - length)
+        ).tolist() == [reference.contains_prefix_of(key) for key in probes]
         prefixes = np.array(
             [rng.randrange(1 << length) for _ in range(300)], dtype=np.int64
         )
         assert (
             succinct.contains_many(prefixes) == reference.contains_many(prefixes)
+        ).all()
+        # Each query draws its own span, so short spans (both bounds in one
+        # l-block) and long ones (crossing many blocks) both occur.
+        los = np.array([rng.randrange(1 << width) for _ in range(300)], dtype=np.int64)
+        spans = np.array([rng.randrange(1, 50_000) for _ in range(300)], dtype=np.int64)
+        his = np.minimum((1 << width) - 1, los + spans)
+        assert succinct.overlaps_many(los, his).tolist() == [
+            reference.overlaps(lo, hi) for lo, hi in zip(los.tolist(), his.tolist())
+        ]
+        assert (
+            succinct.overlaps_many(los, his) == reference.overlaps_many(los, his)
         ).all()
         los = np.array([rng.randrange(1 << width) for _ in range(300)], dtype=np.int64)
         his = np.minimum((1 << width) - 1, los + 9999)
@@ -316,9 +346,8 @@ class TestFSTPrefixIndex:
 
     def test_wide_key_space_falls_back(self):
         # Width 64 stores keys and prefixes as int64 less 2**(l - 1); both
-        # indexes take those and agree, scalar and batched, up to l = 64.
-        from repro.workloads.batch import encode_ints
-
+        # indexes take those and agree with the sorted index's scalar
+        # answers, up to l = 64.
         user = [0, 3, (1 << 63) - 1, 1 << 63, (1 << 63) + 5, (1 << 64) - 1]
         keys = encode_ints(user, 64)
         for length in (1, 7, 63, 64):
@@ -326,7 +355,7 @@ class TestFSTPrefixIndex:
             succinct = FSTPrefixIndex.from_keys(keys, length, 64)
             assert len(reference) == len(succinct)
             for key in keys.tolist():
-                assert succinct.contains_prefix_of(key) and reference.contains_prefix_of(key)
+                assert reference.contains_prefix_of(key)
             bounds = [
                 (0, 10), (1 << 62, 1 << 63), ((1 << 63) + 6, (1 << 64) - 2), (0, (1 << 64) - 1)
             ]
@@ -334,7 +363,6 @@ class TestFSTPrefixIndex:
             his = encode_ints([hi for _, hi in bounds], 64)
             pairs = list(zip(los.tolist(), his.tolist()))
             expected = [reference.overlaps(lo, hi) for lo, hi in pairs]
-            assert [succinct.overlaps(lo, hi) for lo, hi in pairs] == expected
             assert succinct.overlaps_many(los, his).tolist() == expected
             assert reference.overlaps_many(los, his).tolist() == expected
             prefixes = keys >> np.int64(64 - length)
@@ -346,8 +374,12 @@ class TestFSTPrefixIndex:
             FSTPrefixIndex([4], length=2, width=8)  # 4 needs 3 bits
         with pytest.raises(ValueError):
             FSTPrefixIndex([0], length=0, width=8)
-        with pytest.raises(ValueError):
-            FSTPrefixIndex([0], length=2, width=8).overlaps(5, 4)
+        # The trie's scalar range probe keeps its bound checks.
+        fst = FastSuccinctTrie.from_prefixes([b"ab"])
+        with pytest.raises(ValueError, match="empty"):
+            fst.range_overlaps(b"b", b"a")
+        with pytest.raises(ValueError, match="same byte length"):
+            fst.range_overlaps(b"a", b"ab")
 
 
 class TestPhysicalSuRF:
@@ -359,105 +391,55 @@ class TestPhysicalSuRF:
         return keys, queries
 
     def test_zero_false_negatives_and_parity(self, workload):
+        # SuRF's answers are the pruned pointer trie's, scalar and batched.
         keys, queries = workload
-        pointer = SuRF(keys, WIDTH)
-        physical = SuRF(keys, WIDTH, physical=True)
-        oracle = TrieOracle(keys, WIDTH)
-        batch = QueryBatch.from_pairs(queries, WIDTH)
-        truth = oracle.may_intersect_many(batch)
-        answers = physical.may_intersect_many(batch)
-        assert not (~answers & truth).any()
-        assert (answers == pointer.may_intersect_many(batch)).all()
-        assert physical.may_contain_many(np.array(keys, dtype=np.int64)).all()
-        for lo, hi in queries[:150]:
-            assert physical.may_intersect(lo, hi) == pointer.may_intersect(lo, hi)
+        _assert_surf_matches_pointer_trie(keys, queries, None, random.Random(50))
+
+    @pytest.mark.parametrize(
+        "key_dist, max_depth",
+        [("uniform", 2), ("zipf", None), ("zipf", 2), ("clustered", None), ("clustered", 3)],
+    )
+    def test_skewed_keys_and_capped_depths_match_pointer_trie(self, key_dist, max_depth):
+        # Skewed key sets prune at uneven depths and a capped trie merges
+        # colliding prefixes; both must still answer as the pointer trie.
+        rng = random.Random(51)
+        draw = {"uniform": random_keys, "zipf": zipf_keys, "clustered": clustered_keys}
+        keys = list(draw[key_dist](rng, 1500, WIDTH))
+        queries = mixed_queries(rng, keys, 600, WIDTH)
+        _assert_surf_matches_pointer_trie(keys, queries, max_depth, rng)
 
     def test_measured_size_within_tolerance(self, workload):
         keys, _ = workload
         for max_depth in (2, 4):
-            physical = SuRF(keys, WIDTH, max_depth, physical=True)
-            predicted = physical.modelled_size_in_bits()
-            measured = physical.size_in_bits()
+            surf = SuRF(keys, WIDTH, max_depth)
+            predicted = surf.size_in_bits()
+            measured = surf.trie.size_in_bits()
             assert predicted <= measured <= predicted * (1 + SIZE_TOLERANCE)
-            breakdown = physical.size_breakdown()
+            breakdown = surf.trie.size_breakdown()
             assert breakdown["dense"] + breakdown["sparse"] == measured
 
-    def test_from_spec_physical_param(self, workload):
-        keys, queries = workload
-        workload_bundle = Workload(
-            EncodedKeySet(keys, WIDTH), QueryBatch.from_pairs(queries, WIDTH)
-        )
-        modelled = build_filter(
-            FilterSpec("surf", 14.0), workload_bundle.keys, workload_bundle
-        )
-        physical = build_filter(
-            FilterSpec("surf", 14.0, {"physical": True}),
-            workload_bundle.keys,
-            workload_bundle,
-        )
-        assert physical.physical and not modelled.physical
-        assert physical.size_breakdown().keys() == {"dense", "sparse"}
-        # Same keys, same depth rule: answers agree whenever depths agree.
-        if physical.max_depth == modelled.max_depth:
-            batch = workload_bundle.queries
-            assert (
-                physical.may_intersect_many(batch)
-                == modelled.may_intersect_many(batch)
-            ).all()
-
     def test_empty_and_single_key_filters(self):
-        empty = SuRF([], WIDTH, physical=True)
+        empty = SuRF([], WIDTH)
         assert not empty.may_contain(3)
         assert not empty.may_intersect(0, (1 << WIDTH) - 1)
         assert empty.size_in_bits() == 0
-        single = SuRF([123456], WIDTH, physical=True)
+        single = SuRF([123456], WIDTH)
         assert single.may_contain(123456)
         assert single.may_intersect(0, (1 << WIDTH) - 1)
 
-
-class TestProteusFstTrie:
-    def test_fst_trie_layer_matches_sorted(self):
-        rng = random.Random(49)
-        keys = clustered_keys(rng, 2000, WIDTH)
-        queries = mixed_queries(rng, keys, 800, WIDTH)
-        workload = Workload(
-            EncodedKeySet(keys, WIDTH), QueryBatch.from_pairs(queries, WIDTH)
-        )
-        sorted_impl = build_filter(
-            FilterSpec("proteus", 16.0), workload.keys, workload
-        )
-        fst_impl = build_filter(
-            FilterSpec(
-                "proteus", 16.0, {"max_probes": 16, "seed": 0, "trie_impl": "fst"}
-            ),
-            workload.keys,
-            workload,
-        )
-        assert fst_impl.trie_impl == "fst"
-        assert fst_impl.design == sorted_impl.design
-        batch = workload.queries
-        assert (
-            fst_impl.may_intersect_many(batch)
-            == sorted_impl.may_intersect_many(batch)
-        ).all()
-        probes = np.array(
-            keys[:300] + [rng.randrange(1 << WIDTH) for _ in range(300)],
-            dtype=np.int64,
-        )
-        assert (
-            fst_impl.may_contain_many(probes) == sorted_impl.may_contain_many(probes)
-        ).all()
-        for lo, hi in queries[:150]:
-            assert fst_impl.may_intersect(lo, hi) == sorted_impl.may_intersect(lo, hi)
-        if fst_impl.design.trie_depth > 0:
-            assert fst_impl.trie_layer_measured_bits() > 0
-
-    def test_unknown_trie_impl_rejected(self):
-        from repro.core.design import FilterDesign
-
-        design = FilterDesign("proteus", 8, 16, 100, 1000, 0.1)
-        with pytest.raises(ValueError, match="trie_impl"):
-            Proteus([1, 2, 3], WIDTH, design, trie_impl="fancy")
+    def test_engine_knobs_are_gone(self, workload):
+        # One trie engine per filter: no constructor or spec parameter
+        # picks another.
+        keys, queries = workload
+        with pytest.raises(TypeError):
+            SuRF(keys, WIDTH, physical=True)
+        bundle = Workload(keys, queries, key_space=IntegerKeySpace(WIDTH))
+        for spec in (
+            FilterSpec("surf", 14.0, {"physical": True}),
+            FilterSpec("proteus", 14.0, {"trie_impl": "fst"}),
+        ):
+            with pytest.raises(ValueError, match="unknown parameter"):
+                build_filter(spec, bundle.keys, bundle)
 
 
 class TestSizeCheckDriver:

@@ -18,11 +18,13 @@ next to Bloom filters, Proteus filters and unfiltered SSTs, so all four
 (positive, truth) classes — missed reads included — occur and are
 compared.  Proteus designs are drawn by hypothesis (trie-only, Bloom-only
 and both layers, trie depths off byte boundaries, ``max_probes`` of 1, 2
-and 64, some ``trie_impl="fst"`` tries), so one level mixes the SSTs the
-level layout answers in one pass with those that keep their own
-``probe_many`` call.  Between the two probes one SST's filter is swapped
-through ``SSTable.attach_filter``, and a shared-memory snapshot
-(``attach_tree``) must probe like its source.
+and 64, some "foreign" filters built over a neighbouring SST's keys), so
+one level mixes the SSTs the level layout answers in one pass with those
+that keep their own ``probe_many`` call: a foreign filter whose stored
+trie blocks miss its SST's fences is left to ``probe_many``, and one whose
+blocks meet them is answered by the layout.  Between the two probes one
+SST's filter is swapped through ``SSTable.attach_filter``, and a
+shared-memory snapshot (``attach_tree``) must probe like its source.
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ class CoinFlipFilter:
 
 #: A Proteus design shape: which layers, raw depth draws (fitted to the
 #: SST's width by :func:`proteus_filter`), Bloom bits, max_probes, and
-#: whether an integer SST gets the succinct FST trie.
+#: whether the filter is foreign (built over a neighbouring SST's keys).
 #: Weighted toward the shapes whose answers depend on the level layout's
 #: details: both layers, shallow tries (their blocks span neighbouring
 #: SSTs), tiny Bloom layers (frequent false positives) and 64 probes.
@@ -165,9 +167,15 @@ DESIGNS = st.tuples(
 )
 
 
-def proteus_filter(sst, shape, seed: int) -> Proteus:
-    """A Proteus filter over ``sst``'s keys with the drawn design shape."""
-    layers, depth, length, bloom_bits, max_probes, fst = shape
+def proteus_filter(sst, shape, seed: int, ssts) -> Proteus:
+    """A Proteus filter for ``sst`` with the drawn design shape.
+
+    A foreign filter is built over the keys of the SST after ``sst`` in
+    ``ssts`` (the tree's SSTs, in order; the first one after the last), so
+    its stored blocks may miss ``sst``'s fences.
+    """
+    layers, depth, length, bloom_bits, max_probes, foreign = shape
+    source = ssts[(ssts.index(sst) + 1) % len(ssts)] if foreign else sst
     width = sst.width
     l1 = l2 = 0
     if layers == "trie":
@@ -178,8 +186,7 @@ def proteus_filter(sst, shape, seed: int) -> Proteus:
         l1 = 1 + depth % (width - 1)
         l2 = l1 + 1 + length % (width - l1)
     design = FilterDesign("proteus", l1, l2, 0, bloom_bits if l2 else 0, 0.0)
-    trie_impl = "fst" if fst and not sst.keys.is_bytes else "sorted"
-    return Proteus(sst.keys, width, design, max_probes, seed, trie_impl)
+    return Proteus(source.keys, width, design, max_probes, seed)
 
 
 def attach(tree: LSMTree, mode: str, seed: int, designs=()) -> LSMTree:
@@ -189,21 +196,22 @@ def attach(tree: LSMTree, mode: str, seed: int, designs=()) -> LSMTree:
     include Proteus SSTs only when some are given.
     """
     rng = random.Random(seed)
-    for sst in tree.sstables():
+    ssts = tree.sstables()
+    for sst in ssts:
         choice = {"filtered": "bloom", "unfiltered": "none", "proteus": "proteus"}.get(mode)
         if choice is None:
             choice = rng.choice(["bloom", "none", "coin", "proteus"][: 4 if designs else 3])
-        attach_one(sst, choice, rng, designs)
+        attach_one(sst, choice, rng, designs, ssts)
     return tree
 
 
-def attach_one(sst, choice: str, rng: random.Random, designs) -> None:
+def attach_one(sst, choice: str, rng: random.Random, designs, ssts) -> None:
     if choice == "bloom":
         sst.attach_filter(build_filter(FilterSpec("bloom", 8.0), sst.keys))
     elif choice == "coin":
         sst.attach_filter(CoinFlipFilter(sst.width, rng.randrange(1 << 30)))
     elif choice == "proteus":
-        sst.attach_filter(proteus_filter(sst, rng.choice(designs), rng.randrange(3)))
+        sst.attach_filter(proteus_filter(sst, rng.choice(designs), rng.randrange(3), ssts))
     else:
         sst.clear_filter()
 
@@ -213,8 +221,9 @@ def swapper(tree: LSMTree, seed: int, designs):
     rng = random.Random(seed)
 
     def swap():
-        sst = rng.choice(tree.sstables())
-        attach_one(sst, rng.choice(["bloom", "none", "coin", "proteus"]), rng, designs)
+        ssts = tree.sstables()
+        sst = rng.choice(ssts)
+        attach_one(sst, rng.choice(["bloom", "none", "coin", "proteus"]), rng, designs, ssts)
 
     return swap
 

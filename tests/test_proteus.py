@@ -38,8 +38,8 @@ class TestLazyPackage:
         # Star-import pulls every encoder alongside the original names.
         namespace: dict = {}
         exec("from repro.trie import *", namespace)
-        assert "ByteTrie" in namespace
         assert "FastSuccinctTrie" in namespace
+        assert "FSTPrefixIndex" in namespace
         assert "LoudsDenseTrie" in namespace
         assert "LoudsSparseTrie" in namespace
 

@@ -1,12 +1,13 @@
-"""Unit tests for the trie substrate: byte trie (including the unsorted-insert
-regression), rank/select vector, sorted prefix index and size models."""
+"""Unit tests for the trie substrate: the pointer byte trie the succinct trie
+is held to (including the unsorted-insert regression), rank/select vector,
+sorted prefix index and size models."""
 
 import random
 
 import pytest
 
+from pointer_trie import ByteTrie
 from repro.trie.bitvector import RankSelectBitVector
-from repro.trie.node_trie import ByteTrie
 from repro.trie.size_model import (
     binary_trie_size_estimate,
     fst_size_estimate,
