@@ -55,8 +55,8 @@ class Workload:
             else:
                 keys = EncodedKeySet.from_raw(concrete, key_space)
         if key_space is None and keys.is_bytes:
-            # Attach the matching string space so scalar raw-domain probes
-            # against built filters encode through the padded-integer view.
+            # Attach the matching string space: build_filter hands it to
+            # every filter, whose scalar probes then take raw strings.
             key_space = StringKeySpace((keys.width + 7) // 8)
         if key_space is not None and key_space.width != keys.width:
             raise ValueError(
@@ -70,8 +70,9 @@ class Workload:
                     f"key set width {keys.width}"
                 )
         elif keys.is_bytes:
-            # Raw byte pairs become a ByteQueryBatch, padded-integer pairs a
-            # scalar-contract QueryBatch — coerce_query_batch dispatches.
+            # Raw byte pairs become a ByteQueryBatch, padded-integer pairs
+            # a QueryBatch of the padded integers (a byte filter converts
+            # it to bytes) — coerce_query_batch dispatches.
             queries = coerce_query_batch(list(queries), keys.width)
         elif key_space is not None:
             queries = QueryBatch.from_raw(queries, key_space)

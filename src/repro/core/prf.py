@@ -26,8 +26,7 @@ from repro.core.design import FilterDesign, design_one_pbf, design_two_pbf
 from repro.filters.base import RangeFilter, check_spec_params, resolve_spec_inputs
 from repro.filters.prefix_bloom import PrefixBloomFilter
 from repro.obs.metrics import timed
-from repro.workloads.batch import as_key_array, coerce_keys, coerce_query_batch
-from repro.workloads.bytekeys import byte_probe_matrix
+from repro.workloads.batch import coerce_keys
 
 
 class OnePBF(PrefixBloomFilter):
@@ -62,7 +61,6 @@ class OnePBF(PrefixBloomFilter):
             seed=int(params.get("seed", 0)),
         )
         instance.design = design
-        instance.key_space = workload.key_space
         return instance
 
     @property
@@ -157,7 +155,6 @@ class TwoPBF(RangeFilter):
             seed=int(params.get("seed", 0)),
         )
         instance.design = design
-        instance.key_space = workload.key_space
         return instance
 
     @property
@@ -167,29 +164,9 @@ class TwoPBF(RangeFilter):
             raise AttributeError("expected_fpr is only available on built filters")
         return self.design.expected_fpr
 
-    # Each probe is encoded once, here, and both layers read the result.
-
-    def may_contain(self, key) -> bool:
-        encoded = self._encode(key)
-        first, second = self._first, self._second
-        return first._may_contain_encoded(encoded) and second._may_contain_encoded(encoded)
-
-    def may_intersect(self, lo, hi) -> bool:
-        lo, hi = self._encode_range(lo, hi)
-        first, second = self._first, self._second
-        return first._may_intersect_encoded(lo, hi) and second._may_intersect_encoded(lo, hi)
-
-    def may_contain_many(self, keys) -> np.ndarray:
-        if self.is_bytes:
-            mat = byte_probe_matrix(keys, self.width)
-            if mat is None:
-                return super().may_contain_many(keys)  # padded big-integer probes
-            return self._first._contains_rows(mat) & self._second._contains_rows(mat)
-        arr = as_key_array(keys, self.width)
-        return self._first._contains_stored(arr) & self._second._contains_stored(arr)
-
     def may_intersect_many(self, queries) -> np.ndarray:
-        batch = coerce_query_batch(queries, self.width)
+        """Positive only where both layers are: the batch is coerced once, here."""
+        batch = self._batch(queries)
         return self._first.may_intersect_many(batch) & self._second.may_intersect_many(
             batch
         )

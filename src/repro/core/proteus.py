@@ -25,12 +25,15 @@ dropped key — so the filter has **zero false negatives** by construction.
 Byte-string key sets (:class:`~repro.workloads.ByteKeySet`) build the same
 two layers over canonical prefix *bytes*: the trie becomes a
 :class:`~repro.trie.sorted_index.SortedBytePrefixIndex` and the Bloom layer
-hashes
-:func:`~repro.keys.bytestr.prefix_item_bytes` items.  One semantic
-difference: the byte range path probes every covered ``l2``-slot once the
-trie gate passes, with no per-slot ``l1`` pruning — the CPFPR byte
-evaluator charges precisely that probe set, so the model still predicts
-the filter it designs.
+hashes :func:`~repro.keys.bytestr.mask_rows` prefix rows.  One semantic
+difference: the byte path probes every covered ``l2``-slot once the trie
+gate passes, with no per-slot ``l1`` pruning — the CPFPR byte evaluator
+charges precisely that probe set, so the model still predicts the filter
+it designs.
+
+A point query is the range ``[k, k]`` (:class:`~repro.filters.base.
+RangeFilter` defines the point and scalar probes once), so
+:meth:`Proteus.may_intersect_many` is the filter's one probe.
 """
 
 from __future__ import annotations
@@ -48,22 +51,11 @@ from repro.filters.base import (
     ragged_ranges,
     resolve_spec_inputs,
 )
-from repro.keys.bytestr import (
-    byte_slot_bounds,
-    expand_slot_rows,
-    mask_rows,
-    prefix_item_bytes,
-    scalar_slot_clamped,
-)
+from repro.keys.bytestr import byte_slot_bounds, expand_slot_rows
 from repro.obs.metrics import timed
 from repro.trie.sorted_index import SortedBytePrefixIndex, SortedPrefixIndex
-from repro.workloads.batch import (
-    as_key_array,
-    coerce_keys,
-    coerce_query_batch,
-    slot_bounds,
-)
-from repro.workloads.bytekeys import ByteQueryBatch, byte_probe_matrix
+from repro.workloads.batch import coerce_keys, slot_bounds
+from repro.workloads.bytekeys import ByteQueryBatch
 
 
 class Proteus(RangeFilter):
@@ -138,12 +130,10 @@ class Proteus(RangeFilter):
         with timed(metrics, "build.design_seconds"):
             design = design_proteus(model, total_bits, metrics)
         with timed(metrics, "build.instantiate_seconds"):
-            instance = cls(
+            return cls(
                 key_set, key_set.width, design,
                 max_probes=max_probes, seed=int(params.get("seed", 0)),
             )
-        instance.key_space = workload.key_space
-        return instance
 
     @property
     def expected_fpr(self) -> float:
@@ -160,95 +150,12 @@ class Proteus(RangeFilter):
         """The Bloom layer (``None`` when ``bloom_prefix_len == 0``)."""
         return self._bloom
 
-    def may_contain(self, key) -> bool:
-        return self._may_contain_encoded(self._encode(key))
-
-    def _may_contain_encoded(self, encoded: int) -> bool:
-        if self.num_keys == 0:
-            return False
-        if self._trie is not None and not self._trie.contains_prefix_of(encoded):
-            return False
-        if self._bloom is not None:
-            l2 = self.design.bloom_prefix_len
-            prefix = encoded >> (self.width - l2)
-            if self.is_bytes:
-                return self._bloom.contains_bytes(prefix_item_bytes(prefix, l2))
-            return self._bloom.contains(prefix)
-        return True
-
-    def may_intersect(self, lo, hi) -> bool:
-        return self._may_intersect_encoded(*self._encode_range(lo, hi))
-
-    def _may_intersect_encoded(self, lo: int, hi: int) -> bool:
-        if self.num_keys == 0:
-            return False
-        trie = self._trie
-        if trie is not None and not trie.overlaps(lo, hi):
-            return False
-        bloom = self._bloom
-        if bloom is None:
-            return True
-        l1, l2 = self.design.trie_depth, self.design.bloom_prefix_len
-        shift = self.width - l2
-        plo, phi = lo >> shift, hi >> shift
-        if self.is_bytes:
-            # Byte mode probes every covered slot once the trie gate passes —
-            # no per-slot l1 pruning — exactly the behaviour the CPFPR byte
-            # evaluator charges, so the model predicts this filter, not the
-            # integer one.
-            if scalar_slot_clamped(plo, phi, l2, self.max_probes):
-                return True  # probe clamp: conservative positive
-            return any(
-                bloom.contains_bytes(prefix_item_bytes(prefix, l2))
-                for prefix in range(plo, phi + 1)
-            )
-        if phi - plo + 1 > self.max_probes:
-            return True  # probe clamp: conservative positive (modelled as such)
-        gap = l2 - l1
-        for prefix in range(plo, phi + 1):
-            if trie is not None and not trie.contains(prefix >> gap):
-                continue  # no key below this l1-prefix: skipping is exact
-            if bloom.contains(prefix):
-                return True
-        return False
-
-    def may_contain_many(self, keys) -> np.ndarray:
-        """Batched :meth:`may_contain`."""
-        if self.is_bytes:
-            mat = byte_probe_matrix(keys, self.width)
-            if mat is None:
-                # Padded big-integer probes take the scalar loop: the int64
-                # path below hashes integer items, not prefix bytes, and
-                # would disagree with the byte-built Bloom layer.
-                return super().may_contain_many(keys)
-            if self.num_keys == 0:
-                return np.zeros(mat.shape[0], dtype=bool)
-            out = np.ones(mat.shape[0], dtype=bool)
-            if self._trie is not None:
-                out &= self._trie.contains_rows(mask_rows(mat, self.design.trie_depth))
-            if self._bloom is not None:
-                out &= self._bloom.contains_bytes_rows(
-                    mask_rows(mat, self.design.bloom_prefix_len)
-                )
-            return out
-        arr = as_key_array(keys, self.width)
-        if self.num_keys == 0:
-            return np.zeros(arr.size, dtype=bool)
-        out = np.ones(arr.size, dtype=bool)
-        if self._trie is not None:
-            shift1 = np.int64(self.width - self.design.trie_depth)
-            out &= self._trie.contains_many(arr >> shift1)
-        if self._bloom is not None:
-            shift2 = np.int64(self.width - self.design.bloom_prefix_len)
-            out &= self._bloom.contains_many(arr >> shift2)
-        return out
-
     def _may_intersect_bytes(self, batch: ByteQueryBatch) -> np.ndarray:
         """Byte-mode batch ranges: trie gate, then slot-window Bloom probes.
 
         The gate is interval-level only; every covered ``l2``-slot of a gated
-        unclamped query is probed (no per-slot ``l1`` pruning), mirroring the
-        scalar byte path and the CPFPR byte evaluator's probe accounting.
+        unclamped query is probed (no per-slot ``l1`` pruning), the CPFPR
+        byte evaluator's probe accounting.
         """
         n = len(batch)
         if self.num_keys == 0:
@@ -274,10 +181,8 @@ class Proteus(RangeFilter):
         return out
 
     def may_intersect_many(self, queries) -> np.ndarray:
-        """Batched :meth:`may_intersect`."""
-        batch = coerce_query_batch(queries, self.width)
-        if self.is_bytes != isinstance(batch, ByteQueryBatch):
-            return super().may_intersect_many(batch)  # padded big-integer bounds
+        """Trie gate, then the Bloom probes of each query's covered ``l2``-slots."""
+        batch = self._batch(queries)
         if self.is_bytes:
             return self._may_intersect_bytes(batch)
         if self.num_keys == 0:
@@ -301,8 +206,8 @@ class Proteus(RangeFilter):
             hits = bloom.contains_many(flat)
             if trie is not None:
                 # Only l2-slots extending a stored l1-prefix count; a Bloom
-                # positive on an uncovered slot is discarded, exactly as the
-                # scalar path never probes it.
+                # positive on an uncovered slot is discarded (no key lies
+                # below it, so skipping it is exact).
                 hits &= trie.contains_many(flat >> np.int64(l2 - l1))
             out[todo] = np.logical_or.reduceat(hits, seg_starts)
         return out

@@ -1,8 +1,9 @@
 """Range filters: the common interface and the paper's fixed baselines.
 
 * :class:`~repro.filters.base.RangeFilter` — the interface every filter in
-  this repository implements (``may_contain`` / ``may_intersect``, both with
-  zero false negatives, plus size accounting).
+  this repository implements: one batched range probe,
+  ``may_intersect_many``, with zero false negatives (the point and scalar
+  probes are defined on it once), plus size accounting.
 * :class:`~repro.filters.base.TrieOracle` — the exact ground truth used by
   the randomized test-suite.
 * :class:`~repro.filters.prefix_bloom.PrefixBloomFilter` — fixed-prefix
@@ -19,7 +20,7 @@ the CPFPR model and Algorithm 1.  Every family also implements the registry
 build protocol ``from_spec(spec, keys, workload)`` — see :mod:`repro.api`.
 """
 
-from repro.filters.base import RangeFilter, TrieOracle, key_to_bytes
+from repro.filters.base import RangeFilter, TrieOracle
 from repro.filters.prefix_bloom import PointBloomFilter, PrefixBloomFilter
 from repro.filters.rosetta import Rosetta, dyadic_intervals
 from repro.filters.surf import SuRF
@@ -27,7 +28,6 @@ from repro.filters.surf import SuRF
 __all__ = [
     "RangeFilter",
     "TrieOracle",
-    "key_to_bytes",
     "PrefixBloomFilter",
     "PointBloomFilter",
     "SuRF",

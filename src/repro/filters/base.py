@@ -2,18 +2,16 @@
 
 Every filter in :mod:`repro.filters` and :mod:`repro.core` implements
 :class:`RangeFilter`: an immutable structure built over a set of keys
-(``width``-bit unsigned integers, see :mod:`repro.keys`) that answers
-
-* ``may_contain(key)`` — point-membership, and
-* ``may_intersect(lo, hi)`` — does the inclusive range ``[lo, hi]`` contain
-  a key?
-
-with *no false negatives*: a ``False`` answer is definite, a ``True`` answer
-may be wrong with some false positive rate.  :class:`TrieOracle` is the one
-filter with a zero false positive rate — it keeps the key set's sorted
-stored array and answers every probe by binary search — and serves as the
-ground truth the randomized test-suite checks every probabilistic filter
-against.
+(``width``-bit unsigned integers, see :mod:`repro.keys`) that answers, per
+query of a batch, does the inclusive range ``[lo, hi]`` contain a key
+(``may_intersect_many``) — with *no false negatives*: a ``False`` answer is
+definite, a ``True`` answer may be wrong with some false positive rate.
+Point queries are the ranges ``[k, k]`` and scalar probes one-row batches
+(``may_contain``, ``may_intersect``, ``may_contain_many``), defined once in
+the base class.  :class:`TrieOracle` is the one filter with a zero false
+positive rate — it keeps the key set's sorted stored array and answers
+every probe by binary search — and serves as the ground truth the
+randomized test-suite checks every probabilistic filter against.
 """
 
 from __future__ import annotations
@@ -25,11 +23,12 @@ import numpy as np
 
 from repro.keys.keyspace import KeySpace
 from repro.workloads.batch import (
-    as_key_array,
+    MAX_INT64_WIDTH,
+    QueryBatch,
     coerce_keys,
     coerce_query_batch,
-    encode_ints,
 )
+from repro.workloads.bytekeys import ByteQueryBatch
 from repro.workloads.keyset import KeySet
 
 #: Key width assumed by ``from_spec`` when neither a workload, an
@@ -124,97 +123,84 @@ def ragged_ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, 
     return flat, seg_starts
 
 
-def key_to_bytes(key: int, width: int) -> bytes:
-    """Render a ``width``-bit user key as big-endian bytes (MSB-padded to bytes).
-
-    Padding the *top* of the integer to a whole number of bytes preserves
-    both ordering and prefix structure, so byte-granular tries remain exact
-    for widths that are not byte multiples.  Stored keys go through
-    :func:`~repro.workloads.batch.decode_ints` first.
-    """
-    num_bytes = (width + 7) // 8
-    return key.to_bytes(num_bytes, "big")
-
-
 class RangeFilter(ABC):
-    """An approximate range-membership structure with no false negatives."""
+    """An approximate range-membership structure with no false negatives.
+
+    A family implements one probe, :meth:`may_intersect_many`; a point
+    query is the range ``[k, k]`` and a scalar probe a one-row batch, both
+    defined here once.
+    """
 
     #: Number of bits in the integer view of a key.
     width: int
     #: Number of distinct keys the filter was built over.
     num_keys: int
-    #: Optional :class:`~repro.keys.keyspace.KeySpace` set by self-designing
-    #: builders; when present, raw-domain queries are encoded through it.
+    #: Optional :class:`~repro.keys.keyspace.KeySpace` (``build_filter``
+    #: attaches the workload's); the scalar probes encode raw-domain keys
+    #: through it.
     key_space: KeySpace | None = None
-    #: Whether the filter was built over byte keys; its scalar probes are
+    #: Whether the filter was built over byte keys; its integer probes are
     #: then padded big-endian integers, never the int64 stored form.
     is_bytes: bool = False
 
-    def _encode(self, key) -> int:
-        """One probe key in the form the filter stores (width 64: ``key - 2**63``)."""
-        if self.key_space is not None:
-            key = self.key_space.encode(key)
-        return key if self.is_bytes else encode_ints(key, self.width)
+    @abstractmethod
+    def may_intersect_many(self, queries) -> np.ndarray:
+        """Per query, False only if ``[lo, hi]`` definitely contains no key.
 
-    def _encode_range(self, lo, hi) -> tuple[int, int]:
-        """Check ``[lo, hi]`` on the user's bounds, then encode both once."""
+        Accepts a :class:`~repro.workloads.batch.QueryBatch` or any
+        iterable of inclusive ``(lo, hi)`` pairs in the integer view of the
+        filter's key space (byte/str bounds for byte keys); returns one
+        boolean per query, in order.
+        """
+
+    def may_intersect(self, lo, hi) -> bool:
+        """Return False only if ``[lo, hi]`` definitely contains no key."""
         if self.key_space is not None:
             lo, hi = self.key_space.encode(lo), self.key_space.encode(hi)
         self._check_range(lo, hi)
-        if self.is_bytes:
-            return lo, hi
-        return encode_ints(lo, self.width), encode_ints(hi, self.width)
+        return bool(self.may_intersect_many([(lo, hi)])[0])
 
-    @abstractmethod
-    def may_contain(self, key: int) -> bool:
+    def may_contain(self, key) -> bool:
         """Return False only if ``key`` is definitely not in the key set."""
-
-    @abstractmethod
-    def may_intersect(self, lo: int, hi: int) -> bool:
-        """Return False only if ``[lo, hi]`` definitely contains no key."""
-
-    # ------------------------------------------------------------------ #
-    # Batch API                                                          #
-    # ------------------------------------------------------------------ #
-    #
-    # Both batch methods take keys in the integer view of the filter's key
-    # space (or a KeySet / QueryBatch already in its stored form) and
-    # return a boolean numpy array aligned with the input.  The base
-    # implementations loop over the scalar methods, so third-party
-    # subclasses inherit correct (if unaccelerated) batch behaviour for
-    # free; the filters in this repository override them with vectorised
-    # paths.
+        return self.may_intersect(key, key)
 
     def may_contain_many(self, keys) -> np.ndarray:
-        """Per-key :meth:`may_contain` over a batch of keys.
+        """Per-key :meth:`may_contain` over a batch: the point batch ``[k, k]``.
 
-        Accepts a numpy array, a :class:`~repro.workloads.keyset.KeySet`,
-        or any iterable of keys; returns one boolean per input key, in
-        order.
+        Accepts a :class:`~repro.workloads.keyset.KeySet` (its stored keys,
+        never encoded again), an integer or ``S`` array, or any iterable of
+        keys; returns one boolean per input key, in order.
         """
         if isinstance(keys, KeySet):
-            probes = keys.as_list()
+            arr = keys.keys
+            kind = ByteQueryBatch if keys.is_bytes else QueryBatch
+            batch = kind._trusted(arr, arr, keys.width)
+        elif isinstance(keys, np.ndarray) and keys.dtype.kind == "S":
+            batch = ByteQueryBatch(keys, keys, (self.width + 7) // 8)
+        elif isinstance(keys, np.ndarray) and keys.dtype.kind in "iu" and (
+            self.width <= MAX_INT64_WIDTH
+        ):
+            batch = QueryBatch(keys, keys, self.width)
         else:
-            probes = keys.tolist() if isinstance(keys, np.ndarray) else list(keys)
-        return np.fromiter(
-            (self.may_contain(key) for key in probes),
-            dtype=bool,
-            count=len(probes),
-        )
+            keys = list(keys)
+            batch = coerce_query_batch(zip(keys, keys), self.width)
+        return self.may_intersect_many(batch)
 
-    def may_intersect_many(self, queries) -> np.ndarray:
-        """Per-query :meth:`may_intersect` over a batch of range queries.
+    def _batch(self, queries) -> QueryBatch:
+        """``queries`` as a validated batch in the representation the filter stores.
 
-        Accepts a :class:`~repro.workloads.batch.QueryBatch` or any
-        iterable of inclusive ``(lo, hi)`` pairs; returns one boolean per
-        query, in order.
+        Integer bounds against a byte filter are padded big-endian integers
+        and become a :class:`~repro.workloads.bytekeys.ByteQueryBatch` of
+        their bytes; byte bounds against an integer filter become the
+        padded integers of :meth:`ByteQueryBatch.pairs`.
         """
         batch = coerce_query_batch(queries, self.width)
-        return np.fromiter(
-            (self.may_intersect(lo, hi) for lo, hi in batch.pairs()),
-            dtype=bool,
-            count=len(batch),
-        )
+        if self.is_bytes == isinstance(batch, ByteQueryBatch):
+            return batch
+        pairs = list(batch.pairs())
+        if self.is_bytes:
+            return ByteQueryBatch.from_pairs(pairs, (self.width + 7) // 8)
+        return QueryBatch.from_pairs(pairs, self.width)
 
     @abstractmethod
     def size_in_bits(self) -> int:
@@ -251,10 +237,10 @@ class TrieOracle(RangeFilter):
     """Exact range filter: zero false positives *and* zero false negatives.
 
     Stores every key, unabridged: the key set's sorted stored array (``int64``
-    or padded ``S`` dtype, both of which sort in key order), searched by
-    ``searchsorted`` for scalar and batched probes alike.  Its answers define
-    correctness for every other filter: ``other.may_*`` must be ``True``
-    whenever the oracle's is.
+    or padded ``S`` dtype, both of which sort in key order), searched by one
+    ``searchsorted`` per batch.  Its answers define correctness for every
+    other filter: ``other.may_*`` must be ``True`` whenever the oracle's
+    is.
     """
 
     def __init__(self, keys, width: int):
@@ -278,52 +264,13 @@ class TrieOracle(RangeFilter):
         key_set, _ = resolve_spec_inputs(spec, keys, workload)
         return cls(key_set, key_set.width)
 
-    def _probe(self, key) -> np.ndarray:
-        """One scalar probe as a one-element array in the stored form.
-
-        Integer keys are encoded once (:func:`~repro.workloads.batch.
-        encode_ints`); a byte key set's probes are padded big-endian
-        integers, rendered into the array's ``S`` dtype.
-        """
-        if self.is_bytes:
-            return np.array([key_to_bytes(key, self.width)], dtype=self._sorted.dtype)
-        return np.array([encode_ints(key, self.width)], dtype=np.int64)
-
-    def _contains(self, probes: np.ndarray) -> np.ndarray:
-        """Whether each stored-form probe is a stored key."""
-        if not self.num_keys:
-            return np.zeros(probes.size, dtype=bool)
-        index = np.searchsorted(self._sorted, probes)
-        return (index < self.num_keys) & (self._sorted.take(index, mode="clip") == probes)
-
-    def _intersects(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-        """Whether each stored-form ``[lo, hi]`` holds a key: the first key >= lo is <= hi."""
-        if not self.num_keys:
-            return np.zeros(los.size, dtype=bool)
-        index = np.searchsorted(self._sorted, los)
-        return (index < self.num_keys) & (self._sorted.take(index, mode="clip") <= his)
-
-    def may_contain(self, key: int) -> bool:
-        return bool(self._contains(self._probe(key))[0])
-
-    def may_intersect(self, lo: int, hi: int) -> bool:
-        self._check_range(lo, hi)
-        return bool(self._intersects(self._probe(lo), self._probe(hi))[0])
-
-    def may_contain_many(self, keys) -> np.ndarray:
-        if not self.is_bytes:
-            return self._contains(as_key_array(keys, self.width))
-        # Byte mode: probe the padded S-dtype view (memcmp == key order).
-        arr = keys.keys if isinstance(keys, KeySet) else np.asarray(keys)
-        if arr.dtype.kind != "S":
-            return super().may_contain_many(keys)  # padded big-integer probes
-        return self._contains(arr)
-
     def may_intersect_many(self, queries) -> np.ndarray:
-        batch = coerce_query_batch(queries, self.width)
-        if self.is_bytes != (batch.los.dtype.kind == "S"):
-            return super().may_intersect_many(batch)  # padded big-integer bounds
-        return self._intersects(batch.los, batch.his)
+        """Whether each ``[lo, hi]`` holds a key: the first key >= lo is <= hi."""
+        batch = self._batch(queries)
+        if not self.num_keys:
+            return np.zeros(len(batch), dtype=bool)
+        index = np.searchsorted(self._sorted, batch.los)
+        return (index < self.num_keys) & (self._sorted.take(index, mode="clip") <= batch.his)
 
     def size_in_bits(self) -> int:
         # The oracle stores every key verbatim; charge the raw key bits.

@@ -1,9 +1,9 @@
 """Fixed-prefix-length prefix Bloom filter.
 
 The simplest range-filter design the paper considers (Section 2): hash the
-``prefix_len``-bit prefix of every key into a Bloom filter.  A point query
-probes one prefix; a range query probes every ``prefix_len``-prefix that
-intersects the range (the ``Q_l`` set of the CPFPR model).  When a range
+``prefix_len``-bit prefix of every key into a Bloom filter.  A range query
+probes every ``prefix_len``-prefix that intersects the range (the ``Q_l``
+set of the CPFPR model); a point query, the range ``[k, k]``, probes one.  When a range
 spans more prefixes than ``max_probes`` the filter gives up and returns
 ``True`` — returning a conservative positive is always safe, and the CPFPR
 model accounts for exactly this clamp.
@@ -26,17 +26,10 @@ from repro.filters.base import (
     ragged_ranges,
     resolve_spec_inputs,
 )
-from repro.keys.bytestr import (
-    byte_slot_bounds,
-    expand_slot_rows,
-    mask_rows,
-    prefix_item_bytes,
-    scalar_slot_clamped,
-)
+from repro.keys.bytestr import byte_slot_bounds, expand_slot_rows
 from repro.keys.lcp import bit_length_many
-from repro.keys.prefix import prefix_of, prefix_range
-from repro.workloads.batch import as_key_array, coerce_keys, coerce_query_batch, slot_bounds
-from repro.workloads.bytekeys import ByteQueryBatch, byte_probe_matrix
+from repro.workloads.batch import coerce_keys, slot_bounds
+from repro.workloads.bytekeys import ByteQueryBatch
 
 #: Default clamp on Bloom probes per range query (mirrored by the CPFPR model).
 DEFAULT_MAX_PROBES = 64
@@ -89,8 +82,8 @@ class PrefixBloomFilter(RangeFilter):
         prefixes = key_set.prefixes(prefix_len)
         self._bloom = BloomFilter(num_bits, max(1, len(prefixes)), seed=seed)
         if self.is_bytes:
-            # Canonical prefix-byte rows, hashed row-parallel; every probe
-            # path below encodes to the same bytes, so no path can disagree.
+            # Canonical prefix-byte rows, hashed row-parallel; the probe
+            # path below hashes its slot rows to the same bytes.
             self.num_prefixes = int(prefixes.shape[0])
             self._bloom.add_bytes_rows(prefixes)
         else:
@@ -120,56 +113,6 @@ class PrefixBloomFilter(RangeFilter):
             seed=int(params.get("seed", 0)),
         )
 
-    def _probe_prefix(self, prefix: int) -> bool:
-        """Probe one prefix value through the representation-correct item."""
-        if self.is_bytes:
-            return self._bloom.contains_bytes(
-                prefix_item_bytes(prefix, self.prefix_len)
-            )
-        return self._bloom.contains(prefix)
-
-    def may_contain(self, key) -> bool:
-        return self._may_contain_encoded(self._encode(key))
-
-    def _may_contain_encoded(self, key: int) -> bool:
-        if self.num_keys == 0:
-            return False
-        return self._probe_prefix(prefix_of(key, self.prefix_len, self.width))
-
-    def may_intersect(self, lo, hi) -> bool:
-        return self._may_intersect_encoded(*self._encode_range(lo, hi))
-
-    def _may_intersect_encoded(self, lo: int, hi: int) -> bool:
-        if self.num_keys == 0:
-            return False
-        plo, phi = prefix_range(lo, hi, self.prefix_len, self.width)
-        if self.is_bytes:
-            if scalar_slot_clamped(plo, phi, self.prefix_len, self.max_probes):
-                return True
-        elif phi - plo + 1 > self.max_probes:
-            return True
-        return any(self._probe_prefix(prefix) for prefix in range(plo, phi + 1))
-
-    def may_contain_many(self, keys) -> np.ndarray:
-        if self.is_bytes:
-            mat = byte_probe_matrix(keys, self.width)
-            if mat is None:
-                return super().may_contain_many(keys)  # padded big-integer probes
-            return self._contains_rows(mat)
-        return self._contains_stored(as_key_array(keys, self.width))
-
-    def _contains_rows(self, mat: np.ndarray) -> np.ndarray:
-        """Batch point probes of a byte filter, one probe row per key."""
-        if self.num_keys == 0:
-            return np.zeros(mat.shape[0], dtype=bool)
-        return self._bloom.contains_bytes_rows(mask_rows(mat, self.prefix_len))
-
-    def _contains_stored(self, arr: np.ndarray) -> np.ndarray:
-        """Batch point probes of an integer filter, over stored int64 keys."""
-        if self.num_keys == 0:
-            return np.zeros(arr.size, dtype=bool)
-        return self._bloom.contains_many(arr >> np.int64(self.width - self.prefix_len))
-
     def _may_intersect_bytes(self, batch: ByteQueryBatch) -> np.ndarray:
         """Byte-mode batch ranges: slot-window enumeration + bulk row probes."""
         plo_rows, base, span, clamped = byte_slot_bounds(
@@ -186,9 +129,8 @@ class PrefixBloomFilter(RangeFilter):
         return out
 
     def may_intersect_many(self, queries) -> np.ndarray:
-        batch = coerce_query_batch(queries, self.width)
-        if self.is_bytes != isinstance(batch, ByteQueryBatch):
-            return super().may_intersect_many(batch)  # padded big-integer bounds
+        """Probe every ``prefix_len``-slot each query covers, up to the clamp."""
+        batch = self._batch(queries)
         if self.num_keys == 0:
             return np.zeros(len(batch), dtype=bool)
         if self.is_bytes:

@@ -47,7 +47,6 @@ from repro.amq.bloom import BloomFilter
 from repro.filters.base import RangeFilter, check_spec_params, resolve_spec_inputs
 from repro.keys.bytestr import prefix_item_bytes
 from repro.workloads.batch import coerce_keys
-from repro.workloads.bytekeys import byte_probe_matrix
 
 #: Probe budget per range query; exceeding it returns a conservative positive.
 DEFAULT_MAX_PROBES = 256
@@ -161,23 +160,25 @@ class Rosetta(RangeFilter):
             return bloom.contains_bytes(prefix_item_bytes(prefix, level))
         return bloom.contains(prefix)
 
-    def may_contain(self, key) -> bool:
-        if self.num_keys == 0:
-            return False
-        return self._probe_level(self._encode(key), self.width)
+    def may_intersect_many(self, queries) -> np.ndarray:
+        """Doubt each query's dyadic decomposition, one query at a time.
 
-    def may_contain_many(self, keys) -> np.ndarray:
-        if self.is_bytes and self.num_keys:
-            # Bottom level stores whole padded keys — one bulk row probe.
-            mat = byte_probe_matrix(keys, self.width)
-            if mat is not None:
-                return self._blooms[self.width].contains_bytes_rows(mat)
-        return super().may_contain_many(keys)
-
-    def may_intersect(self, lo, hi) -> bool:
-        lo, hi = self._encode_range(lo, hi)
+        Bounds are the stored form for integer keys and padded big-endian
+        integers for byte keys.
+        """
+        batch = self._batch(queries)
         if self.num_keys == 0:
-            return False
+            return np.zeros(len(batch), dtype=bool)
+        if self.is_bytes:
+            bounds = batch.pairs()
+        else:
+            bounds = zip(batch.los.tolist(), batch.his.tolist())
+        return np.fromiter(
+            (self._intersects(lo, hi) for lo, hi in bounds), dtype=bool, count=len(batch)
+        )
+
+    def _intersects(self, lo: int, hi: int) -> bool:
+        """One query: doubt its dyadic intervals under one probe budget."""
         budget = self.max_probes
         for prefix, level in dyadic_intervals(lo, hi, self.width):
             # _doubt answers True (conservative) when invoked with an

@@ -14,12 +14,13 @@ is pinned in ``tests/test_batch_parity.py``) and encoded as a
 :class:`~repro.trie.fst.FastSuccinctTrie` (LOUDS-Dense top + LOUDS-Sparse
 bottom at the footprint-minimising cutoff), built straight from the sorted
 prefix list by :meth:`FastSuccinctTrie.from_sorted_prefix_bytes` (one
-``repro.kernels.trie_levels`` pass).  Scalar and batched probes run on the
-succinct structure.  ``size_in_bits()`` is the size model's LOUDS-DS
-estimate (:meth:`FastSuccinctTrie.modelled_size_in_bits`), the paper's
-accounting; the trie's measured bits are ``surf.trie.size_in_bits()``,
-which :mod:`repro.evaluation.size_check` holds within a documented
-tolerance of the estimate.
+``repro.kernels.trie_levels`` pass).  Probes are level-synchronous batch
+walks of the succinct structure; a point query is the range ``[k, k]``.
+``size_in_bits()`` is the size model's LOUDS-DS estimate
+(:meth:`FastSuccinctTrie.modelled_size_in_bits`), the paper's accounting;
+the trie's measured bits are ``surf.trie.size_in_bits()``, which
+:mod:`repro.evaluation.size_check` holds within a documented tolerance of
+the estimate.
 
 ``max_depth`` caps the trie depth in bytes — the knob the paper turns to
 trade SuRF's memory against its FPR.  Prefixes truncated by the cap may
@@ -33,27 +34,12 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.filters.base import (
-    RangeFilter,
-    check_spec_params,
-    key_to_bytes,
-    resolve_spec_inputs,
-)
+from repro.filters.base import RangeFilter, check_spec_params, resolve_spec_inputs
 from repro.keys.bytestr import unique_rows
 from repro.keys.lcp import min_distinguishing_prefix_lengths_array
 from repro.trie.fst import FastSuccinctTrie
-from repro.workloads.batch import (
-    EncodedKeySet,
-    as_key_array,
-    coerce_keys,
-    coerce_query_batch,
-    decode_ints,
-)
-from repro.workloads.bytekeys import (
-    ByteKeySet,
-    ByteQueryBatch,
-    byte_probe_matrix,
-)
+from repro.workloads.batch import EncodedKeySet, coerce_keys, decode_ints
+from repro.workloads.bytekeys import ByteKeySet
 
 
 class SuRF(RangeFilter):
@@ -93,13 +79,12 @@ class SuRF(RangeFilter):
         collisions dedup to equal strings and a natural (uncapped)
         distinguishing prefix is never a prefix of another key's, so the
         merged sorted list is prefix-free up to the covering rule of the bulk
-        build (:meth:`FastSuccinctTrie.from_sorted_prefix_bytes`).
-        Keys are MSB-padded to whole bytes
-        (:func:`~repro.filters.base.key_to_bytes`), so a prefix of ``bits``
-        key bits occupies padded-encoding bits
-        ``[pad, pad + bits)`` and needs ``ceil((pad + bits) / 8)`` bytes —
-        ignoring the pad would round distinct keys onto one coarser byte
-        prefix for non-byte widths.
+        build (:meth:`FastSuccinctTrie.from_sorted_prefix_bytes`).  Keys
+        are big-endian and padded at the top to whole bytes, so a prefix of
+        ``bits`` key bits occupies padded-encoding bits ``[pad, pad + bits)``
+        and needs ``ceil((pad + bits) / 8)`` bytes — ignoring the pad would
+        round distinct keys onto one coarser byte prefix for non-byte
+        widths.
         """
         arr = key_set.keys
         self.num_keys = int(arr.size)
@@ -177,31 +162,9 @@ class SuRF(RangeFilter):
         """The pruned trie; ``trie.size_in_bits()`` is its measured footprint."""
         return self._fst
 
-    def may_contain(self, key: int) -> bool:
-        return self._fst.match_prefix_of(key_to_bytes(key, self.width))
-
-    def may_intersect(self, lo: int, hi: int) -> bool:
-        self._check_range(lo, hi)
-        return self._fst.range_overlaps(
-            key_to_bytes(lo, self.width), key_to_bytes(hi, self.width)
-        )
-
-    def may_contain_many(self, keys) -> np.ndarray:
-        """Batched point probes: one level-synchronous walk of the trie."""
-        if self.is_bytes:
-            mat = byte_probe_matrix(keys, self.width)
-            if mat is None:
-                # Padded big-integer probes: the scalar loop handles them.
-                return super().may_contain_many(keys)
-            return self._fst.may_contain_matrix(mat)
-        arr = as_key_array(keys, self.width)
-        return self._fst.may_contain_many(decode_ints(arr, self.width), (self.width + 7) // 8)
-
     def may_intersect_many(self, queries) -> np.ndarray:
-        """Batched range probes: one level-synchronous walk of the trie."""
-        batch = coerce_query_batch(queries, self.width)
-        if self.is_bytes != isinstance(batch, ByteQueryBatch):
-            return super().may_intersect_many(batch)  # padded big-integer bounds
+        """Range probes: one level-synchronous walk of the trie per batch."""
+        batch = self._batch(queries)
         if self.is_bytes:
             return self._fst.may_intersect_matrix(batch.lo_matrix, batch.hi_matrix)
         return self._fst.may_intersect_many(

@@ -7,9 +7,10 @@ bytes to the maximum key length and use a width of ``8 * max_len`` bits, which
 is exactly the treatment described in Section 7 of the paper.
 
 The :class:`~repro.keys.keyspace.KeySpace` classes encapsulate that mapping;
-:mod:`repro.keys.prefix` provides prefix arithmetic and
-:mod:`repro.keys.lcp` the longest-common-prefix computations that drive the
-CPFPR model.
+:mod:`repro.keys.lcp` provides the longest-common-prefix computations that
+drive the CPFPR model and :mod:`repro.keys.bytestr` the byte-matrix
+primitives of byte keys.  A key's ``l``-bit prefix is ``key >> (width -
+l)``, formed in place by the array code that needs it.
 """
 
 from repro.keys.keyspace import IntegerKeySpace, KeySpace, StringKeySpace
@@ -19,15 +20,6 @@ from repro.keys.lcp import (
     min_distinguishing_prefix_lengths_array,
     query_set_lcp_many,
     unique_prefix_counts_array,
-)
-from repro.keys.prefix import (
-    extend_prefix_max,
-    extend_prefix_min,
-    prefix_of,
-    prefix_range,
-    prefix_range_count,
-    prefix_to_range,
-    truncate_to_prefix,
 )
 
 __all__ = [
@@ -39,11 +31,4 @@ __all__ = [
     "min_distinguishing_prefix_lengths_array",
     "query_set_lcp_many",
     "unique_prefix_counts_array",
-    "prefix_of",
-    "prefix_range",
-    "prefix_range_count",
-    "prefix_to_range",
-    "truncate_to_prefix",
-    "extend_prefix_min",
-    "extend_prefix_max",
 ]

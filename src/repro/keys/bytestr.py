@@ -5,8 +5,8 @@ sorted variable-length key set as a dense ``(n, L)`` ``uint8`` matrix of
 keys null-padded to the maximum length ``L``.  Padding with trailing nulls
 preserves lexicographic order (``memcmp`` semantics), so the matrix rows —
 and equivalently numpy's fixed-width ``S{L}`` byte strings over the same
-memory — sort and search identically to the big-endian ``8*L``-bit integer
-view the scalar filters use.  Everything here exploits that equivalence:
+memory — sort and search identically to the keys' big-endian ``8*L``-bit
+integer view.  Everything here exploits that equivalence:
 
 * prefix extraction is column truncation plus one masked byte;
 * LCPs come from the first differing byte of a row XOR;
@@ -14,8 +14,8 @@ view the scalar filters use.  Everything here exploits that equivalence:
   :func:`repro.amq.hashing.hash_bytes_64`, bit-exact with the scalar hash
   of the same canonical prefix bytes;
 * range filters enumerate prefix *slots* through a low-64-bit window over
-  the trailing eight prefix bytes, with a conservative clamp (shared with
-  the scalar byte path) when a slot interval crosses a window boundary.
+  the trailing eight prefix bytes, with a conservative clamp when a slot
+  interval crosses a window boundary.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "prefix_item_bytes",
     "row_values",
     "rows_as_strings",
-    "scalar_slot_clamped",
     "strings_as_rows",
     "unique_rows",
     "window_values",
@@ -184,8 +183,8 @@ def byte_slot_bounds(
     where unclamped), and the conservative clamp.  A query is clamped when
     it covers more than ``max_probes`` slots *or* when its slot interval
     crosses a boundary of the low-64-bit window (the bytes above the
-    trailing eight differ) — the same rule :func:`scalar_slot_clamped`
-    applies, so scalar and batched byte probes answer identically.
+    trailing eight differ).  The CPFPR byte evaluator charges clamped
+    queries as certain positives, as the filters answer them.
     """
     n = lo_mat.shape[0]
     nb = (prefix_bits + 7) // 8
@@ -236,20 +235,9 @@ def expand_slot_rows(
 def prefix_item_bytes(prefix: int, prefix_bits: int) -> bytes:
     """Canonical byte encoding of a ``prefix_bits``-bit prefix value.
 
-    Every byte-mode Bloom interaction — vectorised construction, batched
-    probes, and the scalar fallbacks — hashes exactly these
-    ``ceil(prefix_bits/8)`` bytes, so the paths cannot disagree.
+    The bytes of the :func:`mask_rows` row of the prefix, so a probe of one
+    prefix value (Rosetta's dyadic doubting) hashes what the row-parallel
+    construction inserted.
     """
     nb = (prefix_bits + 7) // 8
     return int(prefix << (8 * nb - prefix_bits)).to_bytes(nb, "big")
-
-
-def scalar_slot_clamped(plo: int, phi: int, prefix_bits: int, max_probes: int) -> bool:
-    """Scalar twin of :func:`byte_slot_bounds`'s clamp rule."""
-    if phi - plo > max_probes - 1:
-        return True
-    nb = (prefix_bits + 7) // 8
-    if nb <= 8:
-        return False
-    window = 64 - (8 * nb - prefix_bits)
-    return (plo >> window) != (phi >> window)

@@ -538,9 +538,8 @@ class FSTPrefixIndex:
     Proteus' trie layer stores every distinct ``length``-bit key prefix.
     This index realises that set as a uniform-depth
     :class:`FastSuccinctTrie` over the prefixes' ``ceil(length / 8)``-byte
-    big-endian renderings (MSB-padded, which preserves order and prefix
-    structure exactly as :func:`repro.filters.base.key_to_bytes` does for
-    keys), and answers the batched queries of
+    big-endian renderings (padded at the top to whole bytes, which
+    preserves order and prefix structure), and answers the batched queries of
     :class:`~repro.trie.sorted_index.SortedPrefixIndex` — prefix membership
     and interval overlap — so :mod:`repro.evaluation.size_check` can hold
     the two equal.  Prefixes and keys arrive in the key set's stored form

@@ -17,7 +17,6 @@ queries) that the test-suite and the benchmark harness share.
 from repro.workloads.batch import (
     EncodedKeySet,
     QueryBatch,
-    as_key_array,
     coerce_keys,
     coerce_query_batch,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "EncodedKeySet",
     "KeySet",
     "QueryBatch",
-    "as_key_array",
     "coerce_keys",
     "coerce_query_batch",
     "DATASETS",

@@ -27,13 +27,13 @@ width.  Integer keys then go by width:
 :func:`encode_ints` turns user integers into the stored form and
 :func:`decode_ints` turns stored values back; every other module calls
 these two.  Keys are encoded on the way in (the constructors, the
-coercers, the probe helpers, the filters' scalar entry points) and decoded
-on the way out (:meth:`EncodedKeySet.as_list`, fences, :meth:`QueryBatch.
-pairs`); inside, code reads the stored arrays.
+coercers, the probe helpers) and decoded on the way out
+(:meth:`EncodedKeySet.as_list`, fences, :meth:`QueryBatch.pairs`);
+inside, code reads the stored arrays.
 
-Both types validate on construction with the same rules as the scalar
-entry points (``RangeFilter._check_range`` for queries), so a batch handed
-to any filter or model is already known to be well-formed.  Stored arrays
+Both types validate on construction with the same rules (and messages) as
+``RangeFilter._check_range``, so a batch handed to any filter or model is
+already known to be well-formed.  Stored arrays
 that cross a boundary (a worker process, a merged run) are wrapped with the
 ``_trusted`` constructors, which neither check nor encode again.
 """
@@ -51,7 +51,6 @@ from repro.workloads.keyset import KeySet
 __all__ = [
     "EncodedKeySet",
     "QueryBatch",
-    "as_key_array",
     "coerce_keys",
     "coerce_query_batch",
     "decode_ints",
@@ -345,7 +344,7 @@ class QueryBatch:
             self.his = encode_ints(his, width, check=False)
         except ValueError:
             # A bound the stored form cannot hold: report the first bad
-            # query exactly as the scalar _check_range would.
+            # query exactly as RangeFilter._check_range would.
             for lo, hi in zip(np.asarray(los).tolist(), np.asarray(his).tolist()):
                 _check_pair(lo, hi, width)
             raise
@@ -382,9 +381,9 @@ class QueryBatch:
         if self.width < MAX_INT64_WIDTH:
             bad |= (self.los < 0) | (self.his > (1 << self.width) - 1)
         if bad.any():
-            # Report the *first* offending query, defect-checked in the
-            # scalar _check_range order, so a mixed-defect batch raises
-            # the same error a per-query loop would.
+            # Report the *first* offending query, defect-checked in
+            # _check_range's order, so a mixed-defect batch raises the
+            # same error a per-query loop would.
             index = int(np.argmax(bad))
             _check_pair(
                 decode_ints(int(self.los[index]), self.width),
@@ -472,9 +471,8 @@ def coerce_query_batch(queries, width: int) -> QueryBatch:
     integer bounds wider than 64 bits, as a
     :class:`~repro.workloads.bytekeys.ByteQueryBatch`.  A batch constructed
     with ``validate=False`` is validated here — once, the flag is sticky —
-    so the vectorised ``may_intersect_many`` fast paths reject ``lo > hi``
-    and out-of-width ranges with exactly the ``ValueError``s the scalar
-    ``_check_range`` path raises.
+    so every ``may_intersect_many`` rejects ``lo > hi`` and out-of-width
+    ranges with exactly the ``ValueError``s of ``RangeFilter._check_range``.
     """
     if isinstance(queries, QueryBatch):
         if queries.width != width:
@@ -579,19 +577,3 @@ def probe_key_array(
     if longest > num_bytes:
         raise ValueError(f"key of length {longest} exceeds maximum {num_bytes}")
     return np.array(probes, dtype=f"S{num_bytes}")
-
-
-def as_key_array(keys, width: int) -> np.ndarray:
-    """Return integer probe keys as their stored ``int64`` array.
-
-    Accepts numpy arrays, an :class:`EncodedKeySet` (its stored array as
-    it is), or any iterable of ints.  The result is *not* deduplicated,
-    and below 64 bits not range-checked either — it is the probe-side
-    helper for ``may_contain_many``, where duplicates are legitimate and
-    an out-of-space probe simply answers as whatever it hashes to.
-    """
-    if isinstance(keys, KeySet):
-        return keys.keys
-    return encode_ints(
-        keys if isinstance(keys, np.ndarray) else list(keys), width, check=False
-    )

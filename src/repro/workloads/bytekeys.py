@@ -4,7 +4,7 @@
 keys in an arrow-style layout — one flat ``uint8`` buffer plus an
 ``int64`` offsets array — alongside a cached null-padded ``S{L}`` view
 (``L`` = maximum key length) whose ``memcmp`` order equals the padded
-big-endian ``8*L``-bit integer order the scalar filters use.  All the
+big-endian ``8*L``-bit integer order of the keys' integer view.  All the
 vectorised machinery (prefix extraction, LCPs, hashing, slot windows)
 runs over the ``(n, L)`` uint8 matrix view of that padded array; see
 :mod:`repro.keys.bytestr`.
@@ -17,8 +17,10 @@ coincides with padded order.
 
 :class:`ByteQueryBatch` is the matching :class:`~repro.workloads.batch.
 QueryBatch` subclass with ``S``-dtype bounds; byte-aware consumers branch
-on ``isinstance(batch, ByteQueryBatch)``, and scalar loops read its
-:meth:`pairs`, which yields padded big-integer bounds.
+on ``isinstance(batch, ByteQueryBatch)``, and its :meth:`pairs` yields the
+padded big-integer bounds (the form ``RangeFilter._batch`` converts
+through when integer bounds meet a byte filter, or byte bounds an integer
+one).
 
 Integer keys of key spaces wider than 64 bits live here too, as their
 ``width // 8`` big-endian bytes (:func:`repro.workloads.batch.
@@ -39,10 +41,10 @@ from repro.keys.bytestr import (
     unique_rows,
 )
 from repro.keys.keyspace import StringKeySpace
-from repro.workloads.batch import MAX_INT64_WIDTH, QueryBatch, int_key_bytes
+from repro.workloads.batch import QueryBatch
 from repro.workloads.keyset import KeySet
 
-__all__ = ["ByteKeySet", "ByteQueryBatch", "byte_probe_matrix"]
+__all__ = ["ByteKeySet", "ByteQueryBatch"]
 
 
 def _clean_key(key) -> bytes:
@@ -268,7 +270,7 @@ class ByteQueryBatch(QueryBatch):
         return np.array(cleaned, dtype=f"S{length}")
 
     def _validate(self) -> None:
-        """Reject ``lo > hi`` in padded (``memcmp``) order, scalar-message style."""
+        """Reject ``lo > hi`` in padded (``memcmp``) order, as ``_check_range`` words it."""
         bad = self.los > self.his
         if bad.any():
             index = int(np.argmax(bad))
@@ -296,6 +298,13 @@ class ByteQueryBatch(QueryBatch):
         keys = list(keys)
         return cls(keys, keys, max_length)
 
+    @classmethod
+    def _trusted(cls, los: np.ndarray, his: np.ndarray, width: int) -> "ByteQueryBatch":
+        """Wrap stored ``S{width // 8}`` bound arrays: no cleaning, no validation."""
+        batch = super()._trusted(los, his, width)
+        batch.max_length = width // 8
+        return batch
+
     @property
     def lo_matrix(self) -> np.ndarray:
         """Uint8 matrix view of the padded lower bounds."""
@@ -311,7 +320,7 @@ class ByteQueryBatch(QueryBatch):
         return zip(self.los.tolist(), self.his.tolist())
 
     def pairs(self) -> Iterator[tuple[int, int]]:
-        """Iterate as padded big-integer pairs — the scalar-loop contract."""
+        """Iterate as padded big-integer pairs, the integer view of the bounds."""
         length = self.max_length
         for lo, hi in self.byte_pairs():
             yield (
@@ -326,42 +335,3 @@ class ByteQueryBatch(QueryBatch):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ByteQueryBatch(n={len(self)}, max_length={self.max_length})"
-
-
-def byte_probe_matrix(keys, width: int) -> np.ndarray | None:
-    """Uint8 probe matrix for a byte-mode filter's batch path, or ``None``.
-
-    Accepts a :class:`ByteKeySet` (zero-copy matrix view), an S-dtype array,
-    a list/tuple of byte/str probes, or — in a key space wider than 64
-    bits — integer probes, as their big-endian bytes; shorter probes are
-    null-padded out to the filter's ``width`` and longer ones raise (they
-    cannot be in the key space, and silent truncation could fabricate a
-    false negative).  Other inputs return ``None`` so the caller falls back
-    to its scalar (padded big-integer) loop.
-    """
-    nb = (width + 7) // 8
-    if isinstance(keys, ByteKeySet):
-        if keys.width != width:
-            raise ValueError(
-                f"key set width {keys.width} does not match filter width {width}"
-            )
-        return keys.matrix
-    values = None
-    if isinstance(keys, np.ndarray) and keys.dtype.kind == "S":
-        if keys.dtype.itemsize == nb:
-            return strings_as_rows(keys)
-        values = keys.tolist()
-    elif (
-        isinstance(keys, (list, tuple))
-        and keys
-        and isinstance(keys[0], (bytes, str, np.bytes_))
-    ):
-        values = [StringKeySpace._as_bytes(key) for key in keys]
-    elif width > MAX_INT64_WIDTH and not isinstance(keys, KeySet):
-        values = int_key_bytes(keys, width)
-    if values is None:
-        return None
-    longest = max((len(value) for value in values), default=0)
-    if longest > nb:
-        raise ValueError(f"key of length {longest} exceeds maximum {nb}")
-    return strings_as_rows(np.array(values, dtype=f"S{nb}"))

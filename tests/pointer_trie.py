@@ -26,7 +26,6 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from repro.amq.bitarray import BitArray
-from repro.filters.base import key_to_bytes
 from repro.trie.fst import FastSuccinctTrie
 from repro.trie.louds_dense import LoudsDenseTrie
 from repro.trie.louds_sparse import LoudsSparseTrie
@@ -34,6 +33,16 @@ from repro.trie.size_model import fst_prefix_cutoff
 from scalar_reference import min_distinguishing_prefix_lengths
 
 _FANOUT = 256
+
+
+def key_to_bytes(key: int, width: int) -> bytes:
+    """Render a ``width``-bit user key as big-endian bytes (MSB-padded to bytes).
+
+    Padding the *top* of the integer to a whole number of bytes preserves
+    both ordering and prefix structure, so byte-granular tries remain exact
+    for widths that are not byte multiples.
+    """
+    return key.to_bytes((width + 7) // 8, "big")
 
 
 class ByteTrieNode:

@@ -175,6 +175,48 @@ def test_self_designing_family_requires_workload(workload):
             build_filter(FilterSpec(name, 12), workload.keys)
 
 
+def test_every_family_answers_raw_string_probes():
+    # build_filter attaches the workload's key space to every family, so
+    # scalar probes take raw strings and encode through it.
+    words = Workload(
+        ["banana", "cherry", "apple", "date", "fig", "grape"], [("ba", "bz"), ("c", "d")]
+    )
+    for name in registered_families():
+        filt = build_filter(FilterSpec(name, 12), words.keys, words)
+        assert filt.key_space is words.key_space, name
+        assert filt.may_intersect("ba", "bz"), name
+        assert filt.may_contain("fig"), name
+        assert filt.may_contain_many(["cherry", "kiwi"])[0], name
+    oracle = build_filter(FilterSpec("oracle", 12), words.keys, words)
+    assert oracle.may_contain_many(["cherry", "kiwi"]).tolist() == [True, False]
+    assert not oracle.may_intersect("h", "z")
+
+
+@pytest.mark.parametrize("space", ["32", "64", "80", "bytes"])
+def test_out_of_space_probes_raise(space):
+    # A point is the range [k, k], so a probe outside the key space meets
+    # the range check in every family, scalar and batched alike.
+    if space == "bytes":
+        w = Workload(["banana", "cherry", "apple", "fig"], [("ba", "bz")])
+    else:
+        w = Workload.generate(num_keys=300, num_queries=100, width=int(space), seed=5)
+    top = 1 << w.width
+    too_long = b"x" * (w.width // 8 + 1)
+    for name in registered_families():
+        filt = build_filter(FilterSpec(name, 12), w.keys, w)
+        with pytest.raises(ValueError):
+            filt.may_contain(-1)
+        with pytest.raises(ValueError):
+            filt.may_contain(top)
+        with pytest.raises(ValueError):
+            filt.may_contain_many([top])
+        with pytest.raises(ValueError):
+            filt.may_contain_many([too_long])
+        if w.keys.is_bytes:
+            with pytest.raises(ValueError, match="exceeds maximum"):
+                filt.may_contain(too_long)
+
+
 def test_keys_default_to_the_workload_key_set(workload):
     via_default = build_filter(FilterSpec("bloom", 8), workload=workload)
     assert via_default.num_keys == len(workload.keys)

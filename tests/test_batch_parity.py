@@ -3,10 +3,12 @@ re-statement of the scalar reference paths.
 
 Three layers of parity are pinned:
 
-* every filter's ``may_contain_many`` / ``may_intersect_many`` equals a
-  loop over the scalar ``may_contain`` / ``may_intersect`` — including
-  Rosetta's base-class range fallback and integer keys wider than 64
-  bits, which take the byte path;
+* every filter's ``may_intersect_many`` / ``may_contain_many`` (points are
+  the ranges ``[k, k]``) equals a per-query reference — the oracle's
+  bisection, SuRF's pointer trie, and the prefix Bloom, 2PBF, Proteus and
+  Rosetta probes of ``tests/scalar_reference.py`` — at widths 32, 63, 64
+  and 80 (wider integers take the byte path) and over byte keys; the
+  scalar ``may_contain`` / ``may_intersect``, one-row batches, agree too;
 * the numpy CPFPR model agrees with :class:`ScalarCPFPRModel`, the
   per-query reference kept here, to float-summation noise across a grid
   of design points;
@@ -27,18 +29,19 @@ answers, and leads Algorithm 1 to the identical design point.
 
 import random
 from bisect import bisect_left, bisect_right
+from functools import partial
 
 import numpy as np
 import pytest
 
 import repro.kernels as kernels
 from conftest import correlated_queries, mixed_queries, random_keys
-from pointer_trie import fst_from_byte_trie, fst_payload, reference_surf_trie
+from pointer_trie import fst_from_byte_trie, fst_payload, key_to_bytes, reference_surf_trie
 from repro.amq.bloom import BloomFilter, bloom_fpr
-from repro.api import FilterSpec, Workload, build_filter
+from repro.api import FilterSpec, Workload, build_filter, registered_families
 from repro.core.cpfpr import DEFAULT_MAX_PROBES, CPFPRModel
-from repro.core.design import design_one_pbf, design_proteus, design_two_pbf
-from repro.core.prf import OnePBF
+from repro.core.design import FilterDesign, design_one_pbf, design_proteus, design_two_pbf
+from repro.core.prf import TwoPBF
 from repro.core.proteus import Proteus
 from repro.filters.base import TrieOracle
 from repro.filters.prefix_bloom import PrefixBloomFilter, derived_prefix_len
@@ -46,11 +49,19 @@ from repro.filters.rosetta import Rosetta
 from repro.filters.surf import SuRF
 from repro.keys.keyspace import IntegerKeySpace
 from repro.trie.size_model import fst_size_estimate
-from repro.workloads.batch import QueryBatch, coerce_keys, coerce_query_batch
+from repro.workloads.batch import QueryBatch, coerce_keys
 from repro.workloads.bytekeys import ByteQueryBatch
 from scalar_reference import (
     merge_entry_runs_scalar,
+    oracle_intersects,
+    pbf_point,
+    pbf_range,
+    proteus_point,
+    proteus_range,
     query_set_lcp,
+    rosetta_range,
+    two_pbf_point,
+    two_pbf_range,
     unique_prefix_counts,
 )
 
@@ -219,6 +230,50 @@ FILTER_FACTORIES = {
 }
 
 
+def _reference(filt, keys):
+    """A filter's per-query reference: ``(point(key), range(lo, hi))``.
+
+    ``keys`` are the filter's keys in its integer view (padded big-endian
+    integers for byte keys), as are the probes the two functions take.
+    """
+    if isinstance(filt, TrieOracle):
+        ordered = sorted(set(keys))
+        return (
+            lambda key: oracle_intersects(ordered, key, key),
+            lambda lo, hi: oracle_intersects(ordered, lo, hi),
+        )
+    if isinstance(filt, SuRF):
+        pointer = reference_surf_trie(keys, filt.width, filt.max_depth)
+        return (
+            lambda key: pointer.match_prefix_of(key_to_bytes(key, filt.width)) is not None,
+            lambda lo, hi: pointer.range_overlaps(
+                key_to_bytes(lo, filt.width), key_to_bytes(hi, filt.width)
+            ),
+        )
+    if isinstance(filt, Rosetta):
+        return lambda key: rosetta_range(filt, key, key), partial(rosetta_range, filt)
+    if isinstance(filt, Proteus):
+        return partial(proteus_point, filt), partial(proteus_range, filt)
+    if isinstance(filt, TwoPBF):
+        return partial(two_pbf_point, filt), partial(two_pbf_range, filt)
+    assert isinstance(filt, PrefixBloomFilter)
+    return partial(pbf_point, filt), partial(pbf_range, filt)
+
+
+def _assert_matches_reference(filt, keys, probes, queries, point_batch, range_batch):
+    """Batch answers equal the reference, and so do the one-row scalar probes."""
+    point, overlaps = _reference(filt, keys)
+    expected_points = [point(key) for key in probes]
+    expected_ranges = [overlaps(lo, hi) for lo, hi in queries]
+    name = type(filt).__name__
+    assert point_batch.dtype == bool and point_batch.tolist() == expected_points, name
+    assert range_batch.dtype == bool and range_batch.tolist() == expected_ranges, name
+    assert [filt.may_contain(key) for key in probes[:50]] == expected_points[:50], name
+    assert [
+        filt.may_intersect(lo, hi) for lo, hi in queries[:50]
+    ] == expected_ranges[:50], name
+
+
 @pytest.mark.parametrize("backend", kernels.available_backends())
 @pytest.mark.parametrize("name", sorted(FILTER_FACTORIES))
 def test_filter_batch_equals_scalar_loop(name, backend, workload):
@@ -226,11 +281,30 @@ def test_filter_batch_equals_scalar_loop(name, backend, workload):
     with kernels.use_backend(backend):
         filt = FILTER_FACTORIES[name](keys, queries)
         point_batch = filt.may_contain_many(np.array(probes, dtype=np.int64))
-        point_loop = [filt.may_contain(key) for key in probes]
         range_batch = filt.may_intersect_many(QueryBatch.from_pairs(queries, WIDTH))
-        range_loop = [filt.may_intersect(lo, hi) for lo, hi in queries]
-    assert point_batch.dtype == bool and list(point_batch) == point_loop, name
-    assert range_batch.dtype == bool and list(range_batch) == range_loop, name
+        _assert_matches_reference(filt, keys, probes, queries, point_batch, range_batch)
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_hybrid_proteus_batch_equals_reference(backend):
+    # The self-designed integer Proteus above is Bloom-only; this one has a
+    # trie layer, and its queries straddle the start of a stored key's
+    # l1-block, so they cover l2-slots under unstored l1-prefixes, which
+    # the filter must skip.
+    rng = random.Random(41)
+    width, l1, l2 = 32, 16, 26
+    keys = random_keys(rng, 2000, width)
+    queries = mixed_queries(rng, keys, 300, width)
+    for key in rng.sample(keys, 300):
+        start = key >> (width - l1) << (width - l1)
+        lo = max(0, start - 64 * rng.randrange(1, 40))
+        queries.append((lo, start + 64 * rng.randrange(0, 20)))
+    probes = keys[:200] + [rng.randrange(1 << width) for _ in range(200)]
+    with kernels.use_backend(backend):
+        filt = Proteus(keys, width, FilterDesign("proteus", l1, l2, 0, 3000, 0.0))
+        point_batch = filt.may_contain_many(np.array(probes, dtype=np.int64))
+        range_batch = filt.may_intersect_many(queries)
+        _assert_matches_reference(filt, keys, probes, queries, point_batch, range_batch)
 
 
 @pytest.fixture(scope="module")
@@ -265,7 +339,7 @@ BYTE_FILTER_FACTORIES = {
 @pytest.mark.parametrize("name", sorted(BYTE_FILTER_FACTORIES))
 def test_byte_filter_batch_equals_scalar_loop(name, backend, byte_workload):
     # Byte-mode parity: batched probes take raw byte strings (S-dtype rows);
-    # the scalar reference speaks the padded big-integer encoded domain.
+    # the references speak the padded big-integer view.
     workload, probes = byte_workload
     space = workload.key_space
     with kernels.use_backend(backend):
@@ -273,15 +347,17 @@ def test_byte_filter_batch_equals_scalar_loop(name, backend, byte_workload):
         point_batch = filt.may_contain_many(
             np.array(probes, dtype=workload.keys.keys.dtype)
         )
-        point_loop = [filt.may_contain(space.encode(probe)) for probe in probes]
         range_batch = filt.may_intersect_many(workload.queries)
-        range_loop = [
-            filt.may_intersect(lo, hi) for lo, hi in workload.queries.pairs()
-        ]
-    assert point_batch.dtype == bool and list(point_batch) == point_loop, name
-    assert range_batch.dtype == bool and list(range_batch) == range_loop, name
-    # Zero false negatives on the keys themselves, probed as raw bytes.
-    assert filt.may_contain_many(workload.keys).all(), name
+        _assert_matches_reference(
+            filt,
+            space.encode_many(workload.keys.as_list()),
+            space.encode_many(probes),
+            list(workload.queries.pairs()),
+            point_batch,
+            range_batch,
+        )
+        # Zero false negatives on the keys themselves, probed as raw bytes.
+        assert filt.may_contain_many(workload.keys).all(), name
 
 
 def _backend_snapshot(keys, queries, probes) -> dict:
@@ -357,17 +433,20 @@ def test_one_pbf_wide_space_batch_takes_encoded_keys():
         QueryBatch.from_raw([("a", "b"), ("tang", "tanh")], space),
         key_space=space,
     )
-    filt = OnePBF.from_spec(FilterSpec("1pbf", 16.0), workload.keys, workload)
+    filt = build_filter(FilterSpec("1pbf", 16.0), workload.keys, workload)
     encoded = [space.encode(word) for word in words]
+    assert filt.may_contain_many(encoded).tolist() == [
+        pbf_point(filt, key) for key in encoded
+    ]
     assert filt.may_contain_many(encoded).all()
     # The batch API speaks the encoded domain; the scalar API encodes raw
-    # keys itself — the two must agree query-for-query.
+    # keys itself — both must answer as the reference, query for query.
     raw_queries = [("tang", "tanh"), ("a", "b")]
     batch = QueryBatch.from_raw(raw_queries, space)
     assert isinstance(batch, ByteQueryBatch) and workload.keys.is_bytes
-    assert list(filt.may_intersect_many(batch)) == [
-        filt.may_intersect(lo, hi) for lo, hi in raw_queries
-    ]
+    expected = [pbf_range(filt, lo, hi) for lo, hi in batch.pairs()]
+    assert filt.may_intersect_many(batch).tolist() == expected
+    assert [filt.may_intersect(lo, hi) for lo, hi in raw_queries] == expected
 
 
 def test_width_63_full_space_query_does_not_overflow():
@@ -379,15 +458,16 @@ def test_width_63_full_space_query_does_not_overflow():
     keys = [5, 1000, 1 << 62]
     full_space = [(0, top), (1, top - 1)]
     pbf = PrefixBloomFilter(keys, width, prefix_len=width, num_bits=4096)
-    assert list(pbf.may_intersect_many(full_space)) == [
-        pbf.may_intersect(lo, hi) for lo, hi in full_space
+    assert pbf.may_intersect_many(full_space).tolist() == [
+        pbf_range(pbf, lo, hi) for lo, hi in full_space
     ]
     proteus = _self_designed(
         "proteus", keys, full_space + [(7, 9)], bits_per_key=16, width=width
     )
-    assert list(proteus.may_intersect_many(full_space)) == [
-        proteus.may_intersect(lo, hi) for lo, hi in full_space
+    assert proteus.may_intersect_many(full_space).tolist() == [
+        proteus_range(proteus, lo, hi) for lo, hi in full_space
     ]
+    assert proteus.may_contain_many(keys).all()
     model = CPFPRModel(keys, width, full_space + [(7, 9)])
     scalar = ScalarCPFPRModel(keys, width, full_space + [(7, 9)])
     assert model.proteus_fpr(0, width, 4096) == pytest.approx(
@@ -404,18 +484,34 @@ def test_width_63_full_space_query_does_not_overflow():
 
 
 def test_wide_key_space_batch_equals_scalar_loop():
-    # 80-bit keys take the byte path; batch answers still equal the loop
-    # over the integer scalar API.
-    width = 80
-    keys = [1 << 70, (1 << 70) + 5, 3, 1 << 79]
-    filt = PrefixBloomFilter(keys, width, prefix_len=40, num_bits=4096)
-    queries = [(0, 10), (1 << 70, (1 << 70) + 2), (1 << 60, 1 << 61)]
-    batch = coerce_query_batch(queries, width)
-    assert isinstance(batch, ByteQueryBatch) and filt.is_bytes
-    assert list(filt.may_intersect_many(batch)) == [
-        filt.may_intersect(lo, hi) for lo, hi in queries
-    ]
-    assert list(filt.may_contain_many(keys)) == [filt.may_contain(k) for k in keys]
+    # Width 64 rides int64 as `key - 2**63`, and 80-bit keys take the byte
+    # path; every family's batch answers still equal the references over
+    # the user's integers, edge keys and the full-space query included.
+    rng = random.Random(29)
+    for width in (64, 80):
+        top = (1 << width) - 1
+        base = 1 << (width - 1)
+        keys = sorted(
+            set(random_keys(rng, 200, width))
+            | {base + 7 * i for i in range(100)}
+            | {0, 3, base - 1, base, top - 1, top}
+        )
+        queries = mixed_queries(rng, keys, 150, width) + [
+            (0, top), (1, top - 1), (base - 2, base + 2), (top - 5, top)
+        ]
+        probes = keys[:80] + [rng.getrandbits(width) for _ in range(80)] + [0, top]
+        workload = Workload(keys, queries, key_space=IntegerKeySpace(width))
+        assert workload.keys.is_bytes == (width > 64)
+        for backend in kernels.available_backends():
+            with kernels.use_backend(backend):
+                for name in registered_families():
+                    filt = build_filter(FilterSpec(name, 12.0), workload.keys, workload)
+                    point_batch = filt.may_contain_many(probes)
+                    range_batch = filt.may_intersect_many(workload.queries)
+                    _assert_matches_reference(
+                        filt, keys, probes, queries, point_batch, range_batch
+                    )
+                    assert filt.may_contain_many(workload.keys).all(), (width, name)
 
 
 def test_surf_vectorised_build_is_bit_identical(workload):

@@ -31,7 +31,7 @@ from repro.workloads.batch import (
     coerce_keys,
     coerce_query_batch,
 )
-from repro.workloads.bytekeys import ByteKeySet, ByteQueryBatch, byte_probe_matrix
+from repro.workloads.bytekeys import ByteKeySet, ByteQueryBatch
 
 
 def _random_words(rng, count, max_len=12):
@@ -158,16 +158,6 @@ class TestCoercion:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
             coerce_keys([b"overlong-key"], 16)  # 12 bytes into a 2-byte space
-
-    def test_probe_matrix_dispatch(self):
-        ks = ByteKeySet([b"ab", b"c"])
-        mat = byte_probe_matrix(ks, ks.width)
-        assert mat.shape == (2, 2) and mat.tobytes() == b"ab" + b"c\x00"
-        from_list = byte_probe_matrix([b"c", "ab"], ks.width)
-        assert from_list.tobytes() == b"c\x00" + b"ab"
-        assert byte_probe_matrix([1, 2], 16) is None
-        with pytest.raises(ValueError, match="exceeds maximum"):
-            byte_probe_matrix([b"toolong"], 16)
 
 
 class TestByteQueryBatch:

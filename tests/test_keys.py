@@ -4,14 +4,7 @@ import random
 
 import pytest
 
-from repro.keys import (
-    IntegerKeySpace,
-    StringKeySpace,
-    prefix_of,
-    prefix_range,
-    prefix_range_count,
-    prefix_to_range,
-)
+from repro.keys import IntegerKeySpace, StringKeySpace
 from scalar_reference import (
     lcp_bits,
     min_distinguishing_prefix_lengths,
@@ -49,34 +42,6 @@ class TestKeySpaces:
     def test_string_too_long(self):
         with pytest.raises(ValueError):
             StringKeySpace(3).encode(b"abcd")
-
-
-class TestPrefixArithmetic:
-    def test_prefix_of_endpoints(self):
-        assert prefix_of(0b1011, 0, 4) == 0
-        assert prefix_of(0b1011, 4, 4) == 0b1011
-        assert prefix_of(0b1011, 2, 4) == 0b10
-
-    def test_prefix_to_range_inverts_prefix_of(self):
-        rng = random.Random(3)
-        width = 16
-        for _ in range(200):
-            key = rng.randrange(1 << width)
-            length = rng.randrange(width + 1)
-            lo, hi = prefix_to_range(prefix_of(key, length, width), length, width)
-            assert lo <= key <= hi
-
-    def test_prefix_range_brute_force(self):
-        width = 8
-        rng = random.Random(4)
-        for _ in range(100):
-            lo = rng.randrange(1 << width)
-            hi = rng.randrange(lo, 1 << width)
-            length = rng.randrange(width + 1)
-            expected = {prefix_of(v, length, width) for v in range(lo, hi + 1)}
-            plo, phi = prefix_range(lo, hi, length, width)
-            assert set(range(plo, phi + 1)) == expected
-            assert prefix_range_count(lo, hi, length, width) == len(expected)
 
 
 class TestLcp:

@@ -23,9 +23,9 @@ import numpy as np
 import pytest
 
 from conftest import clustered_keys, mixed_queries, random_keys, zipf_keys
-from pointer_trie import ByteTrie, fst_from_byte_trie, reference_surf_trie
+from pointer_trie import ByteTrie, fst_from_byte_trie, key_to_bytes, reference_surf_trie
 from repro.api import FilterSpec, Workload, build_filter
-from repro.filters.base import TrieOracle, key_to_bytes
+from repro.filters.base import TrieOracle
 from repro.filters.surf import SuRF
 from repro.keys.keyspace import IntegerKeySpace
 from repro.trie.bitvector import RankSelectBitVector
@@ -78,9 +78,11 @@ def _assert_surf_matches_pointer_trie(keys, queries, max_depth, rng):
     assert [surf.may_intersect(lo, hi) for lo, hi in queries[:150]] == expected[:150]
     assert surf.may_contain_many(np.array(keys, dtype=np.int64)).all()
     probes = keys[:100] + [rng.randrange(1 << WIDTH) for _ in range(200)]
-    assert [surf.may_contain(key) for key in probes] == [
+    expected = [
         pointer.match_prefix_of(key_to_bytes(key, WIDTH)) is not None for key in probes
     ]
+    assert surf.may_contain_many(np.array(probes, dtype=np.int64)).tolist() == expected
+    assert [surf.may_contain(key) for key in probes] == expected
 
 
 class TestRankSelect:
@@ -308,19 +310,20 @@ class TestFSTPrefixIndex:
         rng = random.Random(47)
         width, length = 24, 10
         keys = [rng.randrange(1 << width) for _ in range(400)]
+        stored = {key >> (width - length) for key in keys}
         reference = SortedPrefixIndex.from_keys(keys, length, width)
         succinct = FSTPrefixIndex.from_keys(
             np.array(keys, dtype=np.int64), length, width
         )
-        assert len(reference) == len(succinct)
+        assert len(reference) == len(succinct) == len(stored)
         every_prefix = np.arange(1 << length, dtype=np.int64)
         assert succinct.contains_many(every_prefix).tolist() == [
-            reference.contains(prefix) for prefix in range(1 << length)
+            prefix in stored for prefix in range(1 << length)
         ]
         probes = [rng.randrange(1 << width) for _ in range(300)]
         assert succinct.contains_many(
             np.array(probes, dtype=np.int64) >> (width - length)
-        ).tolist() == [reference.contains_prefix_of(key) for key in probes]
+        ).tolist() == [key >> (width - length) in stored for key in probes]
         prefixes = np.array(
             [rng.randrange(1 << length) for _ in range(300)], dtype=np.int64
         )
@@ -332,8 +335,10 @@ class TestFSTPrefixIndex:
         los = np.array([rng.randrange(1 << width) for _ in range(300)], dtype=np.int64)
         spans = np.array([rng.randrange(1, 50_000) for _ in range(300)], dtype=np.int64)
         his = np.minimum((1 << width) - 1, los + spans)
+        shift = width - length
         assert succinct.overlaps_many(los, his).tolist() == [
-            reference.overlaps(lo, hi) for lo, hi in zip(los.tolist(), his.tolist())
+            any(lo >> shift <= p <= hi >> shift for p in stored)
+            for lo, hi in zip(los.tolist(), his.tolist())
         ]
         assert (
             succinct.overlaps_many(los, his) == reference.overlaps_many(los, his)
@@ -346,26 +351,27 @@ class TestFSTPrefixIndex:
 
     def test_wide_key_space_falls_back(self):
         # Width 64 stores keys and prefixes as int64 less 2**(l - 1); both
-        # indexes take those and agree with the sorted index's scalar
-        # answers, up to l = 64.
+        # indexes take those and agree with brute force over the user's
+        # integers, up to l = 64.
         user = [0, 3, (1 << 63) - 1, 1 << 63, (1 << 63) + 5, (1 << 64) - 1]
         keys = encode_ints(user, 64)
+        bounds = [
+            (0, 10), (1 << 62, 1 << 63), ((1 << 63) + 6, (1 << 64) - 2), (0, (1 << 64) - 1)
+        ]
+        los = encode_ints([lo for lo, _ in bounds], 64)
+        his = encode_ints([hi for _, hi in bounds], 64)
         for length in (1, 7, 63, 64):
             reference = SortedPrefixIndex.from_keys(keys, length, 64)
             succinct = FSTPrefixIndex.from_keys(keys, length, 64)
-            assert len(reference) == len(succinct)
-            for key in keys.tolist():
-                assert reference.contains_prefix_of(key)
-            bounds = [
-                (0, 10), (1 << 62, 1 << 63), ((1 << 63) + 6, (1 << 64) - 2), (0, (1 << 64) - 1)
+            shift = 64 - length
+            stored = {key >> shift for key in user}
+            assert len(reference) == len(succinct) == len(stored)
+            expected = [
+                any(lo >> shift <= p <= hi >> shift for p in stored) for lo, hi in bounds
             ]
-            los = encode_ints([lo for lo, _ in bounds], 64)
-            his = encode_ints([hi for _, hi in bounds], 64)
-            pairs = list(zip(los.tolist(), his.tolist()))
-            expected = [reference.overlaps(lo, hi) for lo, hi in pairs]
             assert succinct.overlaps_many(los, his).tolist() == expected
             assert reference.overlaps_many(los, his).tolist() == expected
-            prefixes = keys >> np.int64(64 - length)
+            prefixes = keys >> np.int64(shift)
             assert succinct.contains_many(prefixes).all()
             assert reference.contains_many(prefixes).all()
 

@@ -442,7 +442,9 @@ def test_static_tree_probe_matches_reference(
 )
 # Pinned draws whose answers change when the layout drops the integer
 # per-slot l1 test (the first), or the fence clipping of its trie
-# intervals (the other three): random draws expose those faults only now
+# intervals: the integer draws 41204 and 48324, and the byte draw with
+# seed 0 (it catches the dropped clip of the last block's end; the byte
+# draw 34741 catches neither). Random draws expose those faults only now
 # and then.
 @example(
     kind="int64",
@@ -479,6 +481,14 @@ def test_static_tree_probe_matches_reference(
     seed=34741,
     num_keys=139,
     sst_keys=2,
+)
+@example(
+    kind="bytes",
+    mode="proteus",
+    designs=[("trie", 0, 0, 1, 1, False)] * 3 + [("trie", 14, 0, 1, 1, False)],
+    seed=0,
+    num_keys=184,
+    sst_keys=3,
 )
 def test_proteus_levels_probe_matches_reference(kind, mode, designs, seed, num_keys, sst_keys):
     # Levels mixing Proteus designs, probed with 60-query batches: the

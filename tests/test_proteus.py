@@ -151,7 +151,7 @@ class TestStringKeys:
             lo, hi = sorted((a, b))
             queries.append((lo, hi))
         workload = Workload(words, queries, key_space=space)
-        filt = Proteus.from_spec(FilterSpec("proteus", 14.0), workload.keys, workload)
+        filt = build_filter(FilterSpec("proteus", 14.0), workload.keys, workload)
         encoded = space.encode_many(words)
         oracle = TrieOracle(encoded, space.width)
         assert all(filt.may_contain(word) for word in words)

@@ -4,6 +4,7 @@ sorted prefix index and size models."""
 
 import random
 
+import numpy as np
 import pytest
 
 from pointer_trie import ByteTrie
@@ -127,24 +128,29 @@ class TestSortedPrefixIndex:
         index = SortedPrefixIndex.from_keys(keys, length, width)
         stored = {k >> (width - length) for k in keys}
         assert len(index) == len(stored)
-        for prefix in range(1 << length):
-            assert index.contains(prefix) == (prefix in stored)
+        every_prefix = np.arange(1 << length, dtype=np.int64)
+        assert index.contains_many(every_prefix).tolist() == [
+            prefix in stored for prefix in range(1 << length)
+        ]
+        los, his = [], []
         for _ in range(300):
             lo = rng.randrange(1 << width)
-            hi = min((1 << width) - 1, lo + rng.randrange(1, 5000))
-            expected = any(
-                lo >> (width - length) <= p <= hi >> (width - length)
-                for p in stored
-            )
-            assert index.overlaps(lo, hi) == expected
+            los.append(lo)
+            his.append(min((1 << width) - 1, lo + rng.randrange(1, 5000)))
+        expected = [
+            any(lo >> (width - length) <= p <= hi >> (width - length) for p in stored)
+            for lo, hi in zip(los, his)
+        ]
+        assert index.overlaps_many(
+            np.array(los, dtype=np.int64), np.array(his, dtype=np.int64)
+        ).tolist() == expected
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SortedPrefixIndex([4], length=2, width=8)  # 4 needs 3 bits
         with pytest.raises(ValueError):
             SortedPrefixIndex([0], length=0, width=8)
-        with pytest.raises(ValueError):
-            SortedPrefixIndex([0], length=2, width=8).overlaps(5, 4)
+        assert not hasattr(SortedPrefixIndex([0], length=2, width=8), "prefixes")
 
 
 class TestSizeModels:
