@@ -46,6 +46,7 @@ from repro.api import FilterSpec, Workload
 from repro.evaluation.gates import check_regressions
 from repro.obs.metrics import MetricsRegistry, validate_metrics_payload
 from repro.serve import MicroBatcher, ShardedLookupService
+from repro.serve.service import WORKER_CONTEXT
 from repro.workloads.batch import decode_ints, int_key_bytes
 
 __all__ = ["run_serve_bench", "check_serve_report", "main"]
@@ -223,7 +224,7 @@ def run_serve_bench(
                 metrics=metrics,
             )
             try:
-                # Warmup: first dispatch pays queue/page-fault setup.
+                # Warmup: the first dispatch pays page faults and first-use loads.
                 service.serve_batch(los[:batch_size], his[:batch_size])
                 answers = np.zeros(num_queries, dtype=bool)
                 totals = {
@@ -296,7 +297,9 @@ def run_serve_bench(
         "hardware": {
             "cpu_count": os.cpu_count(),
             "usable_cpus": _usable_cpus(),
-            "start_method": "spawn" if mode == "process" else "inline",
+            "start_method": (
+                WORKER_CONTEXT.get_start_method() if mode == "process" else "inline"
+            ),
         },
         "configs": configs,
         "scaling": scaling,

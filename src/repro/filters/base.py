@@ -157,7 +157,6 @@ class RangeFilter(ABC):
         """Return False only if ``[lo, hi]`` definitely contains no key."""
         if self.key_space is not None:
             lo, hi = self.key_space.encode(lo), self.key_space.encode(hi)
-        self._check_range(lo, hi)
         return bool(self.may_intersect_many([(lo, hi)])[0])
 
     def may_contain(self, key) -> bool:
@@ -220,14 +219,6 @@ class RangeFilter(ABC):
         with one entry per layer.
         """
         return {"total": self.size_in_bits()}
-
-    def _check_range(self, lo: int, hi: int) -> None:
-        if lo > hi:
-            raise ValueError(f"empty query range [{lo}, {hi}]")
-        if lo < 0 or hi >= (1 << self.width):
-            raise ValueError(
-                f"query range [{lo}, {hi}] outside the {self.width}-bit key space"
-            )
 
     def __contains__(self, key: int) -> bool:
         return self.may_contain(key)

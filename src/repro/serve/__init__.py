@@ -13,7 +13,8 @@ the ROADMAP's production-shaped tier:
   ``multiprocessing.shared_memory`` segments that workers probe as
   zero-copy numpy views (parent owns, workers attach);
 * :class:`~repro.serve.service.ShardedLookupService` — the root object:
-  build, snapshot, spawn, route, dispatch, gather, account, tear down.
+  build, snapshot, start workers, route, dispatch, gather, account,
+  tear down.
 
 >>> from repro.serve import ShardedLookupService
 >>> service = ShardedLookupService.build(range(10_000), width=32, num_shards=2,

@@ -6,7 +6,7 @@ snapshot), it partitions the keys into contiguous shards
 (:mod:`repro.serve.shard`), builds one filtered
 :class:`~repro.lsm.tree.LSMTree` per shard under the two-level budget
 split, freezes each tree's buffers into shared memory
-(:mod:`repro.serve.shm`), and spawns one worker process per shard
+(:mod:`repro.serve.shm`), and starts one worker process per shard
 (:mod:`repro.serve.worker`).  :meth:`serve_batch` then answers a batch of
 point/range lookups end to end:
 
@@ -20,9 +20,21 @@ point/range lookups end to end:
 4. **gather** the per-shard ground-truth answers, OR-combining queries
    that straddled a boundary, and aggregate the cost-model accounting.
 
-``spawn`` is used for workers on every platform: it is the start method
-that actually exercises the attach-by-name shared-memory path (fork would
-silently inherit the mappings) and the only portable one.
+Workers are forked from one ``forkserver`` (:data:`WORKER_CONTEXT`) that
+preloads :mod:`repro.serve.worker`, so starting one costs a fork, not a
+fresh interpreter importing numpy and ``repro``.  The forkserver is an
+exec'd interpreter, started once per parent process at its first
+process-mode service; it exits when that parent does.  Unlike ``fork``,
+its children inherit none of the parent's threads, locks or segment
+mappings, so they still attach segments by name.  They take their
+environment (``REPRO_KERNEL_BACKEND`` included) and preloaded modules
+from the forkserver as they were when it started, not from the parent at
+each start; the parent's current ``sys.path`` reaches only imports the
+preload did not make.  The preload list is global to
+:mod:`multiprocessing`: if something else started the forkserver first,
+workers import on demand — correct, only slower.  Each worker talks to
+the parent over one duplex ``Pipe``; the parent keeps only its own end,
+so a worker's death reads as end-of-file on that pipe.
 
 Failure model: a worker death or reply timeout raises
 :class:`ServeError` with the shard named; :meth:`close` is idempotent,
@@ -34,11 +46,10 @@ crash ordering can leak one (the lifecycle the tests pin).
 from __future__ import annotations
 
 import multiprocessing
-import pickle
-import queue as queue_module
 import threading
 import weakref
-from time import monotonic
+from multiprocessing.connection import wait
+from time import monotonic, perf_counter
 
 import numpy as np
 
@@ -48,42 +59,54 @@ from repro.lsm.online import OnlineLSMTree
 from repro.lsm.tree import DEFAULT_FANOUT, DEFAULT_SST_KEYS, LSMTree
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.shard import build_shard_trees, route_queries, shard_fences, split_key_set
-from repro.serve.shm import snapshot_tree
+from repro.serve.shm import share_pickle, snapshot_tree
 from repro.serve.worker import probe_shard, worker_main
 from repro.workloads.batch import QueryBatch, coerce_keys
 from repro.workloads.bytekeys import ByteQueryBatch
 from repro.workloads.keyset import KeySet
 
-__all__ = ["ServeError", "ShardedLookupService"]
+__all__ = ["ServeError", "ShardedLookupService", "WORKER_CONTEXT"]
 
 #: Accounting keys aggregated across shards per served batch.
 _STAT_KEYS = ("blocks_read", "required_reads", "false_positive_reads", "filter_probes")
+
+#: The one context every process-mode service starts its workers from.
+WORKER_CONTEXT = multiprocessing.get_context("forkserver")
+
+#: How often a reply wait wakes to check its deadline, in seconds.
+_TICK_S = 0.2
 
 
 class ServeError(RuntimeError):
     """A serving-layer failure: worker startup, death, timeout, or probe error."""
 
 
-def _add_shard_stats(stats: dict, shard_id: int, shard_stats: dict) -> None:
-    """Fold one shard's :func:`~repro.serve.worker.probe_shard` stats in."""
+def _add_shard_stats(stats: dict, shard_id: int, shard_stats: dict, handed_at: float) -> None:
+    """Fold in one shard's :func:`~repro.serve.worker.probe_shard` stats.
+
+    ``handed_at`` is when its sub-batch was handed over (the pipe send or
+    the inline call), so ``shard_wait_s`` is the parent's wait for its
+    answers.
+    """
+    stats["shard_wait_s"][shard_id] = perf_counter() - handed_at
     for key in _STAT_KEYS:
         stats[key] += shard_stats[key]
     stats["shard_probe_s"][shard_id] = shard_stats["probe_s"]
 
 
 class _ShardWorker:
-    """Parent-side handle for one shard: process, queue, owned segments."""
+    """Parent-side handle for one shard: process, pipe end, owned segments."""
 
-    __slots__ = ("process", "request_queue", "segments")
+    __slots__ = ("process", "conn", "segments")
 
-    def __init__(self, process, request_queue, segments):
+    def __init__(self, process, conn, segments):
         self.process = process
-        self.request_queue = request_queue
+        self.conn = conn
         self.segments = segments
 
 
-def _reap(workers: list[_ShardWorker], reply_queue) -> None:
-    """Tear the fleet down: sentinel, join, terminate, close + unlink.
+def _reap(workers: list[_ShardWorker]) -> None:
+    """Tear the fleet down: sentinel, join, terminate, close pipes, close + unlink.
 
     Module-level (and referencing no service instance) so a
     ``weakref.finalize`` can run it after the service is collected.
@@ -93,8 +116,8 @@ def _reap(workers: list[_ShardWorker], reply_queue) -> None:
     for worker in workers:
         if worker.process.is_alive():
             try:
-                worker.request_queue.put_nowait(None)
-            except Exception:
+                worker.conn.send(None)
+            except OSError:  # its pipe broke: the worker is dying already
                 pass
     for worker in workers:
         worker.process.join(timeout=5.0)
@@ -102,8 +125,7 @@ def _reap(workers: list[_ShardWorker], reply_queue) -> None:
             worker.process.terminate()
             worker.process.join(timeout=5.0)
     for worker in workers:
-        worker.request_queue.cancel_join_thread()
-        worker.request_queue.close()
+        worker.conn.close()
         for segment in worker.segments:
             try:
                 segment.close()
@@ -113,9 +135,6 @@ def _reap(workers: list[_ShardWorker], reply_queue) -> None:
                 segment.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
-    if reply_queue is not None:
-        reply_queue.cancel_join_thread()
-        reply_queue.close()
 
 
 class ShardedLookupService:
@@ -154,7 +173,6 @@ class ShardedLookupService:
         self._request_counter = 0
         self._trees: list[LSMTree] | None = None
         self._workers: list[_ShardWorker] = []
-        self._reply_queue = None
         self._finalizer = None
         if mode == "inline":
             self._trees = trees
@@ -254,29 +272,27 @@ class ShardedLookupService:
         )
 
     def _start_workers(self, trees: list[LSMTree]) -> None:
-        """Snapshot every shard, spawn its worker, and wait for readiness."""
-        context = multiprocessing.get_context("spawn")
-        self._reply_queue = context.Queue()
+        """Snapshot every shard, fork its worker, and wait for readiness."""
+        WORKER_CONTEXT.set_forkserver_preload(["repro.serve.worker"])
+        filter_segments = []  # needed only until every worker is ready
         try:
             for shard_id, tree in enumerate(trees):
                 spec, segments, filters = snapshot_tree(tree)
                 try:
-                    # Pickled up front: a filter that cannot pickle fails
-                    # here, before any child exists.
-                    pickled_filters = pickle.dumps(filters)
-                    request_queue = context.Queue()
-                    process = context.Process(
+                    # Pickled before its worker exists: a filter that cannot
+                    # pickle fails here.
+                    spec["filters"], filter_segment = share_pickle(filters)
+                    filter_segments.append(filter_segment)
+                    conn, child_conn = WORKER_CONTEXT.Pipe()
+                    process = WORKER_CONTEXT.Process(
                         target=worker_main,
-                        args=(
-                            shard_id,
-                            spec,
-                            self.max_length,
-                            request_queue,
-                            self._reply_queue,
-                        ),
+                        args=(shard_id, spec, self.max_length, child_conn),
                         daemon=True,
                     )
-                    process.start()
+                    try:
+                        process.start()
+                    finally:
+                        child_conn.close()
                 except BaseException:
                     # This shard's segments are not yet registered with a
                     # _ShardWorker, so close() below cannot reach them —
@@ -285,24 +301,21 @@ class ShardedLookupService:
                         segment.close()
                         segment.unlink()
                     raise
-                self._workers.append(_ShardWorker(process, request_queue, segments))
-                # Filters go down the queue once the child runs, never as a
-                # spawn argument (see repro.serve.worker: a child dying
-                # mid-read would hang start()).
-                request_queue.put(pickled_filters)
-            self._finalizer = weakref.finalize(
-                self, _reap, self._workers, self._reply_queue
-            )
-            ready: set[int] = set()
-            while len(ready) < len(self._workers):
-                kind, _, shard_id, payload = self._next_reply()
+                self._workers.append(_ShardWorker(process, conn, segments))
+            self._finalizer = weakref.finalize(self, _reap, self._workers)
+            starting = set(range(len(self._workers)))
+            while starting:
+                kind, _, shard_id, payload = self._next_reply(starting)
                 if kind == "error":
                     raise ServeError(f"shard {shard_id} failed to start: {payload}")
-                if kind == "ready":
-                    ready.add(shard_id)
+                starting.discard(shard_id)
         except BaseException:
             self.close()
             raise
+        finally:
+            for segment in filter_segments:
+                segment.close()
+                segment.unlink()
 
     # ------------------------------------------------------------------ #
     # Serving                                                            #
@@ -314,27 +327,28 @@ class ShardedLookupService:
             return ByteQueryBatch(los, his, self.max_length)
         return QueryBatch(los, his, self.width)
 
-    def _next_reply(self) -> tuple:
-        """One reply off the shared queue, with liveness-aware timeout."""
+    def _died(self, shard_id: int) -> ServeError:
+        """The error for a worker whose pipe broke: join it briefly, name it."""
+        process = self._workers[shard_id].process
+        process.join(timeout=1.0)
+        return ServeError(f"shard worker {shard_id} died (exitcode {process.exitcode})")
+
+    def _next_reply(self, shard_ids) -> tuple:
+        """The next reply from the workers of ``shard_ids``, within the timeout.
+
+        A pipe at end-of-file names its worker as dead: the parent holds no
+        copy of the child's end, so only the worker's exit closes it.
+        """
+        conns = {self._workers[shard_id].conn: shard_id for shard_id in shard_ids}
         deadline = monotonic() + self.reply_timeout
         while True:
-            try:
-                return self._reply_queue.get(timeout=0.2)
-            except queue_module.Empty:
-                dead = [
-                    shard_id
-                    for shard_id, worker in enumerate(self._workers)
-                    if not worker.process.is_alive()
-                ]
-                if dead:
-                    raise ServeError(
-                        f"shard worker(s) {dead} died "
-                        f"(exitcodes {[self._workers[d].process.exitcode for d in dead]})"
-                    ) from None
-                if monotonic() > deadline:
-                    raise ServeError(
-                        f"no worker reply within {self.reply_timeout}s"
-                    ) from None
+            for conn in wait(list(conns), timeout=_TICK_S):
+                try:
+                    return conn.recv()
+                except (EOFError, OSError):
+                    raise self._died(conns[conn]) from None
+            if monotonic() > deadline:
+                raise ServeError(f"no worker reply within {self.reply_timeout}s")
 
     def serve_batch(self, los, his=None) -> tuple[np.ndarray, dict]:
         """Answer inclusive ``[lo, hi]`` lookups; returns ``(answers, stats)``.
@@ -342,12 +356,15 @@ class ShardedLookupService:
         ``his=None`` makes every request a point lookup.  ``answers`` is
         ground truth — one bool per request, in order — and ``stats``
         aggregates the cost-model accounting (blocks read, false
-        positives, filter probes) plus routing detail across the fleet:
-        ``shard_queries`` and ``shard_probe_s`` (seconds each shard spent
-        in ``tree.probe``; 0 for shards the batch did not touch), one
-        entry per shard.  A range spanning several shards fans out and
-        ORs; a range in a fence gap is answered negative without touching
-        any worker.
+        positives, filter probes) plus routing detail across the fleet,
+        one entry per shard (0 for shards the batch did not touch):
+        ``shard_queries``; ``shard_probe_s``, the seconds each shard spent
+        in ``tree.probe``; and ``shard_wait_s``, the parent's seconds from
+        handing the shard its sub-batch (the pipe send, or the inline
+        call) to holding its answers, so ``shard_wait_s - shard_probe_s``
+        is that shard's transport and queueing.  A range spanning several
+        shards fans out and ORs; a range in a fence gap is answered
+        negative without touching any worker.
         """
         if his is None:
             his = los
@@ -356,6 +373,7 @@ class ShardedLookupService:
         stats = {key: 0 for key in _STAT_KEYS}
         stats["shard_queries"] = [0] * self.num_shards
         stats["shard_probe_s"] = [0.0] * self.num_shards
+        stats["shard_wait_s"] = [0.0] * self.num_shards
         stats["routed_none"] = 0
         if len(batch) == 0:
             return answers, stats
@@ -364,7 +382,8 @@ class ShardedLookupService:
         with self._lock:
             if self._closed:
                 raise ServeError("service is closed")
-            pending: dict[int, np.ndarray] = {}
+            # Per shard in flight: its request id, query indices, hand-over time.
+            pending: dict[int, tuple[int, np.ndarray, float]] = {}
             for shard_id in range(self.num_shards):
                 indices = np.nonzero((first <= shard_id) & (shard_id < last))[0]
                 if indices.size == 0:
@@ -376,26 +395,29 @@ class ShardedLookupService:
                     self.metrics.inc(
                         f"serve.shard.{shard_id}.queries", int(indices.size)
                     )
+                handed_at = perf_counter()
                 if self._trees is not None:
                     shard_answers, shard_stats = probe_shard(self._trees[shard_id], sub)
                     answers[indices] |= shard_answers
-                    _add_shard_stats(stats, shard_id, shard_stats)
-                else:
-                    request_id = self._request_counter
-                    self._request_counter += 1
-                    self._workers[shard_id].request_queue.put(
-                        (request_id, sub.los, sub.his)
-                    )
-                    pending[request_id] = indices
+                    _add_shard_stats(stats, shard_id, shard_stats, handed_at)
+                    continue
+                request_id = self._request_counter
+                self._request_counter += 1
+                try:
+                    self._workers[shard_id].conn.send((request_id, sub.los, sub.his))
+                except OSError:
+                    raise self._died(shard_id) from None
+                pending[shard_id] = (request_id, indices, handed_at)
             while pending:
-                kind, request_id, shard_id, payload = self._next_reply()
+                kind, request_id, shard_id, payload = self._next_reply(pending)
+                if pending[shard_id][0] != request_id:
+                    continue  # stale reply from an aborted earlier batch
                 if kind == "error":
                     raise ServeError(f"shard {shard_id} probe failed: {payload}")
-                if kind != "ok" or request_id not in pending:
-                    continue  # stale reply from an aborted earlier batch
+                _, indices, handed_at = pending.pop(shard_id)
                 shard_answers, shard_stats = payload
-                answers[pending.pop(request_id)] |= shard_answers
-                _add_shard_stats(stats, shard_id, shard_stats)
+                answers[indices] |= shard_answers
+                _add_shard_stats(stats, shard_id, shard_stats, handed_at)
         if self.metrics is not None:
             self.metrics.inc("serve.batches")
             self.metrics.inc("serve.requests", len(batch))
@@ -433,7 +455,7 @@ class ShardedLookupService:
         if self._finalizer is not None:
             self._finalizer()  # runs _reap exactly once
         elif self._workers:  # startup failed before the finalizer existed
-            _reap(self._workers, self._reply_queue)
+            _reap(self._workers)
         self._trees = None
 
     def __enter__(self) -> "ShardedLookupService":

@@ -15,23 +15,27 @@ Ownership rules (the lifecycle the tests pin):
 * the **parent** creates every segment, copies the key buffers in once at
   snapshot time, and is the only process that ever calls ``unlink`` —
   worker death can never leak a segment the parent still tracks;
-* **workers** attach read-only views and ``close`` on exit; workers are
-  spawned children sharing the parent's resource tracker, so their
-  attach-time registrations deduplicate against the parent's own (see
-  :func:`attach_segment`) and a worker exit can never unlink a segment
-  the parent still serves from;
+* **workers** attach read-only views and ``close`` on exit; the
+  forkserver hands every child it forks the requesting parent's resource
+  tracker, so a worker's attach-time registrations deduplicate against
+  the parent's own (see :func:`attach_segment`) and a worker exit can
+  never unlink a segment the parent still serves from;
 * snapshots are **immutable by construction**: the copy decouples the
   serving view from the source tree, so the parent's online compactions
   never move bytes under a probing worker.
 
-Filters are deliberately *not* placed in shared memory: at ``B`` bits per
-key they are a ~``B/64``-th the size of the key arrays and pickle once at
-worker start, while their internals (bit arrays, succinct tries, CPFPR
-designs) have no stable cross-process layout to share.
+Filters are not shared as live objects: their internals (bit arrays,
+succinct tries, CPFPR designs) have no stable cross-process layout, and at
+``B`` bits per key they are a ~``B/64``-th the size of the key arrays.
+Their pickled bytes cross once, at worker start, in one more segment
+(:func:`share_pickle`, named by the snapshot spec's ``"filters"`` entry),
+which each worker unpickles and closes (:func:`load_pickle`) and the
+parent unlinks as soon as every worker is ready.
 """
 
 from __future__ import annotations
 
+import pickle
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -46,7 +50,9 @@ __all__ = [
     "attach_key_set",
     "attach_segment",
     "attach_tree",
+    "load_pickle",
     "share_key_set",
+    "share_pickle",
     "snapshot_tree",
 ]
 
@@ -56,16 +62,16 @@ def attach_segment(name: str) -> shared_memory.SharedMemory:
 
     Python 3.13 grew ``track=False`` for exactly this.  On earlier
     versions every attach registers the name with the resource tracker —
-    but our workers are spawned children of the segment's creator, and
-    spawned children share the *parent's* tracker process (the fd rides
-    along in the spawn preparation data), so the worker's registration is
-    a set-idempotent duplicate of the parent's own: nothing is unlinked
-    at worker exit, the parent's ``unlink`` clears the single entry, and
-    a crashed parent still gets its segments reaped by the tracker.  The
-    oft-cited hazard (bpo-38119: an attaching process's tracker unlinks
-    the segment when *it* exits) only bites attachers with an independent
-    tracker, which this serving topology never creates — so no
-    ``unregister`` workaround, which would instead erase the parent's
+    but our workers are forked by a forkserver on behalf of the segment's
+    creator, which passes that creator's tracker fd to every child it
+    forks, so workers share the *parent's* tracker process and a worker's
+    registration is a set-idempotent duplicate of the parent's own:
+    nothing is unlinked at worker exit, the parent's ``unlink`` clears the
+    single entry, and a crashed parent still gets its segments reaped by
+    the tracker.  The oft-cited hazard (bpo-38119: an attaching process's
+    tracker unlinks the segment when *it* exits) only bites attachers with
+    an independent tracker, which this serving topology never creates — so
+    no ``unregister`` workaround, which would instead erase the parent's
     leak protection and make its ``unlink`` double-unregister.
     """
     try:
@@ -99,6 +105,25 @@ def _attach_array(spec: dict) -> tuple[np.ndarray, shared_memory.SharedMemory]:
         tuple(spec["shape"]), dtype=np.dtype(spec["dtype"]), buffer=segment.buf
     )
     return view, segment
+
+
+def share_pickle(obj) -> tuple[dict, shared_memory.SharedMemory]:
+    """Pickle ``obj`` into a fresh segment; return its descriptor and the segment.
+
+    The caller owns the segment (close + unlink); :func:`load_pickle`
+    rebuilds the object from the descriptor in another process.
+    """
+    return _share_array(np.frombuffer(pickle.dumps(obj), dtype=np.uint8))
+
+
+def load_pickle(spec: dict):
+    """Attach the segment behind ``spec``, unpickle its object, and close it."""
+    data, segment = _attach_array(spec)
+    try:
+        return pickle.loads(data)
+    finally:
+        del data  # the view must go before its mapping closes
+        segment.close()
 
 
 def share_key_set(

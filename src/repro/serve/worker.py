@@ -1,25 +1,22 @@
 """Shard worker: probe a shared-memory tree snapshot in a child process.
 
-The worker protocol is deliberately tiny — one request queue in, one
-shared reply queue out:
+The worker protocol is deliberately tiny — one duplex pipe per worker:
 
-* parent → worker: first the shard's filter list as pickled bytes, then
-  ``(request_id, los, his)`` with numpy bound arrays already validated
-  by the parent's router (the worker rebuilds the sub-batch with the
-  validated flag set, so no re-validation cost), or ``None`` as the
-  shutdown sentinel;
+* parent → worker: ``(request_id, los, his)`` with numpy bound arrays
+  already validated by the parent's router (the worker rebuilds the
+  sub-batch with the validated flag set, so no re-validation cost), or
+  ``None`` as the shutdown sentinel;
 * worker → parent: uniform ``(kind, request_id, shard_id, payload)``
   tuples — ``("ready", -1, shard_id, None)`` once the snapshot is
   attached, then ``("ok", request_id, shard_id, (answers, stats))`` per
   request or ``("error", request_id, shard_id, message)`` if a probe
   raised (``request_id`` is ``-1`` for a startup failure).
 
-The filters travel on the request queue rather than as a ``spawn``
-argument: the spawn launcher writes its arguments down a pipe whose read
-end the parent itself holds open, so a child that died before reading
-hundreds of KB of filters would block ``Process.start()`` forever.  On the
-queue, the same death surfaces in the parent's liveness-checked wait for
-``ready``.
+Start-up arguments stay small: the snapshot spec names the segments, one
+of them holding the shard's pickled filter list
+(:func:`~repro.serve.shm.load_pickle`), so no start step writes a large
+payload down a pipe.  A worker's death closes its pipe end, which the
+parent reads as end-of-file, at start-up as while serving.
 
 Answers are ground truth (``required_reads > 0``) — the filter decides
 what gets *charged*, never what is *answered* — and ``stats`` carries the
@@ -37,12 +34,11 @@ segment.  See :mod:`repro.serve.shm` for the full ownership rules.
 
 from __future__ import annotations
 
-import pickle
 from time import perf_counter
 
 import numpy as np
 
-from repro.serve.shm import attach_tree
+from repro.serve.shm import attach_tree, load_pickle
 from repro.workloads.batch import QueryBatch
 from repro.workloads.bytekeys import ByteQueryBatch
 
@@ -88,41 +84,32 @@ def probe_shard(tree, batch: QueryBatch) -> tuple[np.ndarray, dict]:
     }
 
 
-def worker_main(
-    shard_id: int,
-    snapshot_spec: dict,
-    max_length: int | None,
-    request_queue,
-    reply_queue,
-) -> None:
+def worker_main(shard_id: int, snapshot_spec: dict, max_length: int | None, conn) -> None:
     """Worker entry point: attach the snapshot, answer until the sentinel.
 
-    Runs in a spawned child.  The first request-queue message is the
-    shard's filter list.  Any exception while answering one request is
-    reported as an ``("error", ...)`` reply and the loop continues — a
-    malformed batch must not take the shard down; only the ``None``
-    sentinel (or queue breakage at parent death) ends the worker.
+    Runs in a child forked by the forkserver.  Any exception while
+    answering one request is reported as an ``("error", ...)`` reply and
+    the loop continues — a malformed batch must not take the shard down;
+    only the ``None`` sentinel (or the pipe breaking at parent death) ends
+    the worker.
     """
     tree = None
     segments = []
     try:
         try:
-            tree, segments = attach_tree(snapshot_spec, pickle.loads(request_queue.get()))
+            filters = load_pickle(snapshot_spec["filters"])
+            tree, segments = attach_tree(snapshot_spec, filters)
         except BaseException as exc:  # report, then die: parent sees non-ready
-            reply_queue.put(("error", -1, shard_id, repr(exc)))
+            conn.send(("error", -1, shard_id, repr(exc)))
             raise
         width = tree.width
-        reply_queue.put(("ready", -1, shard_id, None))
-        while True:
-            message = request_queue.get()
-            if message is None:
-                break
-            request_id, los, his = message
+        conn.send(("ready", -1, shard_id, None))
+        for request_id, los, his in iter(conn.recv, None):
             try:
                 batch = rebuild_batch(los, his, width, max_length)
-                reply_queue.put(("ok", request_id, shard_id, probe_shard(tree, batch)))
+                conn.send(("ok", request_id, shard_id, probe_shard(tree, batch)))
             except Exception as exc:
-                reply_queue.put(("error", request_id, shard_id, repr(exc)))
+                conn.send(("error", request_id, shard_id, repr(exc)))
     finally:
         # Drop every view into the segments before closing the mappings —
         # closing with live buffer exports raises BufferError.

@@ -31,9 +31,10 @@ coercers, the probe helpers) and decoded on the way out
 (:meth:`EncodedKeySet.as_list`, fences, :meth:`QueryBatch.pairs`);
 inside, code reads the stored arrays.
 
-Both types validate on construction with the same rules (and messages) as
-``RangeFilter._check_range``, so a batch handed to any filter or model is
-already known to be well-formed.  Stored arrays
+Both types validate on construction with one set of rules and messages,
+:func:`_check_pair`'s, so a batch handed to any filter or model is already
+known to be well-formed (a filter's scalar probe is a one-row batch, so it
+is checked by the same rules).  Stored arrays
 that cross a boundary (a worker process, a merged run) are wrapped with the
 ``_trusted`` constructors, which neither check nor encode again.
 """
@@ -344,7 +345,7 @@ class QueryBatch:
             self.his = encode_ints(his, width, check=False)
         except ValueError:
             # A bound the stored form cannot hold: report the first bad
-            # query exactly as RangeFilter._check_range would.
+            # query exactly as _check_pair words it.
             for lo, hi in zip(np.asarray(los).tolist(), np.asarray(his).tolist()):
                 _check_pair(lo, hi, width)
             raise
@@ -369,7 +370,7 @@ class QueryBatch:
         return batch
 
     def _validate(self) -> None:
-        """Apply ``RangeFilter._check_range``'s rules (and messages) batch-wide.
+        """Apply :func:`_check_pair`'s rules (and messages) batch-wide.
 
         Sets ``_validated`` on success so deferred validation
         (``validate=False`` construction followed by
@@ -382,7 +383,7 @@ class QueryBatch:
             bad |= (self.los < 0) | (self.his > (1 << self.width) - 1)
         if bad.any():
             # Report the *first* offending query, defect-checked in
-            # _check_range's order, so a mixed-defect batch raises the
+            # _check_pair's order, so a mixed-defect batch raises the
             # same error a per-query loop would.
             index = int(np.argmax(bad))
             _check_pair(
@@ -456,7 +457,7 @@ class QueryBatch:
 
 
 def _check_pair(lo: int, hi: int, width: int) -> None:
-    """``RangeFilter._check_range`` on one pair of the user's bounds."""
+    """The range check of every probe, on one pair of the user's bounds."""
     if lo > hi:
         raise ValueError(f"empty query range [{lo}, {hi}]")
     if lo < 0 or hi >= 1 << width:
@@ -472,7 +473,7 @@ def coerce_query_batch(queries, width: int) -> QueryBatch:
     :class:`~repro.workloads.bytekeys.ByteQueryBatch`.  A batch constructed
     with ``validate=False`` is validated here — once, the flag is sticky —
     so every ``may_intersect_many`` rejects ``lo > hi`` and out-of-width
-    ranges with exactly the ``ValueError``s of ``RangeFilter._check_range``.
+    ranges with exactly the ``ValueError``s of :func:`_check_pair`.
     """
     if isinstance(queries, QueryBatch):
         if queries.width != width:

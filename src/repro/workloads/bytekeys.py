@@ -270,7 +270,7 @@ class ByteQueryBatch(QueryBatch):
         return np.array(cleaned, dtype=f"S{length}")
 
     def _validate(self) -> None:
-        """Reject ``lo > hi`` in padded (``memcmp``) order, as ``_check_range`` words it."""
+        """Reject ``lo > hi`` in padded (``memcmp``) order, as ``_check_pair`` words it."""
         bad = self.los > self.his
         if bad.any():
             index = int(np.argmax(bad))

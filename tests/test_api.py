@@ -217,6 +217,22 @@ def test_out_of_space_probes_raise(space):
                 filt.may_contain(too_long)
 
 
+def test_scalar_byte_probes_of_an_integer_filter_act_as_batches():
+    # Without a key space, byte bounds against an integer filter are padded
+    # big-endian integers: the scalar probe, a one-row batch, answers what
+    # the batch answers and rejects what the batch rejects, with its words.
+    w = Workload.generate(2000, 200, 32, seed=7)
+    assert w.key_space is None
+    for name in registered_families():
+        filt = build_filter(FilterSpec(name, 12), w.keys, w)
+        assert filt.may_contain(b"abcd") == filt.may_contain_many([b"abcd"])[0], name
+        with pytest.raises(ValueError) as batched:
+            filt.may_contain_many([b"xxxxx"])
+        with pytest.raises(ValueError, match="outside the 32-bit key space") as scalar:
+            filt.may_contain(b"xxxxx")
+        assert str(scalar.value) == str(batched.value), name
+
+
 def test_keys_default_to_the_workload_key_set(workload):
     via_default = build_filter(FilterSpec("bloom", 8), workload=workload)
     assert via_default.num_keys == len(workload.keys)

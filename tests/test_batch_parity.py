@@ -563,7 +563,7 @@ def test_rosetta_wide_key_space_build_falls_back():
 
 class TestBatchValidationParity:
     """The vectorised fast paths must reject malformed queries with the
-    same ValueErrors as the scalar ``_check_range`` — even when the batch
+    same ValueErrors as the scalar ``may_intersect`` — even when the batch
     was constructed with ``validate=False`` (the coercion layer owns the
     deferred check)."""
 

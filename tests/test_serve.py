@@ -16,14 +16,16 @@ Four clusters of coverage:
   unsharded tree for the same seeded workload, for int and byte keys;
   ``from_online`` freezes a live tree's snapshot (the parent keeps
   ingesting afterwards without perturbing served answers);
-* **shared-memory lifecycle** — closing the service (or failing to
-  start it, or a worker being SIGKILLed mid-flight) never leaks a
-  ``/dev/shm`` segment; a killed worker surfaces as :class:`ServeError`,
-  not a hang.
+* **shared-memory lifecycle and faults** — closing the service (or
+  failing to start it, a worker being SIGKILLed or SIGSTOPped mid-flight,
+  or ``close()`` racing a serving thread) never leaks a ``/dev/shm``
+  segment; a dead or stuck worker surfaces as :class:`ServeError` naming
+  what failed, not a hang.
 
-Process-mode tests use the real ``spawn`` start method — that is what
-exercises attach-by-name in the workers — and are kept small so the
-suite stays fast on one core.
+Process-mode tests run real workers, forked from the service's
+``forkserver`` — exec'd, not forked from the test process, so the workers
+still attach segments by name — and are kept small so the suite stays
+fast on one core.
 """
 
 import asyncio
@@ -54,6 +56,7 @@ from repro.serve import (
     snapshot_tree,
     split_key_set,
 )
+from repro.serve.service import WORKER_CONTEXT
 from repro.workloads.batch import QueryBatch, coerce_keys
 
 WIDTH = 24
@@ -411,6 +414,11 @@ def test_service_matches_monolithic_tree_int_keys(mode):
         assert sum(stats["shard_queries"]) + stats["routed_none"] >= los.size
         touched = [count > 0 for count in stats["shard_queries"]]
         assert [probe_s > 0 for probe_s in stats["shard_probe_s"]] == touched
+        # In both modes a shard's probe lies inside the parent's wait for it.
+        assert all(
+            wait_s >= probe_s
+            for wait_s, probe_s in zip(stats["shard_wait_s"], stats["shard_probe_s"])
+        )
         assert service.describe()["num_shards"] == 3
     assert monolith.num_keys == sum(service.shard_sizes)
 
@@ -519,11 +527,14 @@ def _shm_segments():
 
 def test_process_service_cleans_up_all_segments_on_close():
     keys = _population(seed=53, size=1000)
+    before = _shm_segments()
     service = ShardedLookupService.build(
         coerce_keys(keys, WIDTH), num_shards=2, spec=FilterSpec("bloom", 10.0)
     )
     names = _segment_names(service)
     assert names and all(_shm_exists(name) for name in names)
+    # The pickled filter lists' segments are gone once the workers are ready.
+    assert _shm_segments() - before == set(names)
     answers, _ = service.serve_batch(keys[:10])
     assert answers.all()
     service.close()
@@ -546,20 +557,95 @@ def test_killed_worker_raises_serve_error_and_still_cleans_up():
     assert not any(_shm_exists(name) for name in names)
 
 
+def test_worker_killed_mid_batch_is_named():
+    # SIGKILL lands while 200k-query batches are in flight, whichever step
+    # (send, probe or reply) it hits: the error names the killed worker.
+    keys = _population(seed=61, size=2000)
+    los = np.random.default_rng(3).integers(0, 1 << WIDTH, 200_000)
+    before = _shm_segments()
+    service = ShardedLookupService.build(coerce_keys(keys, WIDTH), num_shards=2)
+    victim = service._workers[1].process
+    timer = threading.Timer(0.05, os.kill, (victim.pid, signal.SIGKILL))
+    try:
+        timer.start()
+        with pytest.raises(ServeError, match="shard worker 1 died"):
+            for _ in range(100):
+                service.serve_batch(los)
+    finally:
+        timer.cancel()
+        service.close()
+    assert not victim.is_alive()
+    assert _shm_segments() - before == set()
+
+
+def test_stopped_worker_times_out_then_closes():
+    keys = _population(seed=63, size=1000)
+    before = _shm_segments()
+    service = ShardedLookupService.build(
+        coerce_keys(keys, WIDTH), num_shards=2, reply_timeout=1.0
+    )
+    stopped = service._workers[0].process
+    os.kill(stopped.pid, signal.SIGSTOP)
+    try:
+        start = time.monotonic()
+        with pytest.raises(ServeError, match=r"no worker reply within 1\.0s"):
+            service.serve_batch(keys[:10])  # all in shard 0
+        assert time.monotonic() - start < 5.0
+        os.kill(stopped.pid, signal.SIGCONT)
+        # The late reply to the timed-out request (all True) is skipped.
+        misses = [key + 1 for key in keys[:10]]
+        answers, _ = service.serve_batch(misses)
+        assert answers.tolist() == [_truth(keys, key, key) for key in misses]
+    finally:
+        os.kill(stopped.pid, signal.SIGCONT)
+        service.close()
+    assert not any(worker.process.is_alive() for worker in service._workers)
+    assert _shm_segments() - before == set()
+
+
+def test_close_racing_a_serving_thread():
+    # close() waits out the batch in flight; every later call is refused.
+    keys = _population(seed=67, size=1500)
+    los, his = _eval_queries(keys, seed=13, count=200)
+    expected = [_truth(keys, int(lo), int(hi)) for lo, hi in zip(los, his)]
+    before = _shm_segments()
+    service = ShardedLookupService.build(coerce_keys(keys, WIDTH), num_shards=2)
+    served, refusals = [], []
+    answered = threading.Event()
+
+    def serve():
+        while len(refusals) < 3:
+            try:
+                served.append(service.serve_batch(los, his)[0].tolist())
+                answered.set()
+            except ServeError as exc:
+                refusals.append(str(exc))
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        assert answered.wait(10.0)
+    finally:
+        service.close()
+    thread.join(10.0)
+    assert not thread.is_alive()
+    assert served and all(answers == expected for answers in served)
+    assert refusals == ["service is closed"] * 3
+    assert _shm_segments() - before == set()
+
+
 def test_failed_worker_spawn_unlinks_the_orphaned_segments(monkeypatch):
     """A shard whose Process cannot even start must not leak its segments.
 
     Regression: those segments are created *before* the worker handle is
     registered, so the generic close() path never saw them.
     """
-    import multiprocessing.context as mp_context
-
     before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
 
-    def exploding_process(self, *args, **kwargs):
+    def exploding_process(*args, **kwargs):
         raise OSError("no processes for you")
 
-    monkeypatch.setattr(mp_context.SpawnContext, "Process", exploding_process)
+    monkeypatch.setattr(WORKER_CONTEXT, "Process", exploding_process)
     keys = _population(seed=67, size=500)
     with pytest.raises(OSError, match="no processes"):
         ShardedLookupService.build(coerce_keys(keys, WIDTH), num_shards=2)
@@ -624,10 +710,12 @@ def test_process_mode_reports_worker_probe_time_per_shard():
         touched = [count > 0 for count in stats["shard_queries"]]
         assert any(touched)
         for shard_id, probe_s in enumerate(stats["shard_probe_s"]):
+            wait_s = stats["shard_wait_s"][shard_id]
             if touched[shard_id]:
-                assert 0.0 < probe_s <= wall
+                # The worker's probe lies inside the parent's wait for it.
+                assert 0.0 < probe_s <= wait_s <= wall
             else:
-                assert probe_s == 0.0
+                assert probe_s == wait_s == 0.0
         _, point_stats = service.serve_batch([keys[0]])  # one shard touched
         assert sum(probe_s > 0 for probe_s in point_stats["shard_probe_s"]) == 1
 
