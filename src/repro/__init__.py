@@ -3,8 +3,8 @@
 The package is organised as a set of small, focused subpackages:
 
 ``repro.keys``
-    Key encoding: integer and string keys viewed as fixed-width bit strings,
-    prefix extraction and longest-common-prefix machinery.
+    Key machinery: longest-common-prefix computations over integer keys
+    and the byte-matrix primitives of byte keys.
 ``repro.amq``
     Approximate membership query structures (Bloom filters and friends) and
     the hashing substrate they rely on.
@@ -82,9 +82,6 @@ _LAZY_EXPORTS = {
     "PointBloomFilter": "repro.filters.prefix_bloom",
     "Rosetta": "repro.filters.rosetta",
     "SuRF": "repro.filters.surf",
-    "KeySpace": "repro.keys.keyspace",
-    "IntegerKeySpace": "repro.keys.keyspace",
-    "StringKeySpace": "repro.keys.keyspace",
     "EncodedKeySet": "repro.workloads.batch",
     "QueryBatch": "repro.workloads.batch",
     "generate_workload": "repro.workloads.generators",

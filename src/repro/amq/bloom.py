@@ -144,19 +144,6 @@ class BloomFilter(AMQ):
             return None, concrete  # floats, big ints (object), etc.
         return probe.astype(np.int64, copy=False), None
 
-    def _positions_many(self, items: np.ndarray) -> np.ndarray:
-        """Return the ``(num_hashes, len(items))`` probe-position matrix.
-
-        Same enhanced-double-hashing recurrence as :meth:`_positions`,
-        served by the :mod:`repro.kernels` numpy reference — bit-exact with
-        the scalar path (all intermediates stay below 2**64 because
-        x, y < m).
-        """
-        return kernels.bloom_positions(
-            items, self._s1, self._s2, self.num_bits, self.num_hashes,
-            backend="numpy",
-        )
-
     def _hash_pairs_scalar(self, items: list) -> tuple[np.ndarray, np.ndarray]:
         """Hash arbitrary items (big ints, any width) via the scalar pair."""
         h1 = np.empty(len(items), dtype=np.uint64)
@@ -293,10 +280,6 @@ class BloomFilter(AMQ):
     def inserted_items(self) -> int:
         """Number of items inserted so far."""
         return self._inserted
-
-    def fill_ratio(self) -> float:
-        """Fraction of bits currently set (useful for diagnostics and tests)."""
-        return self.bits.count() / self.num_bits if self.num_bits else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

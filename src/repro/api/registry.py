@@ -127,12 +127,11 @@ def build_filter(
 
     The uniform construction entry point: dispatches through the registry
     to the family's ``from_spec``, after checking that self-designing
-    families actually received the workload sample they optimise against,
-    and attaches the workload's key space (if any) to the built filter, so
-    its scalar probes take raw-domain keys.  ``metrics`` optionally
-    instruments the build: total/per-family build counts and timings plus
-    the built filter's charged size, and — for families whose
-    ``from_spec`` accepts it — the inner model/design-search phases too.
+    families actually received the workload sample they optimise against.
+    ``metrics`` optionally instruments the build: total/per-family build
+    counts and timings plus the built filter's charged size, and — for
+    families whose ``from_spec`` accepts it — the inner model/design-search
+    phases too.
     ``metrics=None`` (the default) is the uninstrumented path: one ``is
     None`` check, nothing else.
     """
@@ -156,9 +155,6 @@ def build_filter(
         metrics.observe(
             "build.bits_per_key", filt.bits_per_key(), buckets=BITS_PER_KEY_BUCKETS
         )
-    if workload is not None:
-        # Every family's scalar probes encode raw-domain keys through it.
-        filt.key_space = workload.key_space
     return filt
 
 

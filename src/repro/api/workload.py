@@ -2,9 +2,11 @@
 
 PR 2's generators emit an (:class:`~repro.workloads.batch.EncodedKeySet`,
 :class:`~repro.workloads.batch.QueryBatch`) pair; this class formalises that
-pair as one value — plus the optional :class:`~repro.keys.keyspace.KeySpace`
-that produced the encoding and a ``metadata`` dict recording provenance
-(generator config, dataset name) for the JSON reports.
+pair as one value, plus a ``metadata`` dict recording provenance (generator
+config, dataset name) for the JSON reports.  Raw keys and bounds go through
+the same two doors as everywhere else: :func:`~repro.workloads.batch.
+coerce_keys` and :func:`~repro.workloads.batch.stored_query_batch`, so the
+query sample is always in the key set's representation.
 
 Self-designing families (1PBF/2PBF/Proteus) consume ``workload.queries`` as
 the sample Algorithm 1 optimises against; fixed baselines may consult it for
@@ -16,15 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-import numpy as np
-
-from repro.keys.keyspace import KeySpace, StringKeySpace
-from repro.workloads.batch import (
-    EncodedKeySet,
-    QueryBatch,
-    coerce_keys,
-    coerce_query_batch,
-)
+from repro.workloads.batch import QueryBatch, coerce_keys, stored_query_batch
 from repro.workloads.generators import generate_workload
 from repro.workloads.keyset import KeySet
 
@@ -32,55 +26,27 @@ __all__ = ["Workload"]
 
 
 class Workload:
-    """An encoded key set, a query sample, and where they came from."""
+    """A key set, a query sample in its representation, and where they came from.
 
-    __slots__ = ("keys", "queries", "key_space", "metadata")
+    ``keys`` is a :class:`~repro.workloads.keyset.KeySet` or raw keys;
+    ``width`` is what raw integer keys need, as in
+    :func:`~repro.workloads.batch.coerce_keys` (byte/str keys size their
+    own space).  ``queries`` is a batch or ``(lo, hi)`` pairs, integer or
+    byte/str: against byte keys, integer bounds are padded big-endian
+    integers, and against integer keys, byte bounds are read the same way.
+    """
+
+    __slots__ = ("keys", "queries", "metadata")
 
     def __init__(
         self,
         keys: KeySet | Iterable,
         queries: QueryBatch | Iterable[tuple],
-        key_space: KeySpace | None = None,
+        width: int | None = None,
         metadata: Mapping | None = None,
     ):
-        if not isinstance(keys, KeySet):
-            concrete = keys if isinstance(keys, np.ndarray) else list(keys)
-            sample = concrete[0] if len(concrete) else None
-            if isinstance(sample, (bytes, str, np.bytes_)):
-                # Byte/str keys size their own space; no key_space needed.
-                width = key_space.width if key_space is not None else None
-                keys = coerce_keys(concrete, width)
-            elif key_space is None:
-                raise ValueError("raw keys need a key_space (or pass a KeySet)")
-            else:
-                keys = EncodedKeySet.from_raw(concrete, key_space)
-        if key_space is None and keys.is_bytes:
-            # Attach the matching string space: build_filter hands it to
-            # every filter, whose scalar probes then take raw strings.
-            key_space = StringKeySpace((keys.width + 7) // 8)
-        if key_space is not None and key_space.width != keys.width:
-            raise ValueError(
-                f"key space width {key_space.width} does not match "
-                f"key set width {keys.width}"
-            )
-        if isinstance(queries, QueryBatch):
-            if queries.width != keys.width:
-                raise ValueError(
-                    f"query batch width {queries.width} does not match "
-                    f"key set width {keys.width}"
-                )
-        elif keys.is_bytes:
-            # Raw byte pairs become a ByteQueryBatch, padded-integer pairs
-            # a QueryBatch of the padded integers (a byte filter converts
-            # it to bytes) — coerce_query_batch dispatches.
-            queries = coerce_query_batch(list(queries), keys.width)
-        elif key_space is not None:
-            queries = QueryBatch.from_raw(queries, key_space)
-        else:
-            queries = QueryBatch.from_pairs(queries, keys.width)
-        self.keys = keys
-        self.queries = queries
-        self.key_space = key_space
+        self.keys = coerce_keys(keys, width)
+        self.queries = stored_query_batch(queries, self.keys.width, self.keys.is_bytes)
         self.metadata = dict(metadata or {})
 
     @property

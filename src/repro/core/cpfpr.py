@@ -82,11 +82,10 @@ from repro.workloads.batch import (
     EncodedKeySet,
     QueryBatch,
     coerce_keys,
-    coerce_query_batch,
     decode_ints,
     slot_bounds,
+    stored_query_batch,
 )
-from repro.workloads.bytekeys import ByteQueryBatch
 
 __all__ = ["CPFPRModel", "DEFAULT_MAX_PROBES"]
 
@@ -94,10 +93,12 @@ __all__ = ["CPFPRModel", "DEFAULT_MAX_PROBES"]
 class CPFPRModel:
     """Expected-FPR evaluator for trie/Bloom prefix-filter designs.
 
-    ``keys`` may be any iterable of encoded integers or a
+    ``keys`` may be any iterable of raw keys or a
     :class:`~repro.workloads.keyset.KeySet`; ``queries`` any iterable
     of inclusive ``(lo, hi)`` pairs or a
-    :class:`~repro.workloads.batch.QueryBatch`.  ``metrics`` optionally names
+    :class:`~repro.workloads.batch.QueryBatch`, which
+    :func:`~repro.workloads.batch.stored_query_batch` puts in the key
+    set's representation.  ``metrics`` optionally names
     a :class:`~repro.obs.metrics.MetricsRegistry` that counts model
     constructions and per-candidate design evaluations (one ``is not
     None`` check per evaluation when disabled).
@@ -129,7 +130,7 @@ class CPFPRModel:
         #: ``prefix_counts[l] == |K_l|``, the number of distinct l-bit prefixes.
         self.prefix_counts = keyset.prefix_counts()
         self._prefix_count_array = np.array(self.prefix_counts, dtype=np.int64)
-        batch = coerce_query_batch(queries, width)
+        batch = stored_query_batch(queries, width, keyset.is_bytes)
         self.num_queries = len(batch)
         self._empty_list: list[tuple[int, int, int]] | None = None
         if self.is_bytes:
@@ -172,15 +173,6 @@ class CPFPRModel:
         uses.
         """
         width = self.width
-        if not isinstance(batch, ByteQueryBatch):
-            length = (width + 7) // 8
-            batch = ByteQueryBatch.from_pairs(
-                [
-                    (int(lo).to_bytes(length, "big"), int(hi).to_bytes(length, "big"))
-                    for lo, hi in batch.pairs()
-                ],
-                length,
-            )
         keys_s = keyset.keys
         matrix = keyset.matrix
         lo_m, hi_m = batch.lo_matrix, batch.hi_matrix

@@ -253,19 +253,3 @@ def design_two_pbf(
     if metrics is not None:
         _emit_design_metrics(metrics, "2pbf", best, candidates, pruned, start)
     return best
-
-
-def design_all(
-    model: CPFPRModel, total_bits: int, metrics=None
-) -> dict[str, FilterDesign]:
-    """Run Algorithm 1 once per design family under the same budget.
-
-    Returns ``{"proteus": ..., "1pbf": ..., "2pbf": ...}`` — the benchmark
-    harness and evaluation drivers use this to compare the families' chosen
-    designs on one workload without re-deriving the model.
-    """
-    return {
-        "proteus": design_proteus(model, total_bits, metrics),
-        "1pbf": design_one_pbf(model, total_bits, metrics),
-        "2pbf": design_two_pbf(model, total_bits, metrics),
-    }

@@ -1,8 +1,9 @@
 """The range-filter interface and the exact ground-truth oracle.
 
 Every filter in :mod:`repro.filters` and :mod:`repro.core` implements
-:class:`RangeFilter`: an immutable structure built over a set of keys
-(``width``-bit unsigned integers, see :mod:`repro.keys`) that answers, per
+:class:`RangeFilter`: an immutable structure built over a set of keys in a
+``width``-bit space (integers, or byte strings whose padded big-endian
+integers are the keys, see :mod:`repro.workloads.batch`) that answers, per
 query of a batch, does the inclusive range ``[lo, hi]`` contain a key
 (``may_intersect_many``) — with *no false negatives*: a ``False`` answer is
 definite, a ``True`` answer may be wrong with some false positive rate.
@@ -21,12 +22,12 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.keys.keyspace import KeySpace
 from repro.workloads.batch import (
     MAX_INT64_WIDTH,
     QueryBatch,
     coerce_keys,
     coerce_query_batch,
+    stored_query_batch,
 )
 from repro.workloads.bytekeys import ByteQueryBatch
 from repro.workloads.keyset import KeySet
@@ -59,14 +60,13 @@ def resolve_spec_inputs(spec, keys, workload) -> tuple[KeySet, int]:
     """Resolve the shared ``from_spec`` inputs: ``(key_set, total_bits)``.
 
     ``keys`` may be ``None`` (build over the workload's key set), any
-    :class:`~repro.workloads.keyset.KeySet`, or a raw iterable — raw
-    integer keys are encoded through the workload's key space when one is
-    attached (the LSM per-SST case: one workload, many raw key subsets),
-    otherwise interpreted as already encoded in a ``width``-bit space taken
-    from the workload, the ``width`` spec parameter, or the 64-bit default;
-    raw byte/str keys become a :class:`~repro.workloads.ByteKeySet`
-    directly.  The bit budget is ``bits_per_key`` times the number of
-    *distinct* keys (at least 1 bit).
+    :class:`~repro.workloads.keyset.KeySet`, or a raw iterable, which
+    :func:`~repro.workloads.batch.coerce_keys` takes in a ``width``-bit
+    space from the workload (the LSM per-SST case: one workload, many raw
+    key subsets), the ``width`` spec parameter, or the 64-bit default; raw
+    byte/str keys without a workload size their own space.  The bit budget
+    is ``bits_per_key`` times the number of *distinct* keys (at least 1
+    bit).
     """
     if keys is None:
         if workload is None:
@@ -76,19 +76,15 @@ def resolve_spec_inputs(spec, keys, workload) -> tuple[KeySet, int]:
         key_set = keys
     else:
         concrete = keys if isinstance(keys, np.ndarray) else list(keys)
-        sample = concrete[0] if len(concrete) else None
-        raw_bytes = isinstance(sample, (bytes, str, np.bytes_))
         if workload is not None:
             width = workload.width
-            if workload.key_space is not None and not raw_bytes:
-                concrete = workload.key_space.encode_many(concrete)
+        elif spec.params.get("width") is not None:
+            width = int(spec.params["width"])
         else:
-            param = spec.params.get("width")
-            if param is not None:
-                width = int(param)
-            else:
-                # Byte keys size their own space; integers take the default.
-                width = None if raw_bytes else DEFAULT_SPEC_WIDTH
+            # Byte keys size their own space; integers take the default.
+            sample = concrete[0] if len(concrete) else None
+            raw_bytes = isinstance(sample, (bytes, str, np.bytes_))
+            width = None if raw_bytes else DEFAULT_SPEC_WIDTH
         key_set = coerce_keys(concrete, width)
     if workload is not None and workload.width != key_set.width:
         raise ValueError(
@@ -128,17 +124,16 @@ class RangeFilter(ABC):
 
     A family implements one probe, :meth:`may_intersect_many`; a point
     query is the range ``[k, k]`` and a scalar probe a one-row batch, both
-    defined here once.
+    defined here once.  Probes take integer or byte/str bounds whatever
+    the filter stores, and :meth:`_batch` puts them in its representation
+    (an integer against byte keys is a padded big-endian integer), so a
+    scalar probe answers and raises exactly as its one-row batch.
     """
 
     #: Number of bits in the integer view of a key.
     width: int
     #: Number of distinct keys the filter was built over.
     num_keys: int
-    #: Optional :class:`~repro.keys.keyspace.KeySpace` (``build_filter``
-    #: attaches the workload's); the scalar probes encode raw-domain keys
-    #: through it.
-    key_space: KeySpace | None = None
     #: Whether the filter was built over byte keys; its integer probes are
     #: then padded big-endian integers, never the int64 stored form.
     is_bytes: bool = False
@@ -148,15 +143,13 @@ class RangeFilter(ABC):
         """Per query, False only if ``[lo, hi]`` definitely contains no key.
 
         Accepts a :class:`~repro.workloads.batch.QueryBatch` or any
-        iterable of inclusive ``(lo, hi)`` pairs in the integer view of the
-        filter's key space (byte/str bounds for byte keys); returns one
-        boolean per query, in order.
+        iterable of inclusive ``(lo, hi)`` pairs, integer or byte/str
+        bounds (see :meth:`_batch`); returns one boolean per query, in
+        order.
         """
 
     def may_intersect(self, lo, hi) -> bool:
         """Return False only if ``[lo, hi]`` definitely contains no key."""
-        if self.key_space is not None:
-            lo, hi = self.key_space.encode(lo), self.key_space.encode(hi)
         return bool(self.may_intersect_many([(lo, hi)])[0])
 
     def may_contain(self, key) -> bool:
@@ -188,18 +181,9 @@ class RangeFilter(ABC):
     def _batch(self, queries) -> QueryBatch:
         """``queries`` as a validated batch in the representation the filter stores.
 
-        Integer bounds against a byte filter are padded big-endian integers
-        and become a :class:`~repro.workloads.bytekeys.ByteQueryBatch` of
-        their bytes; byte bounds against an integer filter become the
-        padded integers of :meth:`ByteQueryBatch.pairs`.
+        See :func:`~repro.workloads.batch.stored_query_batch`.
         """
-        batch = coerce_query_batch(queries, self.width)
-        if self.is_bytes == isinstance(batch, ByteQueryBatch):
-            return batch
-        pairs = list(batch.pairs())
-        if self.is_bytes:
-            return ByteQueryBatch.from_pairs(pairs, (self.width + 7) // 8)
-        return QueryBatch.from_pairs(pairs, self.width)
+        return stored_query_batch(queries, self.width, self.is_bytes)
 
     @abstractmethod
     def size_in_bits(self) -> int:

@@ -151,10 +151,6 @@ class PrefixBloomFilter(RangeFilter):
     def size_in_bits(self) -> int:
         return self._bloom.size_in_bits()
 
-    def theoretical_probe_fpr(self) -> float:
-        """Return the analytic single-probe FPR of the underlying Bloom filter."""
-        return self._bloom.theoretical_fpr()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PrefixBloomFilter(prefix_len={self.prefix_len}, "

@@ -1,19 +1,16 @@
-"""Key encoding utilities.
+"""Key machinery shared by the filters and the CPFPR model.
 
-All range filters in this repository operate on keys viewed as unsigned
-integers of a fixed bit width (the *key space width*).  64-bit integer keys
-use a width of 64; variable-length string keys are padded with trailing null
-bytes to the maximum key length and use a width of ``8 * max_len`` bits, which
-is exactly the treatment described in Section 7 of the paper.
-
-The :class:`~repro.keys.keyspace.KeySpace` classes encapsulate that mapping;
-:mod:`repro.keys.lcp` provides the longest-common-prefix computations that
-drive the CPFPR model and :mod:`repro.keys.bytestr` the byte-matrix
-primitives of byte keys.  A key's ``l``-bit prefix is ``key >> (width -
-l)``, formed in place by the array code that needs it.
+Keys live in a ``width``-bit space in one of two representations, chosen
+by :func:`repro.workloads.batch.coerce_keys`: integers of at most 64 bits
+(the int64 stored form), or byte strings (byte/str keys, and wider
+integers as their big-endian bytes), whose ``memcmp`` order is the order
+of their null-padded big-endian integers (Section 7 of the paper).
+:mod:`repro.keys.lcp` provides the longest-common-prefix computations over
+integer keys that drive the CPFPR model, and :mod:`repro.keys.bytestr` the
+byte-matrix primitives of byte keys.  A key's ``l``-bit prefix is ``key >>
+(width - l)``, formed in place by the array code that needs it.
 """
 
-from repro.keys.keyspace import IntegerKeySpace, KeySpace, StringKeySpace
 from repro.keys.lcp import (
     bit_length_many,
     lcp_bits_many,
@@ -23,9 +20,6 @@ from repro.keys.lcp import (
 )
 
 __all__ = [
-    "KeySpace",
-    "IntegerKeySpace",
-    "StringKeySpace",
     "lcp_bits_many",
     "bit_length_many",
     "min_distinguishing_prefix_lengths_array",

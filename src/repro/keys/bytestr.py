@@ -20,8 +20,6 @@ integer view.  Everything here exploits that equivalence:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.amq import hashing
@@ -35,9 +33,7 @@ __all__ = [
     "hash_rows_pair",
     "lcp_bits_rows",
     "mask_rows",
-    "pack_rows",
     "prefix_item_bytes",
-    "row_values",
     "rows_as_strings",
     "strings_as_rows",
     "unique_rows",
@@ -46,12 +42,6 @@ __all__ = [
 
 #: ``int.bit_length`` for every byte value, for intra-byte LCP refinement.
 _BITLEN8 = np.array([v.bit_length() for v in range(256)], dtype=np.int64)
-
-
-def pack_rows(keys: Sequence[bytes], num_bytes: int) -> np.ndarray:
-    """Null-pad ``keys`` to ``num_bytes`` and stack them as a uint8 matrix."""
-    joined = b"".join(key.ljust(num_bytes, b"\x00") for key in keys)
-    return np.frombuffer(joined, dtype=np.uint8).reshape(len(keys), num_bytes).copy()
 
 
 def rows_as_strings(mat: np.ndarray) -> np.ndarray:
@@ -92,17 +82,6 @@ def unique_rows(mat: np.ndarray) -> np.ndarray:
     if mat.shape[0] == 0:
         return mat
     return strings_as_rows(np.unique(rows_as_strings(mat)))
-
-
-def row_values(mat: np.ndarray) -> np.ndarray:
-    """Big-endian numeric value of each row as ``float64``.
-
-    Exact only below 2**53; the CPFPR byte model consumes these as inputs
-    to probability formulas, where that precision is ample.
-    """
-    nb = mat.shape[1]
-    weights = 256.0 ** np.arange(nb - 1, -1, -1)
-    return mat.astype(np.float64) @ weights
 
 
 def lcp_bits_rows(a: np.ndarray, b: np.ndarray, pad_to: int | None = None) -> np.ndarray:

@@ -29,7 +29,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.keys.keyspace import StringKeySpace
 from repro.lsm.merge import EntryRun
 from repro.workloads.batch import (
     MAX_INT64_WIDTH,
@@ -38,6 +37,7 @@ from repro.workloads.batch import (
     int_key_bytes,
     stored_offset,
 )
+from repro.workloads.bytekeys import _clean_key
 
 __all__ = ["MemTable"]
 
@@ -64,7 +64,7 @@ class MemTable:
     def _check_key(self, key):
         """One key as the map holds it: what a lookup's probe array holds."""
         if isinstance(key, (bytes, str)):
-            raw = StringKeySpace._as_bytes(key).rstrip(b"\x00")
+            raw = _clean_key(key)
             if 8 * len(raw) > self.width:
                 raise ValueError(
                     f"key {raw!r} outside the {self.width}-bit key space"

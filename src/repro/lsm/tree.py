@@ -48,7 +48,7 @@ from repro.lsm.layout import LevelLayout
 from repro.lsm.sstable import SSTable
 from repro.obs.metrics import timed
 from repro.obs.trace import ProbeTrace
-from repro.workloads.batch import coerce_query_batch
+from repro.workloads.batch import stored_query_batch
 from repro.workloads.keyset import KeySet
 
 __all__ = ["LSMTree"]
@@ -95,6 +95,9 @@ class LSMTree:
         # populated SST (one always exists; the constructor rejects an
         # all-empty tree).
         dtype = next(sst for level in levels for sst in level).keys.keys.dtype
+        #: Whether the tree stores byte keys; probe bounds are put in its
+        #: representation before any fence is searched.
+        self.is_bytes = dtype.kind == "S"
         self._fences = []
         for level_index, level in enumerate(levels):
             mins = np.array([sst.keys.keys[0] for sst in level], dtype=dtype)
@@ -231,6 +234,10 @@ class LSMTree:
     ) -> ProbeResult:
         """Replay a query batch through the tree and return the accounting.
 
+        Bounds may be integers or byte strings whatever the tree stores:
+        :func:`~repro.workloads.batch.stored_query_batch` puts them in its
+        representation (an integer against byte keys is a padded
+        big-endian integer), so the fence searches compare like with like.
         Per level, each query's fence-surviving SSTs form a contiguous
         interval (``first[q] <= j < last[q]``).  The routed (query, SST)
         pairs are flattened and sorted by SST, and the level's
@@ -255,7 +262,7 @@ class LSMTree:
         accumulate over a stream.  Both hooks cost one ``is None`` check
         per level when unused.
         """
-        batch = coerce_query_batch(queries, self.width)
+        batch = stored_query_batch(queries, self.width, self.is_bytes)
         num_queries = len(batch)
         if num_queries == 0:
             return ProbeResult.zeros(0, len(self.levels))

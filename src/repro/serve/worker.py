@@ -3,8 +3,8 @@
 The worker protocol is deliberately tiny — one duplex pipe per worker:
 
 * parent → worker: ``(request_id, los, his)`` with numpy bound arrays
-  already validated by the parent's router (the worker rebuilds the
-  sub-batch with the validated flag set, so no re-validation cost), or
+  already validated by the parent's router (the worker wraps them with
+  the batch's ``_trusted`` constructor, so no re-validation cost), or
   ``None`` as the shutdown sentinel;
 * worker → parent: uniform ``(kind, request_id, shard_id, payload)``
   tuples — ``("ready", -1, shard_id, None)`` once the snapshot is
@@ -52,16 +52,14 @@ def rebuild_batch(
 
     The parent carved these out of one validated batch with
     :meth:`~repro.workloads.batch.QueryBatch.select`-style indexing, so
-    the invariants hold by construction and the sticky ``_validated``
-    flag is set directly — the worker never re-validates per request,
-    and integer bounds, already in their stored form, are not encoded
-    again.
+    the invariants hold by construction and the arrays are wrapped with
+    the ``_trusted`` constructors — the worker never re-validates per
+    request, and integer bounds, already in their stored form, are not
+    encoded again.
     """
     if max_length is None:
         return QueryBatch._trusted(los, his, width)
-    batch = ByteQueryBatch(los, his, max_length, validate=False)
-    batch._validated = True
-    return batch
+    return ByteQueryBatch._trusted(los, his, width)
 
 
 def probe_shard(tree, batch: QueryBatch) -> tuple[np.ndarray, dict]:

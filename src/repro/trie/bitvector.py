@@ -10,7 +10,7 @@ matching the size accounting convention of the SuRF paper.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -161,10 +161,3 @@ class RankSelectBitVector:
     def size_in_bits(self) -> int:
         """Payload size in bits (excludes the rank directory, as in SuRF)."""
         return self.num_bits
-
-    @classmethod
-    def from_indices(cls, indices: Iterable[int], num_bits: int) -> "RankSelectBitVector":
-        """Build a bit vector of ``num_bits`` bits with the given positions set."""
-        array = BitArray(num_bits)
-        array.set_many(indices)
-        return cls(array)

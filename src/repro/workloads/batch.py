@@ -37,6 +37,14 @@ known to be well-formed (a filter's scalar probe is a one-row batch, so it
 is checked by the same rules).  Stored arrays
 that cross a boundary (a worker process, a merged run) are wrapped with the
 ``_trusted`` constructors, which neither check nor encode again.
+
+Raw keys and bounds enter through :func:`coerce_keys` and
+:func:`coerce_query_batch` alone, and :func:`stored_query_batch` is the one
+place a batch is put into the representation a structure stores: byte
+bounds against integer keys become the padded big-endian integers of
+:meth:`~repro.workloads.bytekeys.ByteQueryBatch.pairs`, and integer bounds
+against byte keys the bytes of those integers.  Filters, the CPFPR model,
+the LSM tree and :class:`~repro.api.workload.Workload` all call it.
 """
 
 from __future__ import annotations
@@ -45,7 +53,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.keys.keyspace import KeySpace
 from repro.keys.lcp import unique_prefix_counts_array
 from repro.workloads.keyset import KeySet
 
@@ -61,6 +68,7 @@ __all__ = [
     "probe_key_array",
     "slot_bounds",
     "stored_offset",
+    "stored_query_batch",
 ]
 
 #: Integer key spaces wider than this are stored as big-endian byte keys.
@@ -239,11 +247,6 @@ class EncodedKeySet(KeySet):
         self._prefix_cache: dict[int, np.ndarray] = {}
         self._prefix_counts: list[int] | None = None
 
-    @classmethod
-    def from_raw(cls, keys: Iterable, key_space: KeySpace) -> KeySet:
-        """Encode raw-domain keys through ``key_space`` and coerce them."""
-        return coerce_keys(key_space.encode_many(keys), key_space.width)
-
     def __len__(self) -> int:
         return int(self.keys.size)
 
@@ -331,9 +334,9 @@ class QueryBatch:
     turns such bounds into a byte batch.
     """
 
-    __slots__ = ("width", "los", "his", "_validated")
+    __slots__ = ("width", "los", "his")
 
-    def __init__(self, los, his, width: int, validate: bool = True):
+    def __init__(self, los, his, width: int):
         _check_int_width(width, "QueryBatch", "coerce_query_batch")
         self.width = width
         if not isinstance(los, (list, tuple, np.ndarray)):
@@ -351,9 +354,7 @@ class QueryBatch:
             raise
         if self.los.shape != self.his.shape or self.los.ndim != 1:
             raise ValueError("los and his must be parallel one-dimensional arrays")
-        self._validated = len(self) == 0
-        if validate and not self._validated:
-            self._validate()
+        self._validate()
 
     @classmethod
     def _trusted(cls, los: np.ndarray, his: np.ndarray, width: int) -> "QueryBatch":
@@ -366,17 +367,13 @@ class QueryBatch:
         batch.width = width
         batch.los = los
         batch.his = his
-        batch._validated = True
         return batch
 
     def _validate(self) -> None:
         """Apply :func:`_check_pair`'s rules (and messages) batch-wide.
 
-        Sets ``_validated`` on success so deferred validation
-        (``validate=False`` construction followed by
-        :func:`coerce_query_batch`) runs at most once per batch.  Stored
-        width-64 bounds are always inside the space, and their order is
-        the user's order.
+        Stored width-64 bounds are always inside the space, and their
+        order is the user's order.
         """
         bad = self.los > self.his
         if self.width < MAX_INT64_WIDTH:
@@ -391,34 +388,21 @@ class QueryBatch:
                 decode_ints(int(self.his[index]), self.width),
                 self.width,
             )
-        self._validated = True
 
     @classmethod
-    def from_pairs(
-        cls, pairs: Iterable[tuple[int, int]], width: int, validate: bool = True
-    ) -> "QueryBatch":
+    def from_pairs(cls, pairs: Iterable[tuple[int, int]], width: int) -> "QueryBatch":
         """Build a batch from an iterable of inclusive ``(lo, hi)`` pairs."""
         pairs = list(pairs)
         if not pairs:
-            return cls([], [], width, validate=False)
+            return cls([], [], width)
         los, his = zip(*pairs)
-        return cls(los, his, width, validate=validate)
+        return cls(los, his, width)
 
     @classmethod
     def points(cls, keys: Iterable[int], width: int) -> "QueryBatch":
         """Build a batch of point queries ``(k, k)``."""
         keys = list(keys)
         return cls(keys, keys, width)
-
-    @classmethod
-    def from_raw(
-        cls, pairs: Iterable[tuple], key_space: KeySpace
-    ) -> "QueryBatch":
-        """Encode raw-domain ``(lo, hi)`` pairs through ``key_space`` and coerce them."""
-        encoded = [
-            (key_space.encode(lo), key_space.encode(hi)) for lo, hi in pairs
-        ]
-        return coerce_query_batch(encoded, key_space.width)
 
     def __len__(self) -> int:
         return int(self.los.size)
@@ -440,17 +424,12 @@ class QueryBatch:
     def select(self, indices: np.ndarray) -> "QueryBatch":
         """Return the sub-batch selected by ``indices`` (boolean, integer or a slice).
 
-        The sub-batch inherits this batch's validation state — selecting
-        rows cannot introduce an invalid query — so consumers that carve
-        one parent batch into many per-SST sub-batches (the LSM probe
-        router) never pay for re-validation.
+        Selecting rows of a validated batch cannot introduce an invalid
+        query, so the sub-batch is wrapped with :meth:`_trusted` and
+        consumers that carve one parent batch into many per-SST
+        sub-batches (the LSM probe router) never pay for re-validation.
         """
-        sub = type(self).__new__(type(self))
-        sub.width = self.width
-        sub.los = self.los[indices]
-        sub.his = self.his[indices]
-        sub._validated = self._validated
-        return sub
+        return type(self)._trusted(self.los[indices], self.his[indices], self.width)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"QueryBatch(n={len(self)}, width={self.width})"
@@ -467,21 +446,18 @@ def _check_pair(lo: int, hi: int, width: int) -> None:
 def coerce_query_batch(queries, width: int) -> QueryBatch:
     """Return ``queries`` as a :class:`QueryBatch` in a ``width``-bit space.
 
-    An existing batch is passed through (its width must match); any iterable
-    of ``(lo, hi)`` pairs is wrapped and validated — byte/str bounds, and
-    integer bounds wider than 64 bits, as a
-    :class:`~repro.workloads.bytekeys.ByteQueryBatch`.  A batch constructed
-    with ``validate=False`` is validated here — once, the flag is sticky —
-    so every ``may_intersect_many`` rejects ``lo > hi`` and out-of-width
-    ranges with exactly the ``ValueError``s of :func:`_check_pair`.
+    An existing batch is passed through (its width must match; it was
+    validated when it was built); any iterable of ``(lo, hi)`` pairs is
+    wrapped and validated — byte/str bounds, and integer bounds wider than
+    64 bits, as a :class:`~repro.workloads.bytekeys.ByteQueryBatch` — so
+    every ``may_intersect_many`` rejects ``lo > hi`` and out-of-width ranges
+    with exactly the ``ValueError``s of :func:`_check_pair`.
     """
     if isinstance(queries, QueryBatch):
         if queries.width != width:
             raise ValueError(
                 f"query batch width {queries.width} does not match filter width {width}"
             )
-        if not queries._validated:
-            queries._validate()
         return queries
     pairs = list(queries)
     byte_bounds = bool(pairs) and isinstance(pairs[0][0], (bytes, str, np.bytes_))
@@ -494,6 +470,27 @@ def coerce_query_batch(queries, width: int) -> QueryBatch:
         for lo, hi in pairs:
             _check_pair(lo, hi, width)
         return ByteQueryBatch.from_pairs(pairs, int_key_length(width))
+    return QueryBatch.from_pairs(pairs, width)
+
+
+def stored_query_batch(queries, width: int, is_bytes: bool) -> QueryBatch:
+    """``queries`` as a validated batch in the representation keys are stored in.
+
+    ``is_bytes`` says whether the structure holds byte keys; it is not
+    implied by ``width``, as a 48-bit space holds 6-byte strings or 48-bit
+    integers alike.  Integer bounds against byte keys are padded big-endian
+    integers and become a :class:`~repro.workloads.bytekeys.ByteQueryBatch`
+    of their bytes; byte bounds against integer keys become the padded
+    integers of :meth:`~repro.workloads.bytekeys.ByteQueryBatch.pairs`.
+    """
+    from repro.workloads.bytekeys import ByteQueryBatch
+
+    batch = coerce_query_batch(queries, width)
+    if is_bytes == isinstance(batch, ByteQueryBatch):
+        return batch
+    pairs = list(batch.pairs())
+    if is_bytes:
+        return ByteQueryBatch.from_pairs(pairs, (width + 7) // 8)
     return QueryBatch.from_pairs(pairs, width)
 
 

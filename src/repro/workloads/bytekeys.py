@@ -18,9 +18,9 @@ coincides with padded order.
 :class:`ByteQueryBatch` is the matching :class:`~repro.workloads.batch.
 QueryBatch` subclass with ``S``-dtype bounds; byte-aware consumers branch
 on ``isinstance(batch, ByteQueryBatch)``, and its :meth:`pairs` yields the
-padded big-integer bounds (the form ``RangeFilter._batch`` converts
-through when integer bounds meet a byte filter, or byte bounds an integer
-one).
+padded big-integer bounds (the form :func:`~repro.workloads.batch.
+stored_query_batch` converts through when integer bounds meet byte keys,
+or byte bounds integer ones).
 
 Integer keys of key spaces wider than 64 bits live here too, as their
 ``width // 8`` big-endian bytes (:func:`repro.workloads.batch.
@@ -40,16 +40,22 @@ from repro.keys.bytestr import (
     strings_as_rows,
     unique_rows,
 )
-from repro.keys.keyspace import StringKeySpace
 from repro.workloads.batch import QueryBatch
 from repro.workloads.keyset import KeySet
 
 __all__ = ["ByteKeySet", "ByteQueryBatch"]
 
 
+def _as_bytes(key) -> bytes:
+    """A raw byte/str key as bytes: str is utf-8 encoded."""
+    if isinstance(key, str):
+        return key.encode("utf-8")
+    return bytes(key)
+
+
 def _clean_key(key) -> bytes:
     """Canonical byte form of a raw key: utf-8 encode, strip trailing nulls."""
-    return StringKeySpace._as_bytes(key).rstrip(b"\x00")
+    return _as_bytes(key).rstrip(b"\x00")
 
 
 class ByteKeySet(KeySet):
@@ -99,13 +105,6 @@ class ByteKeySet(KeySet):
         self._matrix: np.ndarray | None = None
         self._prefix_cache: dict[int, np.ndarray] = {}
         self._prefix_counts: list[int] | None = None
-
-    @classmethod
-    def from_raw(
-        cls, keys: Iterable[bytes | str], max_length: int | None = None
-    ) -> "ByteKeySet":
-        """Build from any iterable of byte/str keys (sorted + deduped here)."""
-        return cls(keys, max_length=max_length)
 
     @classmethod
     def _trusted(
@@ -224,7 +223,7 @@ class ByteQueryBatch(QueryBatch):
 
     __slots__ = ("max_length",)
 
-    def __init__(self, los, his, max_length: int, validate: bool = True):
+    def __init__(self, los, his, max_length: int):
         if max_length <= 0:
             raise ValueError("maximum key length must be positive")
         self.width = 8 * max_length
@@ -233,9 +232,7 @@ class ByteQueryBatch(QueryBatch):
         self.his = self._as_strings(his, los, swap=True)
         if self.los.shape != self.his.shape or self.los.ndim != 1:
             raise ValueError("los and his must be parallel one-dimensional arrays")
-        self._validated = len(self) == 0
-        if validate and not self._validated:
-            self._validate()
+        self._validate()
 
     def _as_strings(self, values, others, swap: bool = False) -> np.ndarray:
         length = self.max_length
@@ -259,9 +256,9 @@ class ByteQueryBatch(QueryBatch):
                 raise ValueError(
                     f"query range [{lo}, {hi}] outside the {self.width}-bit key space"
                 )
-            raw = StringKeySpace._as_bytes(value)
+            raw = _as_bytes(value)
             if len(raw) > length:
-                other = StringKeySpace._as_bytes(other_list[index])
+                other = _as_bytes(other_list[index])
                 lo, hi = (other, raw) if swap else (raw, other)
                 raise ValueError(
                     f"query range [{lo!r}, {hi!r}] outside the {self.width}-bit key space"
@@ -276,21 +273,15 @@ class ByteQueryBatch(QueryBatch):
             index = int(np.argmax(bad))
             lo, hi = bytes(self.los[index]), bytes(self.his[index])
             raise ValueError(f"empty query range [{lo!r}, {hi!r}]")
-        self._validated = True
 
     @classmethod
-    def from_pairs(
-        cls,
-        pairs: Iterable[tuple[bytes, bytes]],
-        max_length: int,
-        validate: bool = True,
-    ) -> "ByteQueryBatch":
+    def from_pairs(cls, pairs: Iterable[tuple[bytes, bytes]], max_length: int) -> "ByteQueryBatch":
         """Build a batch from inclusive ``(lo, hi)`` byte pairs."""
         pairs = list(pairs)
         if not pairs:
-            return cls([], [], max_length, validate=False)
+            return cls([], [], max_length)
         los, his = zip(*pairs)
-        return cls(los, his, max_length, validate=validate)
+        return cls(los, his, max_length)
 
     @classmethod
     def points(cls, keys: Sequence[bytes], max_length: int) -> "ByteQueryBatch":
@@ -327,11 +318,6 @@ class ByteQueryBatch(QueryBatch):
                 int.from_bytes(lo.ljust(length, b"\x00"), "big"),
                 int.from_bytes(hi.ljust(length, b"\x00"), "big"),
             )
-
-    def select(self, indices: np.ndarray) -> "ByteQueryBatch":
-        sub = super().select(indices)
-        sub.max_length = self.max_length
-        return sub
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ByteQueryBatch(n={len(self)}, max_length={self.max_length})"

@@ -13,7 +13,8 @@ hold those passes equal to:
   prefix Bloom filters (1PBF and the fixed baselines), 2PBF, Proteus and
   Rosetta one query at a time — which each family's ``may_intersect_many``
   restates as one batch.  They take a query in the filter's integer view:
-  the user's integers, or padded big-endian integers for byte keys.
+  the user's integers, or padded big-endian integers for byte keys
+  (:func:`padded_int`).
 """
 
 from __future__ import annotations
@@ -138,6 +139,12 @@ def merge_entry_runs_scalar(runs: Sequence[EntryRun], drop_tombstones: bool = Fa
 # --------------------------------------------------------------------- #
 # Filter probes, one query at a time                                    #
 # --------------------------------------------------------------------- #
+
+
+def padded_int(key, width: int) -> int:
+    """A byte/str key's integer view: null-padded to ``width // 8`` bytes, big-endian."""
+    raw = key.encode("utf-8") if isinstance(key, str) else bytes(key)
+    return int.from_bytes(raw.ljust(width // 8, b"\x00"), "big")
 
 
 def oracle_intersects(sorted_keys: Sequence[int], lo: int, hi: int) -> bool:

@@ -14,8 +14,12 @@ Three contract layers are pinned:
   be smaller than a generous budget).
 """
 
+import importlib
+import random
+
 import pytest
 
+import repro
 from repro.api import (
     FilterSpec,
     Workload,
@@ -26,6 +30,8 @@ from repro.api import (
 )
 from repro.api.registry import _FAMILIES
 from repro.filters.base import TrieOracle
+from repro.workloads import ByteKeySet, ByteQueryBatch, EncodedKeySet, QueryBatch
+from scalar_reference import padded_int
 
 WIDTH = 28
 
@@ -176,14 +182,14 @@ def test_self_designing_family_requires_workload(workload):
 
 
 def test_every_family_answers_raw_string_probes():
-    # build_filter attaches the workload's key space to every family, so
-    # scalar probes take raw strings and encode through it.
+    # A byte filter's scalar probes are one-row batches, so they take raw
+    # strings as its batch probes do, with no key space attached.
     words = Workload(
         ["banana", "cherry", "apple", "date", "fig", "grape"], [("ba", "bz"), ("c", "d")]
     )
     for name in registered_families():
         filt = build_filter(FilterSpec(name, 12), words.keys, words)
-        assert filt.key_space is words.key_space, name
+        assert not hasattr(filt, "key_space"), name
         assert filt.may_intersect("ba", "bz"), name
         assert filt.may_contain("fig"), name
         assert filt.may_contain_many(["cherry", "kiwi"])[0], name
@@ -213,16 +219,15 @@ def test_out_of_space_probes_raise(space):
         with pytest.raises(ValueError):
             filt.may_contain_many([too_long])
         if w.keys.is_bytes:
-            with pytest.raises(ValueError, match="exceeds maximum"):
+            with pytest.raises(ValueError, match=f"outside the {w.width}-bit key space"):
                 filt.may_contain(too_long)
 
 
 def test_scalar_byte_probes_of_an_integer_filter_act_as_batches():
-    # Without a key space, byte bounds against an integer filter are padded
-    # big-endian integers: the scalar probe, a one-row batch, answers what
-    # the batch answers and rejects what the batch rejects, with its words.
+    # Byte bounds against an integer filter are padded big-endian integers:
+    # the scalar probe, a one-row batch, answers what the batch answers and
+    # rejects what the batch rejects, with its words.
     w = Workload.generate(2000, 200, 32, seed=7)
-    assert w.key_space is None
     for name in registered_families():
         filt = build_filter(FilterSpec(name, 12), w.keys, w)
         assert filt.may_contain(b"abcd") == filt.may_contain_many([b"abcd"])[0], name
@@ -231,6 +236,24 @@ def test_scalar_byte_probes_of_an_integer_filter_act_as_batches():
         with pytest.raises(ValueError, match="outside the 32-bit key space") as scalar:
             filt.may_contain(b"xxxxx")
         assert str(scalar.value) == str(batched.value), name
+
+
+def test_key_space_layer_stays_gone():
+    # Raw keys and bounds enter through coerce_keys/coerce_query_batch only:
+    # no key-space object, raw-domain encoder or deferred validation.
+    for name in ("KeySpace", "IntegerKeySpace", "StringKeySpace"):
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.keys.keyspace")
+    with pytest.raises(TypeError):
+        Workload([1, 2], [(0, 1)], key_space=None)
+    with pytest.raises(TypeError):
+        QueryBatch([0], [1], 8, validate=False)
+    with pytest.raises(TypeError):
+        ByteQueryBatch([b"a"], [b"b"], 1, validate=False)
+    for cls in (EncodedKeySet, ByteKeySet, QueryBatch):
+        assert not hasattr(cls, "from_raw"), cls
 
 
 def test_keys_default_to_the_workload_key_set(workload):
@@ -286,21 +309,48 @@ class TestWorkload:
         assert workload.width == WIDTH
 
     def test_raw_keys_need_a_key_space(self):
-        with pytest.raises(ValueError, match="key_space"):
+        # Raw integer keys name their space by its width; byte keys size it.
+        with pytest.raises(ValueError, match="explicit width"):
             Workload([1, 2, 3], [(0, 5)])
+        w = Workload([1, 2, 3], [(0, 5)], width=8)
+        assert w.width == 8 and w.queries.to_list() == [(0, 5)]
 
     def test_raw_domain_encoding(self):
-        from repro.keys.keyspace import StringKeySpace
-
         words = ["pear", "peach", "plum"]
-        space = StringKeySpace.for_keys(words)
-        w = Workload(words, [("pea", "pec")], key_space=space)
+        w = Workload(words, [("pea", "pec")])
         assert w.num_keys == 3 and w.num_queries == 1
-        assert w.width == space.width
+        assert w.width == 8 * len("peach")
+        assert Workload(words, [("pea", "pec")], width=64).width == 64
+
+    def test_padded_integer_sample_designs_like_byte_sample(self):
+        # Against byte keys, integer bounds are padded big-endian integers:
+        # the sample takes the keys' representation, and Algorithm 1 picks
+        # the same design from either form, to the last bit of its FPR.
+        rng = random.Random(17)
+        alphabet = "abcdef"
+        words = sorted(
+            {"".join(rng.choices(alphabet, k=rng.randrange(2, 7))) for _ in range(400)}
+        )
+        byte_pairs = []
+        for _ in range(300):
+            lo, hi = sorted("".join(rng.choices(alphabet, k=3)) for _ in range(2))
+            byte_pairs.append((lo, hi))
+        by_bytes = Workload(words, byte_pairs)
+        width = by_bytes.width
+        assert width <= 64  # at most 8 bytes, so the integers fit int64
+        int_pairs = [(padded_int(lo, width), padded_int(hi, width)) for lo, hi in byte_pairs]
+        by_ints = Workload(words, int_pairs)
+        assert isinstance(by_ints.queries, ByteQueryBatch)
+        assert by_ints.queries.los.tolist() == by_bytes.queries.los.tolist()
+        assert by_ints.queries.his.tolist() == by_bytes.queries.his.tolist()
+        for bits_per_key in (6, 10, 16):
+            spec = FilterSpec("proteus", bits_per_key)
+            want = build_filter(spec, by_bytes.keys, by_bytes).design
+            got = build_filter(spec, by_ints.keys, by_ints).design
+            assert got == want, bits_per_key
+            assert got.expected_fpr.hex() == want.expected_fpr.hex(), bits_per_key
 
     def test_width_mismatch_is_rejected(self, workload):
-        from repro.workloads.batch import QueryBatch
-
         other = QueryBatch.from_pairs([(0, 1)], WIDTH + 1)
         with pytest.raises(ValueError, match="width"):
             Workload(workload.keys, other)

@@ -47,13 +47,13 @@ from repro.filters.base import TrieOracle
 from repro.filters.prefix_bloom import PrefixBloomFilter, derived_prefix_len
 from repro.filters.rosetta import Rosetta
 from repro.filters.surf import SuRF
-from repro.keys.keyspace import IntegerKeySpace
 from repro.trie.size_model import fst_size_estimate
-from repro.workloads.batch import QueryBatch, coerce_keys
+from repro.workloads.batch import QueryBatch, coerce_keys, coerce_query_batch
 from repro.workloads.bytekeys import ByteQueryBatch
 from scalar_reference import (
     merge_entry_runs_scalar,
     oracle_intersects,
+    padded_int,
     pbf_point,
     pbf_range,
     proteus_point,
@@ -211,7 +211,7 @@ def workload():
 
 def _self_designed(family, keys, queries, bits_per_key=12.0, width=WIDTH):
     """Build a self-designing family through the registry protocol."""
-    workload = Workload(keys, queries, key_space=IntegerKeySpace(width))
+    workload = Workload(keys, queries, width=width)
     return build_filter(FilterSpec(family, float(bits_per_key)), workload.keys, workload)
 
 
@@ -341,7 +341,7 @@ def test_byte_filter_batch_equals_scalar_loop(name, backend, byte_workload):
     # Byte-mode parity: batched probes take raw byte strings (S-dtype rows);
     # the references speak the padded big-integer view.
     workload, probes = byte_workload
-    space = workload.key_space
+    width = workload.width
     with kernels.use_backend(backend):
         filt = BYTE_FILTER_FACTORIES[name](workload)
         point_batch = filt.may_contain_many(
@@ -350,8 +350,8 @@ def test_byte_filter_batch_equals_scalar_loop(name, backend, byte_workload):
         range_batch = filt.may_intersect_many(workload.queries)
         _assert_matches_reference(
             filt,
-            space.encode_many(workload.keys.as_list()),
-            space.encode_many(probes),
+            [padded_int(key, width) for key in workload.keys.as_list()],
+            [padded_int(key, width) for key in probes],
             list(workload.queries.pairs()),
             point_batch,
             range_batch,
@@ -421,31 +421,27 @@ def test_one_pbf_wide_space_batch_takes_encoded_keys():
     # Regression: a batch fallback once routed already-encoded keys back
     # through OnePBF.may_contain, which re-encodes raw keys — double
     # encoding crashed or produced false negatives.
-    from repro.keys.keyspace import StringKeySpace
-    from repro.workloads.batch import EncodedKeySet
-
     words = ["strawberry-fields", "marmalade-skies", "tangerine-trees"]
-    space = StringKeySpace.for_keys(words)
-    # Encode through the space explicitly: the padded integers are wider
-    # than 64 bits, so they coerce to byte keys and byte query bounds.
-    workload = Workload(
-        EncodedKeySet.from_raw(words, space),
-        QueryBatch.from_raw([("a", "b"), ("tang", "tanh")], space),
-        key_space=space,
-    )
+    width = 8 * max(len(word) for word in words)
+    # Build from the padded integers: they are wider than 64 bits, so they
+    # coerce to byte keys and byte query bounds.
+    encoded = [padded_int(word, width) for word in words]
+    raw_queries = [("tang", "tanh"), ("a", "b")]
+    int_queries = [(padded_int(lo, width), padded_int(hi, width)) for lo, hi in raw_queries]
+    workload = Workload(encoded, int_queries, width=width)
+    assert isinstance(workload.queries, ByteQueryBatch) and workload.keys.is_bytes
     filt = build_filter(FilterSpec("1pbf", 16.0), workload.keys, workload)
-    encoded = [space.encode(word) for word in words]
     assert filt.may_contain_many(encoded).tolist() == [
         pbf_point(filt, key) for key in encoded
     ]
     assert filt.may_contain_many(encoded).all()
-    # The batch API speaks the encoded domain; the scalar API encodes raw
-    # keys itself — both must answer as the reference, query for query.
-    raw_queries = [("tang", "tanh"), ("a", "b")]
-    batch = QueryBatch.from_raw(raw_queries, space)
-    assert isinstance(batch, ByteQueryBatch) and workload.keys.is_bytes
-    expected = [pbf_range(filt, lo, hi) for lo, hi in batch.pairs()]
+    # Integer bounds, raw byte bounds and their scalar probes must all
+    # answer as the reference, query for query.
+    batch = coerce_query_batch(raw_queries, width)
+    assert isinstance(batch, ByteQueryBatch) and list(batch.pairs()) == int_queries
+    expected = [pbf_range(filt, lo, hi) for lo, hi in int_queries]
     assert filt.may_intersect_many(batch).tolist() == expected
+    assert filt.may_intersect_many(int_queries).tolist() == expected
     assert [filt.may_intersect(lo, hi) for lo, hi in raw_queries] == expected
 
 
@@ -500,7 +496,7 @@ def test_wide_key_space_batch_equals_scalar_loop():
             (0, top), (1, top - 1), (base - 2, base + 2), (top - 5, top)
         ]
         probes = keys[:80] + [rng.getrandbits(width) for _ in range(80)] + [0, top]
-        workload = Workload(keys, queries, key_space=IntegerKeySpace(width))
+        workload = Workload(keys, queries, width=width)
         assert workload.keys.is_bytes == (width > 64)
         for backend in kernels.available_backends():
             with kernels.use_backend(backend):
@@ -562,10 +558,9 @@ def test_rosetta_wide_key_space_build_falls_back():
 
 
 class TestBatchValidationParity:
-    """The vectorised fast paths must reject malformed queries with the
-    same ValueErrors as the scalar ``may_intersect`` — even when the batch
-    was constructed with ``validate=False`` (the coercion layer owns the
-    deferred check)."""
+    """A malformed batch is rejected when it is built, and the vectorised
+    fast paths reject malformed pairs, with the same ValueErrors as the
+    scalar ``may_intersect``."""
 
     @pytest.fixture(scope="class")
     def filt(self, workload):
@@ -579,16 +574,14 @@ class TestBatchValidationParity:
 
     def test_empty_range_rejected_identically(self, filt):
         lo, hi = 500, 20
-        batch = QueryBatch([0, lo], [5, hi], WIDTH, validate=False)
         with pytest.raises(ValueError) as excinfo:
-            filt.may_intersect_many(batch)
+            QueryBatch([0, lo], [5, hi], WIDTH)
         assert str(excinfo.value) == self._scalar_message(filt, lo, hi)
 
     def test_out_of_width_rejected_identically(self, filt):
         lo, hi = 7, 1 << WIDTH
-        batch = QueryBatch([lo], [hi], WIDTH, validate=False)
         with pytest.raises(ValueError) as excinfo:
-            filt.may_intersect_many(batch)
+            QueryBatch([lo], [hi], WIDTH)
         assert str(excinfo.value) == self._scalar_message(filt, lo, hi)
 
     def test_width_64_batch_rejected_identically(self, workload):
@@ -597,9 +590,8 @@ class TestBatchValidationParity:
         width = 64
         filt = PrefixBloomFilter([3, 1 << 63], width, prefix_len=40, num_bits=4096)
         lo, hi = (1 << 63) + 9, 5
-        batch = QueryBatch([0, lo], [1, hi], width, validate=False)
         with pytest.raises(ValueError) as excinfo:
-            filt.may_intersect_many(batch)
+            QueryBatch([0, lo], [1, hi], width)
         assert str(excinfo.value) == self._scalar_message(filt, lo, hi)
 
     @pytest.mark.parametrize("lo, hi", [(5, 3), (0, 1 << 80)])
@@ -613,16 +605,9 @@ class TestBatchValidationParity:
     def test_mixed_defect_batch_reports_first_offender(self, filt):
         # Query 0 is out of width, query 1 is inverted: the scalar loop
         # dies on query 0's defect, so the batch path must as well.
-        batch = QueryBatch([0, 5], [1 << WIDTH, 2], WIDTH, validate=False)
         with pytest.raises(ValueError) as excinfo:
-            filt.may_intersect_many(batch)
+            QueryBatch([0, 5], [1 << WIDTH, 2], WIDTH)
         assert str(excinfo.value) == self._scalar_message(filt, 0, 1 << WIDTH)
-
-    def test_validation_flag_is_sticky(self, filt):
-        batch = QueryBatch([1, 2], [4, 8], WIDTH, validate=False)
-        assert not batch._validated
-        filt.may_intersect_many(batch)
-        assert batch._validated  # coercion validated once; later calls skip it
 
 
 class TestMergeRunsParity:

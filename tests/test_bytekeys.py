@@ -218,11 +218,16 @@ class TestByteWorkloadFilters:
         return workload, eval_batch
 
     def test_workload_attaches_string_space(self, string_workload):
+        # Byte keys carry their own space: the queries take the keys'
+        # representation, padded big-endian integer bounds included.
         workload, _ = string_workload
         assert isinstance(workload.keys, ByteKeySet)
         assert isinstance(workload.queries, ByteQueryBatch)
-        assert workload.key_space is not None
-        assert workload.key_space.width == workload.width
+        assert workload.queries.width == workload.width
+        padded = Workload(workload.keys, list(workload.queries.pairs()))
+        assert isinstance(padded.queries, ByteQueryBatch)
+        assert padded.queries.los.tolist() == workload.queries.los.tolist()
+        assert padded.queries.his.tolist() == workload.queries.his.tolist()
 
     @pytest.mark.parametrize(
         "family", ["prefix_bloom", "surf", "rosetta", "1pbf", "2pbf", "proteus"]

@@ -15,13 +15,12 @@ from repro.api import FilterSpec, Workload, build_filter
 from repro.core.cpfpr import CPFPRModel
 from repro.core.design import design_one_pbf, design_proteus
 from repro.filters.base import TrieOracle
-from repro.keys.keyspace import IntegerKeySpace
 
 WIDTH = 32
 
 
 def _self_designed(family, keys, queries, bits_per_key):
-    workload = Workload(keys, queries, key_space=IntegerKeySpace(WIDTH))
+    workload = Workload(keys, queries, width=WIDTH)
     return build_filter(FilterSpec(family, float(bits_per_key)), workload.keys, workload)
 
 

@@ -61,7 +61,6 @@ def test_loads_well_formed_workload(name):
     if name in ("dblp", "ycsb_e"):
         assert isinstance(workload.keys, ByteKeySet)
         assert isinstance(workload.queries, ByteQueryBatch)
-        assert workload.key_space is not None  # auto-attached string space
     else:
         assert not workload.keys.is_bytes
         assert workload.keys.keys.dtype == np.int64  # 48/60-bit spaces ride int64

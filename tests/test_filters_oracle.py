@@ -20,7 +20,6 @@ from repro.filters.base import TrieOracle
 from repro.filters.prefix_bloom import PrefixBloomFilter
 from repro.filters.rosetta import Rosetta, dyadic_intervals
 from repro.filters.surf import SuRF
-from repro.keys.keyspace import IntegerKeySpace
 from repro.workloads.batch import coerce_keys
 
 WIDTH = 32
@@ -58,7 +57,7 @@ FILTER_FACTORIES = {
 
 
 def _self_designed(family, keys, queries, bits_per_key=12.0):
-    workload = Workload(keys, queries, key_space=IntegerKeySpace(WIDTH))
+    workload = Workload(keys, queries, width=WIDTH)
     return build_filter(FilterSpec(family, float(bits_per_key)), workload.keys, workload)
 
 
@@ -195,18 +194,17 @@ def test_rosetta_definitive_negative_on_last_probe():
 def test_two_pbf_survives_tiny_budget():
     # Regression: the 1PBF-fallback and no-empty-queries paths must never
     # hand a zero-bit layer to BloomFilter.
-    space = IntegerKeySpace(8)
     spec = FilterSpec("2pbf", 1.0)
-    workload = Workload([5], [(1, 2)], key_space=space)
+    workload = Workload([5], [(1, 2)], width=8)
     filt = TwoPBF.from_spec(spec, workload.keys, workload)
     assert filt.may_contain(5)
     assert filt.design.trie_bits >= 1 and filt.design.bloom_bits >= 1
-    workload = Workload([5], [(5, 5)], key_space=space)
+    workload = Workload([5], [(5, 5)], width=8)
     no_empty = TwoPBF.from_spec(spec, workload.keys, workload)
     assert no_empty.may_contain(5)
     # A 1-bit key space cannot host two layers: clear error, not a crash deep
     # in the fallback path.
-    workload = Workload([0], [(1, 1)], key_space=IntegerKeySpace(1))
+    workload = Workload([0], [(1, 1)], width=1)
     with pytest.raises(ValueError, match="at least 2 bits"):
         TwoPBF.from_spec(FilterSpec("2pbf", 4.0), workload.keys, workload)
 
@@ -252,7 +250,7 @@ def wide_int_workload(request):
         queries.append((lo, min(top, lo + rng.randrange(1, 200))))
         lo = rng.randrange(top)
         queries.append((lo, min(top, lo + (1 << rng.randint(0, width - 2)))))
-    workload = Workload(keys, queries, key_space=IntegerKeySpace(width))
+    workload = Workload(keys, queries, width=width)
     probes = keys + boundary + [rng.randrange(top + 1) for _ in range(200)]
     return keys, probes, queries, workload, TrieOracle(workload.keys, width)
 

@@ -2,46 +2,12 @@
 
 import random
 
-import pytest
-
-from repro.keys import IntegerKeySpace, StringKeySpace
 from scalar_reference import (
     lcp_bits,
     min_distinguishing_prefix_lengths,
     query_set_lcp,
     unique_prefix_counts,
 )
-
-
-class TestKeySpaces:
-    def test_integer_roundtrip(self):
-        space = IntegerKeySpace(16)
-        for value in (0, 1, 12345, (1 << 16) - 1):
-            assert space.decode(space.encode(value)) == value
-
-    def test_integer_out_of_range(self):
-        space = IntegerKeySpace(8)
-        with pytest.raises(ValueError):
-            space.encode(256)
-        with pytest.raises(ValueError):
-            space.encode(-1)
-
-    def test_string_preserves_order(self):
-        space = StringKeySpace(8)
-        words = [b"", b"a", b"aa", b"ab", b"b", b"ba", b"zz", b"zzzzzzzz"]
-        encoded = [space.encode(w) for w in words]
-        assert encoded == sorted(encoded)
-
-    def test_string_roundtrip_and_padding(self):
-        space = StringKeySpace.for_keys(["apple", "fig", "banana"])
-        assert space.max_length == 6
-        assert space.decode(space.encode("fig")) == b"fig"
-        # Null padding means a short key and its padded twin collide.
-        assert space.encode(b"fig") == space.encode(b"fig\x00")
-
-    def test_string_too_long(self):
-        with pytest.raises(ValueError):
-            StringKeySpace(3).encode(b"abcd")
 
 
 class TestLcp:

@@ -27,7 +27,6 @@ from pointer_trie import ByteTrie, fst_from_byte_trie, key_to_bytes, reference_s
 from repro.api import FilterSpec, Workload, build_filter
 from repro.filters.base import TrieOracle
 from repro.filters.surf import SuRF
-from repro.keys.keyspace import IntegerKeySpace
 from repro.trie.bitvector import RankSelectBitVector
 from repro.trie.fst import FastSuccinctTrie, FSTPrefixIndex
 from repro.trie.size_model import (
@@ -439,7 +438,7 @@ class TestPhysicalSuRF:
         keys, queries = workload
         with pytest.raises(TypeError):
             SuRF(keys, WIDTH, physical=True)
-        bundle = Workload(keys, queries, key_space=IntegerKeySpace(WIDTH))
+        bundle = Workload(keys, queries, width=WIDTH)
         for spec in (
             FilterSpec("surf", 14.0, {"physical": True}),
             FilterSpec("proteus", 14.0, {"trie_impl": "fst"}),

@@ -7,8 +7,10 @@ import pytest
 
 from repro.api import FilterSpec, Workload, build_filter
 from repro.evaluation.lsm_bench import check_report, main, run_lsm_bench
-from repro.lsm import CostModel, LSMTree, ProbeResult, SSTable
+from repro.lsm import CostModel, LSMTree, OnlineLSMTree, ProbeResult, SSTable
+from repro.obs.trace import TRACE_FIELDS
 from repro.workloads import EncodedKeySet, QueryBatch
+from scalar_reference import padded_int
 
 WIDTH = 32
 
@@ -307,6 +309,56 @@ class TestCostModel:
         result = tree.probe(QueryBatch.from_pairs([], WIDTH))
         assert result.num_queries == 0
         assert result.total_blocks_read() == 0
+
+
+def _probe_fields(result: ProbeResult) -> dict:
+    """Every per-query array and per-level total of a probe result."""
+    fields = {name: getattr(result, name).tolist() for name in TRACE_FIELDS}
+    fields["per_level"] = [stats.to_dict() for stats in result.per_level]
+    return fields
+
+
+class TestProbeRepresentation:
+    """A tree answers bounds in either key representation alike: byte bounds
+    and their padded big-endian integers route and read the same SSTs."""
+
+    WORDS = ["ab", "cd", "ef", "gh", "ij", "kl"]
+    BYTE_PAIRS = [(b"ab", b"cd"), (b"a", b"z"), (b"gh", b"gh")]
+
+    def _byte_tree(self, kind: str):
+        words = Workload(self.WORDS, [("ab", "cd"), ("b", "c")])
+        spec = FilterSpec("proteus", 12)
+        if kind == "static":
+            tree = LSMTree.build(words.keys, sst_keys=2)
+            tree.attach_filters(spec, words)
+            return tree
+        tree = OnlineLSMTree(words.width, spec, words.queries, sst_keys=2)
+        for word in self.WORDS:
+            tree.put(word)
+        tree.flush()
+        return tree
+
+    @pytest.mark.parametrize("kind", ["static", "online"])
+    def test_byte_tree_answers_padded_integer_bounds(self, kind):
+        tree = self._byte_tree(kind)
+        int_pairs = [
+            (padded_int(lo, tree.width), padded_int(hi, tree.width)) for lo, hi in self.BYTE_PAIRS
+        ]
+        by_bytes = _probe_fields(tree.probe(self.BYTE_PAIRS))
+        assert by_bytes["required_reads"] == [1, 3, 1]
+        for queries in (int_pairs, QueryBatch.from_pairs(int_pairs, tree.width)):
+            assert _probe_fields(tree.probe(queries)) == by_bytes
+
+    def test_integer_tree_answers_byte_bounds(self):
+        w = Workload.generate(300, 100, 32, seed=5)
+        tree = LSMTree.build(w.keys, sst_keys=64)
+        tree.attach_filters(FilterSpec("proteus", 12), w)
+        keys = w.keys.as_list()[::37]
+        int_pairs = [(key, key) for key in keys] + [(keys[0], keys[2] + 5)]
+        byte_pairs = [(lo.to_bytes(4, "big"), hi.to_bytes(4, "big")) for lo, hi in int_pairs]
+        by_ints = _probe_fields(tree.probe(int_pairs))
+        assert min(by_ints["required_reads"]) >= 1
+        assert _probe_fields(tree.probe(byte_pairs)) == by_ints
 
 
 class TestLsmBench:

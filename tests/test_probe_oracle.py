@@ -44,6 +44,7 @@ from repro.core.proteus import Proteus
 from repro.filters.base import ragged_ranges
 from repro.lsm.cost import ProbeResult, SstStats
 from repro.lsm.online import OnlineLSMTree
+from repro.lsm.sstable import SSTable
 from repro.lsm.tree import LSMTree
 from repro.obs.trace import TRACE_FIELDS, ProbeEvent, ProbeTrace
 from repro.serve.shm import attach_tree, snapshot_tree
@@ -503,6 +504,26 @@ def test_proteus_levels_probe_matches_reference(kind, mode, designs, seed, num_k
         16,
         between=swapper(tree, seed + 2, designs),
     )
+
+
+def test_layout_clips_a_trie_block_to_its_sst_start():
+    # SST 1's first l1-block [4864, 5119] starts below its 5100 fence, and
+    # SST 0's foreign filter (built over {100, 200}) stores no block near
+    # the query.  Unclipped, SST 1's block would answer the query routed to
+    # SST 0 alone, charging a false-positive read the filters never give.
+    width = 16
+    design = FilterDesign("proteus", 8, 0, 0, 0, 0.0)
+    first = SSTable(0, 0, coerce_keys([100, 5000], width))
+    second = SSTable(0, 1, coerce_keys([5100, 9000], width))
+    first.attach_filter(Proteus(coerce_keys([100, 200], width), width, design))
+    second.attach_filter(Proteus(second.keys, width, design))
+    tree = LSMTree([[first, second]], width)
+    queries = [(4900, 4950)]
+    assert tree.probe(queries).false_positive_reads.tolist() == [0]
+    assert_probe_matches_reference(tree, queries, queries, 4)
+    # Both filters are the layout's to answer, with clipped first blocks.
+    assert tree._layouts[0].covered.all()
+    assert tree._layouts[0].interval_lo.tolist()[:2] == [100, 5100]
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])

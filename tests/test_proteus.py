@@ -11,7 +11,6 @@ from repro.api import FilterSpec, Workload, build_filter
 from repro.core.design import FilterDesign
 from repro.core.proteus import Proteus
 from repro.filters.base import TrieOracle
-from repro.keys.keyspace import IntegerKeySpace, StringKeySpace
 
 WIDTH = 32
 
@@ -22,7 +21,6 @@ class TestLazyPackage:
 
     def test_reexports_resolve(self):
         assert repro.Proteus is Proteus
-        assert repro.IntegerKeySpace is IntegerKeySpace
         assert "Proteus" in dir(repro)
 
     def test_unknown_attribute_raises_attribute_error(self):
@@ -50,7 +48,7 @@ class TestBuildAcceptance:
         rng = random.Random(51)
         keys = random_keys(rng, 10_000, WIDTH)
         queries = mixed_queries(rng, keys, 1000, WIDTH)
-        workload = Workload(keys, queries, key_space=IntegerKeySpace(WIDTH))
+        workload = Workload(keys, queries, width=WIDTH)
         filt = build_filter(FilterSpec("proteus", 14.0), workload.keys, workload)
         return keys, queries, filt
 
@@ -125,8 +123,7 @@ class TestStringKeys:
         from repro.core.prf import OnePBF, TwoPBF
 
         words = ["ab", "cd", "ef", "gh", "zz"]
-        space = StringKeySpace.for_keys(words)
-        workload = Workload(words, [("aa", "ac"), ("x", "y")], key_space=space)
+        workload = Workload(words, [("aa", "ac"), ("x", "y")])
         for cls, family in ((OnePBF, "1pbf"), (TwoPBF, "2pbf")):
             filt = build_filter(FilterSpec(family, 16), workload.keys, workload)
             assert isinstance(filt, cls)
@@ -143,18 +140,16 @@ class TestStringKeys:
                 for _ in range(400)
             }
         )
-        space = StringKeySpace.for_keys(words)
         queries = []
         for _ in range(150):
             a = "".join(rng.choice(alphabet) for _ in range(3))
             b = "".join(rng.choice(alphabet) for _ in range(3))
             lo, hi = sorted((a, b))
             queries.append((lo, hi))
-        workload = Workload(words, queries, key_space=space)
+        workload = Workload(words, queries)
         filt = build_filter(FilterSpec("proteus", 14.0), workload.keys, workload)
-        encoded = space.encode_many(words)
-        oracle = TrieOracle(encoded, space.width)
+        oracle = TrieOracle(workload.keys, workload.width)
         assert all(filt.may_contain(word) for word in words)
         for lo, hi in queries:
-            if oracle.may_intersect(space.encode(lo), space.encode(hi)):
+            if oracle.may_intersect(lo, hi):
                 assert filt.may_intersect(lo, hi)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.api import Workload
 from repro.filters.prefix_bloom import derived_prefix_len
-from repro.keys.keyspace import StringKeySpace
 from repro.keys.lcp import (
     bit_length_many,
     lcp_bits_many,
@@ -15,6 +14,7 @@ from repro.keys.lcp import (
     unique_prefix_counts_array,
 )
 from repro.workloads import (
+    ByteQueryBatch,
     EncodedKeySet,
     QueryBatch,
     clustered_keys,
@@ -118,11 +118,6 @@ class TestEncodedKeySet:
             with pytest.raises(ValueError, match=f"key {bad} outside the 64-bit"):
                 EncodedKeySet([0, bad], 64)
 
-    def test_from_raw_string_key_space(self):
-        space = StringKeySpace(4)
-        ks = EncodedKeySet.from_raw([b"abc", b"abd"], space)
-        assert ks.width == 32 and len(ks) == 2
-
     def test_slice_is_a_zero_copy_view(self):
         ks = EncodedKeySet(range(100), 16)
         view = ks.slice(10, 40)
@@ -195,10 +190,16 @@ class TestQueryBatch:
         assert len(batch) == 0 and batch.to_list() == []
 
     def test_select_carries_validation_state(self):
+        # Rows of a validated batch need no second check: select keeps the
+        # batch's type and space and wraps the selected stored arrays.
         batch = QueryBatch.from_pairs([(1, 4), (9, 9), (20, 30)], 8)
         sub = batch.select(np.array([True, False, True]))
         assert sub.to_list() == [(1, 4), (20, 30)]
-        assert sub.width == batch.width and sub._validated
+        assert type(sub) is QueryBatch and sub.width == batch.width
+        words = ByteQueryBatch.from_pairs([(b"a", b"b"), (b"c", b"cz")], 3)
+        sub = words.select(np.array([1]))
+        assert type(sub) is ByteQueryBatch and sub.max_length == 3
+        assert list(sub.byte_pairs()) == [(b"c", b"cz")]
 
 
 class TestGenerators:
