@@ -54,15 +54,18 @@ Execution model
     prediction, and so every design Algorithm 1 picks, equal bit for bit
     to the per-candidate evaluation the test-suite keeps as its oracle.
 
-    The integer pass is the :func:`repro.kernels.cpfpr_row` kernel, one
-    call per trie depth: the numpy backend runs it as above, and the
-    compiled backend restates it in C with numpy's pairwise summation
+    The pass is a row kernel, one call per trie depth:
+    :func:`repro.kernels.cpfpr_row` for integer keys and
+    :func:`repro.kernels.cpfpr_byte_row` for byte-string key spaces and
+    integers wider than 64 bits, whose gated queries probe every slot of
+    their interval.  The numpy backend runs each as above, and the
+    compiled backend restates both in C with numpy's pairwise summation
     order and numpy's ``(1 - p)^k`` table, so its values are the same bit
-    for bit.  Byte-string key spaces, and integers wider than 64 bits, run
-    the same pass in numpy over their slot counts, finishing it with the
-    numpy backend's gather-and-sum step.  The test-suite keeps the
-    per-query scalar evaluators as the reference both passes are held
-    equal to.
+    for bit.  The model binds its empty queries to its kernel once
+    (:func:`repro.kernels.bind_cpfpr_row` /
+    :func:`~repro.kernels.bind_cpfpr_byte_row`), so a depth's call passes
+    only the row.  The test-suite keeps the per-query scalar evaluators as
+    the reference both passes are held equal to.
 """
 
 from __future__ import annotations
@@ -75,7 +78,6 @@ import numpy as np
 from repro import kernels
 from repro.amq.bloom import bloom_fpr
 from repro.filters.prefix_bloom import DEFAULT_MAX_PROBES
-from repro.kernels._numpy_backend import cpfpr_row_fprs
 from repro.keys.bytestr import byte_slot_bounds, lcp_bits_rows
 from repro.keys.lcp import query_neighbour_lcps_many
 from repro.workloads.batch import (
@@ -146,20 +148,23 @@ class CPFPRModel:
             # query hold a stored prefix (see the module docstring).
             self._empty_lo_lcp = lo_lcps[empty]
             self._empty_hi_lcp = hi_lcps[empty]
-            histogram = np.bincount(self._empty_lcp, minlength=width + 1) if (
-                self._empty_lcp.size
-            ) else np.zeros(width + 1, dtype=np.int64)
-            suffix = np.zeros(width + 2, dtype=np.int64)
-            suffix[: width + 1] = np.cumsum(histogram[::-1])[::-1]
-            self._lcp_at_least = suffix.tolist()
+            # Algorithm 1's row pass over these queries, one call per depth.
+            self._rows = kernels.bind_cpfpr_row(
+                self._empty_lo, self._empty_hi, self._empty_lcp, self._empty_lo_lcp,
+                self._empty_hi_lcp, width, max_probes, self._prefix_count_array,
+            )
+        # _lcp_at_least[l] counts the empty queries with L(q) >= l.
+        histogram = np.bincount(self._empty_lcp, minlength=width + 1)
+        suffix = np.zeros(width + 2, dtype=np.int64)
+        suffix[: width + 1] = np.cumsum(histogram[::-1])[::-1]
+        self._lcp_at_least = suffix.tolist()
         if metrics is not None:
             metrics.inc("cpfpr.models")
             metrics.inc("cpfpr.sample_queries", self.num_queries)
             metrics.inc("cpfpr.empty_queries", self.num_empty_queries)
             metrics.observe("cpfpr.setup_seconds", perf_counter() - setup_start)
         # Per-length slot intervals and certainty masks: the 2PBF sweep
-        # revisits them for every pair of layers it combines, and byte-mode
-        # rows re-read the slot counts at every trie depth.
+        # revisits them for every pair of layers it combines.
         self._slot_cache: dict[int, tuple] = {}
         self._certain_cache: dict[int, np.ndarray] = {}
 
@@ -202,12 +207,10 @@ class CPFPRModel:
         self._empty_lo_m = lo_m[empty]
         self._empty_hi_m = hi_m[empty]
         self._empty_lcp = lcps[empty]
-        histogram = np.bincount(self._empty_lcp, minlength=width + 1) if (
-            self._empty_lcp.size
-        ) else np.zeros(width + 1, dtype=np.int64)
-        suffix = np.zeros(width + 2, dtype=np.int64)
-        suffix[: width + 1] = np.cumsum(histogram[::-1])[::-1]
-        self._lcp_at_least = suffix.tolist()
+        self._rows = kernels.bind_cpfpr_byte_row(
+            self._empty_lo_m, self._empty_hi_m, self._empty_lcp, self.max_probes,
+            self._prefix_count_array,
+        )
 
     @property
     def empty_queries(self) -> list[tuple[int, int, int]]:
@@ -286,8 +289,9 @@ class CPFPRModel:
 
         One value per ``l2`` in ``bloom_prefix_lens``, each equal bit for
         bit to :meth:`proteus_fpr` on that design, computed in one pass
-        over the queries the trie gate admits (one
-        :func:`repro.kernels.cpfpr_row` call for integer keys).  Every
+        over the queries the trie gate admits: one call of the model's
+        row-kernel binding, :func:`repro.kernels.cpfpr_row` for integer
+        keys and :func:`repro.kernels.cpfpr_byte_row` for byte keys.  Every
         ``l2`` must lie in ``(trie_depth, width]``.  Unlike
         :meth:`proteus_fpr`, this counts no ``cpfpr.evaluations``:
         Algorithm 1 counts the candidates it reads, which may be fewer.
@@ -299,24 +303,7 @@ class CPFPRModel:
             raise ValueError(f"Bloom prefix lengths {lens} must lie in ({l1}, {self.width}]")
         if not self.num_empty_queries:
             return [0.0] * len(lens)
-        if not self.is_bytes:
-            return kernels.cpfpr_row(
-                self._empty_lo, self._empty_hi, self._empty_lcp, self._empty_lo_lcp,
-                self._empty_hi_lcp, self.width, self.max_probes, l1,
-                np.array(lens, dtype=np.int64), bloom_bits, self._prefix_count_array,
-            ).tolist()
-        admitted = np.flatnonzero(self._empty_lcp >= l1)  # the trie gate
-        if not admitted.size:
-            return [0.0] * len(lens)
-        uncertain = self._empty_lcp[admitted] < np.array(lens, dtype=np.int64)[:, None]
-        # The byte filter probes every slot once its gate passes.
-        slots = [self._byte_slot_info(length) for length in lens]
-        probes = np.stack([count[admitted] for count, _ in slots])
-        clamped = np.stack([clamp[admitted] for _, clamp in slots])
-        keep = np.array([1.0 - self.bloom_probe_fpr(bloom_bits, length) for length in lens])
-        return cpfpr_row_fprs(
-            keep, probes, uncertain & ~clamped, self.num_empty_queries
-        ).tolist()
+        return self._rows(l1, lens, bloom_bits).tolist()
 
     def _slot_info(self, l2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-query ``(plo, phi, clamped)`` at prefix length ``l2`` (cached)."""
@@ -348,6 +335,8 @@ class CPFPRModel:
     # *whole* slot interval, because the byte-mode Proteus filter probes
     # every l2-slot once its trie gate passes (it has no per-l1-block slot
     # pruning) — the model mirrors the filter it predicts, not the int64 one.
+    # The Proteus rows run in :func:`repro.kernels.cpfpr_byte_row`; the
+    # helpers below serve the 2PBF layers.
 
     def _byte_slot_info(self, length: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-query ``(num_slots, clamped)`` at prefix length ``length``.

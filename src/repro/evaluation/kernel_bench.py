@@ -3,8 +3,8 @@ reference, with parity gating.
 
 For each kernel (``bloom_add``, ``bloom_contains``,
 ``bloom_contains_hashed``, ``bitvector_get_rank1``, ``trie_levels``,
-``cpfpr_row``) and every backend available in this environment, the
-harness:
+``cpfpr_row``, ``cpfpr_byte_row``) and every backend available in this
+environment, the harness:
 
 * checks **parity** first — the backend's output must be byte-identical to
   the numpy reference on the same seeded inputs (a mismatch fails the run
@@ -42,6 +42,7 @@ from repro import kernels
 from repro.amq.bitarray import BitArray
 from repro.amq.bloom import bloom_hash_count
 from repro.amq.hashing import hash_pair_many, premixed_pair_seeds
+from repro.core.cpfpr import CPFPRModel
 from repro.evaluation.gates import check_regressions
 from repro.keys.lcp import query_neighbour_lcps_many, unique_prefix_counts_array
 from repro.trie.bitvector import RankSelectBitVector
@@ -164,6 +165,29 @@ def _make_cases(scale: float, seed: int) -> dict[str, Callable[[str], bytes]]:
         ]
         return np.concatenate(rows).tobytes()
 
+    # The byte-key row pass: every trie depth of a design over YCSB-shaped
+    # ``user<10-digit id>`` keys sampled by scans of 1-100 ids, each
+    # depth's row of byte-aligned Bloom prefix lengths at 12 bits per key,
+    # over the empty sample queries of the model Algorithm 1 would search
+    # (drawn last, like the level probe).
+    ids = np.unique(rng.integers(0, 10**7, size=max(512, int(16_384 * scale))))
+    starts = rng.integers(0, 10**7, size=max(1_024, int(8_192 * scale)))
+    ends = starts + rng.integers(1, 101, size=starts.size)
+    user = lambda values: [b"user%010d" % v for v in values.tolist()]  # noqa: E731
+    byte_model = CPFPRModel(user(ids), 8 * 14, list(zip(user(starts), user(ends))))
+    byte_queries = (byte_model._empty_lo_m, byte_model._empty_hi_m, byte_model._empty_lcp)
+    byte_counts = byte_model._prefix_count_array
+
+    def cpfpr_byte_row_case(backend: str) -> bytes:
+        rows = [
+            kernels.cpfpr_byte_row(
+                *byte_queries, 64, l1, np.arange(l1 + 8, 8 * 14 + 1, 8),
+                12 * ids.size, byte_counts, backend=backend,
+            )
+            for l1 in range(0, 8 * 14, 8)
+        ]
+        return np.concatenate(rows).tobytes()
+
     return {
         "bloom_add": bloom_add_case,
         "bloom_contains": bloom_contains_case,
@@ -171,6 +195,7 @@ def _make_cases(scale: float, seed: int) -> dict[str, Callable[[str], bytes]]:
         "bitvector_get_rank1": bitvector_case,
         "trie_levels": trie_case,
         "cpfpr_row": cpfpr_row_case,
+        "cpfpr_byte_row": cpfpr_byte_row_case,
     }
 
 

@@ -5,8 +5,9 @@ the per-hash Bloom probe round-trips (also across the many Bloom layers of
 one LSM level, :func:`bloom_contains_hashed`), the rank+get pair inside
 every LOUDS traversal step, the per-node Python walks of the trie
 builders, and Algorithm 1's per-depth evaluation of every Bloom prefix
-length (:func:`cpfpr_row`).  This package exposes those loops as
-pure-function *kernels* served by one of two backends:
+length (:func:`cpfpr_row` for integer keys, :func:`cpfpr_byte_row` for
+byte keys).  This package exposes those loops as pure-function *kernels*
+served by one of two backends:
 
 * ``numpy`` — the vectorised reference implementation, always available;
   it defines kernel semantics and the compiled backend must match it
@@ -26,6 +27,12 @@ True
 >>> kernels.get_backend_name("no-such-backend")  # doctest: +IGNORE_EXCEPTION_DETAIL
 Traceback (most recent call last):
 ValueError: unknown kernel backend 'no-such-backend'...
+
+A CPFPR model calls its row kernel once per trie depth over the same
+queries, so it binds them once (:func:`bind_cpfpr_row`,
+:func:`bind_cpfpr_byte_row`): the :class:`RowBinding` resolves the backend
+at every call, as any dispatch does, and each backend keeps what it bound
+on its first call.
 
 Observability: :func:`attach_metrics` registers per-dispatch counters
 ``kernels.dispatch.{backend}.{kernel}`` on a
@@ -57,7 +64,11 @@ __all__ = [
     "bloom_contains",
     "bloom_contains_hashed",
     "bitvector_get_rank1",
+    "RowBinding",
+    "bind_cpfpr_row",
+    "bind_cpfpr_byte_row",
     "cpfpr_row",
+    "cpfpr_byte_row",
     "trie_levels",
     "merge_runs",
 ]
@@ -249,6 +260,47 @@ def bitvector_get_rank1(
     return resolved.bitvector_get_rank1(buffer, cumulative, num_bits, positions)
 
 
+class RowBinding:
+    """One CPFPR model's empty sample queries, bound to a row-pass kernel.
+
+    ``binding(trie_depth, lens, num_bits)`` runs one trie depth of
+    Algorithm 1 (:func:`cpfpr_row` or :func:`cpfpr_byte_row`) on the
+    backend a dispatch would use at that moment, counted as one dispatch
+    of that kernel.  Each backend binds the queries on its first call and
+    keeps them, so later calls pass only the row: the compiled backend
+    addresses the arrays and sizes its buffers once, the numpy one
+    memoises byte slot counts.
+    """
+
+    __slots__ = ("_kernel", "_args", "_bound")
+
+    def __init__(self, kernel: str, args: tuple):
+        self._kernel = kernel
+        self._args = args
+        self._bound: dict[str, Callable[..., np.ndarray]] = {}
+
+    def __call__(
+        self, trie_depth: int, lens, num_bits: int, backend: str | None = None
+    ) -> np.ndarray:
+        resolved = _resolve(backend)
+        _count(resolved.name, self._kernel)
+        bound = self._bound.get(resolved.name)
+        if bound is None:
+            bound = getattr(resolved, f"bind_{self._kernel}")(*self._args)
+            self._bound[resolved.name] = bound
+        return bound(trie_depth, lens, num_bits)
+
+
+def bind_cpfpr_row(
+    los: np.ndarray, his: np.ndarray, lcps: np.ndarray, lo_lcps: np.ndarray,
+    hi_lcps: np.ndarray, width: int, max_probes: int, prefix_counts: np.ndarray,
+) -> RowBinding:
+    """An integer model's queries bound to :func:`cpfpr_row`; see there."""
+    return RowBinding(
+        "cpfpr_row", (los, his, lcps, lo_lcps, hi_lcps, width, max_probes, prefix_counts)
+    )
+
+
 def cpfpr_row(
     los: np.ndarray, his: np.ndarray, lcps: np.ndarray, lo_lcps: np.ndarray,
     hi_lcps: np.ndarray, width: int, max_probes: int, trie_depth: int,
@@ -266,14 +318,39 @@ def cpfpr_row(
     contract.  Every ``l2`` must lie in ``(trie_depth, width]``.  The
     compiled backend sums in numpy's pairwise order and builds the
     ``(1 - p)^k`` table with numpy's power, so every value equals the
-    reference's bit for bit on one host.
+    reference's bit for bit on one host.  This is a one-call
+    :func:`bind_cpfpr_row`; a model binds once and calls per depth.
     """
-    resolved = _resolve(backend)
-    _count(resolved.name, "cpfpr_row")
-    return resolved.cpfpr_row(
-        los, his, lcps, lo_lcps, hi_lcps, width, max_probes, trie_depth, lens,
-        num_bits, prefix_counts,
-    )
+    binding = bind_cpfpr_row(los, his, lcps, lo_lcps, hi_lcps, width, max_probes, prefix_counts)
+    return binding(trie_depth, lens, num_bits, backend)
+
+
+def bind_cpfpr_byte_row(
+    lo_rows: np.ndarray, hi_rows: np.ndarray, lcps: np.ndarray, max_probes: int,
+    prefix_counts: np.ndarray,
+) -> RowBinding:
+    """A byte model's queries bound to :func:`cpfpr_byte_row`; see there."""
+    return RowBinding("cpfpr_byte_row", (lo_rows, hi_rows, lcps, max_probes, prefix_counts))
+
+
+def cpfpr_byte_row(
+    lo_rows: np.ndarray, hi_rows: np.ndarray, lcps: np.ndarray, max_probes: int,
+    trie_depth: int, lens: np.ndarray, num_bits: int, prefix_counts: np.ndarray,
+    backend: str | None = None,
+) -> np.ndarray:
+    """:func:`cpfpr_row` for a byte-keyed CPFPR model.
+
+    The empty sample queries are the ``uint8`` rows ``lo_rows``/``hi_rows``
+    of their zero-padded bounds (``width = 8 * columns``) and ``lcps`` =
+    ``L(q)``.  A gated query probes every ``l2``-slot of its interval, and
+    :func:`repro.keys.bytestr.byte_slot_bounds` decides its clamp; see
+    :func:`repro.kernels._numpy_backend.cpfpr_byte_row` for the exact
+    contract.  Lengths outside ``(trie_depth, width]`` raise
+    ``ValueError``.  Compiled values equal the reference's bit for bit, as
+    :func:`cpfpr_row`'s do.
+    """
+    binding = bind_cpfpr_byte_row(lo_rows, hi_rows, lcps, max_probes, prefix_counts)
+    return binding(trie_depth, lens, num_bits, backend)
 
 
 def merge_runs(

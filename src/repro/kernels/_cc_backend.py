@@ -85,6 +85,94 @@ def _address(array: np.ndarray) -> int:
     return array.ctypes.data
 
 
+class _Rows(ctypes.Structure):
+    """The C side's ``cpfpr_rows``: one model's queries and row buffers."""
+
+    _fields_ = [
+        ("n", ctypes.c_int64), ("width", ctypes.c_int64), ("max_probes", ctypes.c_uint64),
+        ("prefix_counts", ctypes.c_void_p), ("num_counts", ctypes.c_int64),
+        *((field, ctypes.c_void_p) for field in (
+            "lcps", "los", "his", "lo_lcps", "hi_lcps", "first_bits", "lo_windows", "hi_windows",
+            "lens", "keep", "table",
+        )),
+        ("table_width", ctypes.c_int64),
+        *((field, ctypes.c_void_p) for field in ("out", "work", "values")),
+    ]
+
+
+class _BoundRows:
+    """One CPFPR model's empty queries bound to a C row kernel.
+
+    The arrays the kernel reads and every buffer a row call writes are
+    addressed once, in a ``cpfpr_rows`` struct, so a call passes three
+    scalars to each of its two C calls.  The per-call buffers grow to the
+    most rows a call has asked for; every call shares them, so one binding
+    serves one thread at a time.
+    """
+
+    def __init__(self, lib, kernel, lcps, width, max_probes, prefix_counts, arrays):
+        self._keep_rows = lib.cpfpr_rows_keep
+        self._kernel = getattr(lib, kernel)
+        counts = np.ascontiguousarray(prefix_counts, dtype=np.int64)
+        self._arrays = {**arrays, "lcps": lcps, "prefix_counts": counts}
+        n = lcps.size
+        self._rows = rows = _Rows(
+            n=n, width=width, max_probes=min(max_probes, 2**64 - 1), num_counts=counts.size
+        )
+        self._work = np.empty(4 * n, dtype=np.int64)
+        self._values = np.empty(n)
+        for field, array in (*self._arrays.items(), ("work", self._work),
+                             ("values", self._values)):
+            setattr(rows, field, _address(array))
+        self._ref = ctypes.addressof(rows)
+        #: The first table's columns, probe counts 0 to min(max_probes, 64).
+        self._exponents = np.arange(min(max_probes, _TABLE_PROBES) + 1, dtype=np.float64)
+        self._reserve(0)
+
+    def _reserve(self, capacity: int) -> None:
+        """Per-call buffers for ``capacity`` rows."""
+        self._lens = np.empty(capacity, dtype=np.int64)
+        self._keep = np.empty((capacity, 1))  # each row's 1 - p, a column for the table
+        self._table = np.empty((capacity, self._exponents.size))
+        self._out = np.empty(capacity)
+        for field in ("lens", "keep", "table", "out"):
+            setattr(self._rows, field, _address(getattr(self, f"_{field}")))
+        self._rows.table_width = self._exponents.size
+
+    def __call__(self, trie_depth, lens, num_bits):
+        rows = len(lens)
+        if rows > self._out.size:
+            self._reserve(rows)
+        self._lens[:rows] = lens
+        if self._keep_rows(self._ref, num_bits, rows):
+            raise ValueError(f"prefix lengths {self._lens[:rows].tolist()} outside prefix_counts")
+        largest = self._pass(self._table, self._exponents, trie_depth, rows)
+        if largest >= self._exponents.size:
+            # A count past the first table: once more with a table that wide.
+            exponents = np.arange(largest + 1, dtype=np.float64)
+            table = np.empty((rows, exponents.size))
+            self._rows.table, self._rows.table_width = _address(table), exponents.size
+            try:
+                self._pass(table, exponents, trie_depth, rows)
+            finally:
+                self._rows.table = _address(self._table)
+                self._rows.table_width = self._exponents.size
+        return self._out[:rows].copy()
+
+    def _pass(self, table, exponents, trie_depth, rows) -> int:
+        """Fill ``table`` with ``keep ** k``, run the kernel, return its largest k."""
+        # numpy's power, as in the reference: libm's pow differs from it
+        # in the last bit on some hosts.  The kernel subtracts it from 1.
+        np.power(self._keep[:rows], exponents, out=table[:rows])
+        largest = self._kernel(self._ref, trie_depth, rows)
+        if largest == -2:
+            raise ValueError(
+                f"prefix lengths {self._lens[:rows].tolist()} must lie in "
+                f"({trie_depth}, {self._rows.width}]"
+            )
+        return largest
+
+
 class _CcBackend:
     """Kernel entry points bound to the compiled shared object."""
 
@@ -119,11 +207,11 @@ class _CcBackend:
             ctypes.c_int64, ptr, ctypes.c_int64, ptr, ctypes.c_int64, ptr,
         ]
         lib.cpfpr_bloom_keep.restype = ctypes.c_int64
-        lib.cpfpr_row.argtypes = [ptr] * 5 + [
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_uint64, ctypes.c_int64,
-            ptr, ctypes.c_int64, ptr, ctypes.c_int64, ptr,
-        ]
-        lib.cpfpr_row.restype = ctypes.c_int64
+        lib.cpfpr_byte_windows.argtypes = [ptr, ptr, ctypes.c_int64, ctypes.c_int64, ptr, ptr, ptr]
+        lib.cpfpr_byte_windows.restype = None
+        for kernel in (lib.cpfpr_rows_keep, lib.cpfpr_row, lib.cpfpr_byte_row):
+            kernel.argtypes = [ptr, ctypes.c_int64, ctypes.c_int64]
+            kernel.restype = ctypes.c_int64
 
     def bloom_add(self, buffer, num_bits, values, s1, s2, k):
         v = np.ascontiguousarray(np.asarray(values).astype(np.uint64, copy=False))
@@ -162,41 +250,35 @@ class _CcBackend:
         )
         return bits.view(bool), ranks
 
-    def cpfpr_row(self, los, his, lcps, lo_lcps, hi_lcps, width, max_probes,
-                  trie_depth, lens, num_bits, prefix_counts):
-        arrays = [
-            np.ascontiguousarray(a, dtype=np.int64)
-            for a in (los, his, lcps, lo_lcps, hi_lcps, lens, prefix_counts)
-        ]
-        n, rows, counts = arrays[0].size, arrays[5].size, arrays[6].size
-        if any(a.size != n for a in arrays[1:5]):
+    def bind_cpfpr_row(self, los, his, lcps, lo_lcps, hi_lcps, width, max_probes,
+                       prefix_counts):
+        columns = [np.ascontiguousarray(a, dtype=np.int64) for a in (los, his, lo_lcps, hi_lcps)]
+        lcps = np.ascontiguousarray(lcps, dtype=np.int64)
+        if any(a.size != lcps.size for a in columns):
             raise ValueError("los, his, lcps, lo_lcps and hi_lcps differ in length")
-        addresses = [_address(a) for a in arrays]
-        keep = np.empty((rows, 1))  # each row's 1 - p, a column for the table
-        if self._lib.cpfpr_bloom_keep(
-            num_bits, addresses[6], counts, addresses[5], rows, _address(keep)
-        ):
-            raise ValueError(f"prefix lengths {arrays[5].tolist()} outside prefix_counts")
-        out = np.empty(rows)
-        out_address = _address(out)
-        size = min(max_probes, _TABLE_PROBES) + 1
-        while True:
-            # numpy's power, as in the reference: libm's pow differs from
-            # it in the last bit on some hosts.
-            table = 1.0 - keep ** np.arange(size, dtype=np.float64)
-            largest = self._lib.cpfpr_row(
-                *addresses[:5], n, width, min(max_probes, 2**64 - 1), trie_depth,
-                addresses[5], rows, _address(table), size, out_address,
-            )
-            if largest == -2:
-                raise ValueError(
-                    f"prefix lengths {arrays[5].tolist()} must lie in ({trie_depth}, {width}]"
-                )
-            if largest < 0:
-                raise MemoryError("cpfpr_row could not allocate its workspace")
-            if largest < size:
-                return out
-            size = largest + 1
+        return _BoundRows(
+            self._lib, "cpfpr_row", lcps, width, max_probes, prefix_counts,
+            dict(zip(("los", "his", "lo_lcps", "hi_lcps"), columns)),
+        )
+
+    def bind_cpfpr_byte_row(self, lo_rows, hi_rows, lcps, max_probes, prefix_counts):
+        lo_rows = np.ascontiguousarray(lo_rows, dtype=np.uint8)
+        hi_rows = np.ascontiguousarray(hi_rows, dtype=np.uint8)
+        lcps = np.ascontiguousarray(lcps, dtype=np.int64)
+        if lo_rows.ndim != 2 or lo_rows.shape != hi_rows.shape or lo_rows.shape[0] != lcps.size:
+            raise ValueError("lo_rows, hi_rows and lcps differ in shape")
+        n, stride = lo_rows.shape
+        windows = {
+            "first_bits": np.empty(n, dtype=np.int64),
+            "lo_windows": np.empty(n, dtype=np.uint64),
+            "hi_windows": np.empty(n, dtype=np.uint64),
+        }
+        self._lib.cpfpr_byte_windows(
+            _address(lo_rows), _address(hi_rows), n, stride, *map(_address, windows.values())
+        )
+        return _BoundRows(
+            self._lib, "cpfpr_byte_row", lcps, 8 * stride, max_probes, prefix_counts, windows
+        )
 
     def trie_levels(self, mat, lengths):
         mat = np.ascontiguousarray(mat, dtype=np.uint8)

@@ -19,7 +19,6 @@
 
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
 
 static const uint8_t BIT_MASKS[8] = {128, 64, 32, 16, 8, 4, 2, 1};
 
@@ -99,6 +98,7 @@ void bloom_contains_hashed(const uint8_t *buf, const int64_t *byte_offsets,
 void bitvector_get_rank1(const uint8_t *buf, const int64_t *cum,
                          int64_t num_bits, const int64_t *pos, int64_t n,
                          uint8_t *bit_out, int64_t *rank_out) {
+    (void)num_bits; /* the bound the caller checked positions against */
     for (int64_t j = 0; j < n; j++) {
         int64_t p = pos[j];
         bit_out[j] = get_bit(buf, (uint64_t)p);
@@ -245,6 +245,53 @@ int64_t cpfpr_bloom_keep(int64_t num_bits, const int64_t *prefix_counts,
     return 0;
 }
 
+/* One CPFPR model's empty sample queries, bound once to the row kernels
+ * together with every buffer a row call uses (_cc_backend.py owns the
+ * arrays).  Integer models set los/his/lo_lcps/hi_lcps, byte models
+ * first_bits/lo_windows/hi_windows.  A call reads lens[0, num_lens) and
+ * table (num_lens rows of table_width columns, keep[r]^k at column k by
+ * numpy's power), and writes keep, out and the workspace. */
+typedef struct {
+    int64_t n;                        /* empty sample queries */
+    int64_t width;                    /* key width in bits */
+    uint64_t max_probes;              /* the filters' slot clamp */
+    const int64_t *prefix_counts;     /* |K_l| for l in [0, num_counts) */
+    int64_t num_counts;
+    const int64_t *lcps;              /* L(q) */
+    const int64_t *los, *his;         /* integer keys: stored bounds */
+    const int64_t *lo_lcps, *hi_lcps; /* the two halves of L(q) */
+    const int64_t *first_bits;        /* byte keys: cpfpr_byte_windows' view */
+    const uint64_t *lo_windows, *hi_windows;
+    const int64_t *lens;              /* each row's prefix length l2 */
+    double *keep;                     /* each row's 1 - p */
+    const double *table;
+    int64_t table_width;
+    double *out;                      /* each row's expected FPR */
+    int64_t *work;                    /* 4 * n */
+    double *values;                   /* n */
+} cpfpr_rows;
+
+/* keep[r] of the bound rows, by cpfpr_bloom_keep. */
+int64_t cpfpr_rows_keep(const cpfpr_rows *b, int64_t num_bits, int64_t num_lens) {
+    return cpfpr_bloom_keep(num_bits, b->prefix_counts, b->num_counts, b->lens, num_lens,
+                            b->keep);
+}
+
+/* Returns 1 unless 0 <= l1 < lens[r] <= width for every row r. */
+static int bad_lens(const cpfpr_rows *b, int64_t l1, int64_t num_lens) {
+    for (int64_t r = 0; r < num_lens; r++)
+        if (l1 < 0 || b->lens[r] <= l1 || b->lens[r] > b->width)
+            return 1;
+    return 0;
+}
+
+/* out[r] from the count values of row r's active queries, of admitted:
+ * their pairwise sum plus 1 for every other admitted query, over n. */
+static void finish_row(const cpfpr_rows *b, int64_t r, int64_t admitted, int64_t count) {
+    double sum = 0.0 + pairwise_sum(b->values, count);
+    b->out[r] = admitted ? ((double)(admitted - count) + sum) / (double)b->n : 0.0;
+}
+
 /* One row of cpfpr_row: the values of the admitted queries that are
  * active at this l2 (neither certain nor clamped), in query order, into
  * values; returns their count.  No branch depends on the data: every
@@ -275,78 +322,142 @@ static inline int64_t row_values(const int64_t *lo, const int64_t *hi,
         uint64_t active = (uint64_t)((lcp[i] < l2) & (span < max_probes));
         k &= -active;
         most = k > most ? k : most;
-        values[count] = row[k < table_width ? k : 0];
+        values[count] = 1.0 - row[k < table_width ? k : 0];
         count += (int64_t)active;
     }
     *largest = most;
     return count;
 }
 
-/* Expected FPRs of the Proteus designs (l1, lens[r], bits) over the n
- * empty sample queries (stored int64 bounds, L(q) and its two halves):
- * the numpy reference cpfpr_row in _numpy_backend.py, restated.
+/* Expected FPRs of the Proteus designs (l1, lens[r], bits) over an
+ * integer model's n empty sample queries (stored int64 bounds, L(q) and
+ * its two halves): the numpy reference cpfpr_row in _numpy_backend.py,
+ * restated.
  *
  * The trie gate admits L(q) >= l1.  At each l2, an admitted query is
  * certain (L(q) >= l2) or clamped (more than max_probes slots) and counts
- * 1; otherwise it counts table[r][k] = 1 - keep[r]^k for its k probed
+ * 1; otherwise it counts 1 - table[r][k] = 1 - keep[r]^k for its k probed
  * slots, where a query spanning several l1-blocks probes only its stored
  * boundary blocks.  Each row's values are summed in query order by
- * pairwise_sum.  table holds table_width columns; returns the largest k
- * met, and the outputs are valid only if it is below table_width.  With
- * no query admitted every FPR is 0.  Returns -2, writing nothing, unless
- * 0 <= l1 < lens[r] <= width <= 64 for every r, and -1 when the workspace
- * cannot be allocated. */
-int64_t cpfpr_row(const int64_t *los, const int64_t *his, const int64_t *lcps,
-                  const int64_t *lo_lcps, const int64_t *hi_lcps, int64_t n,
-                  int64_t width, uint64_t max_probes, int64_t l1,
-                  const int64_t *lens, int64_t num_lens, const double *table,
-                  int64_t table_width, double *out) {
-    for (int64_t r = 0; r < num_lens; r++)
-        if (l1 < 0 || lens[r] <= l1 || lens[r] > width || width > 64)
-            return -2;
-    size_t slots = n > 0 ? (size_t)n : 1;
-    int64_t *work = malloc(4 * slots * sizeof(int64_t));
-    double *values = malloc(slots * sizeof(double));
-    if (work == NULL || values == NULL) {
-        free(work);
-        free(values);
-        return -1;
-    }
-    int64_t *lo = work, *hi = work + slots, *lcp = work + 2 * slots;
-    int64_t *blocks = work + 3 * slots;
+ * pairwise_sum.  Returns the largest k met; the outputs are valid only if
+ * it is below table_width.  With no query admitted every FPR is 0.
+ * Returns -2, writing nothing, unless 0 <= l1 < lens[r] <= width <= 64
+ * for every r. */
+int64_t cpfpr_row(const cpfpr_rows *b, int64_t l1, int64_t num_lens) {
+    if (b->width > 64 || bad_lens(b, l1, num_lens))
+        return -2;
+    int64_t n = b->n, width = b->width;
+    int64_t *lo = b->work, *hi = b->work + n, *lcp = b->work + 2 * n;
+    int64_t *blocks = b->work + 3 * n;
     int64_t admitted = 0;
     int split = 0;
     for (int64_t q = 0; q < n; q++) {
-        if (lcps[q] < l1)
+        if (b->lcps[q] < l1)
             continue;
-        lo[admitted] = los[q];
-        hi[admitted] = his[q];
-        lcp[admitted] = lcps[q];
+        lo[admitted] = b->los[q];
+        hi[admitted] = b->his[q];
+        lcp[admitted] = b->lcps[q];
         /* 0: one l1-block; else bit 0 / bit 1 mark a stored low / high
          * boundary block of a query that spans several. */
         int64_t stored = 0;
-        if (l1 && shift_right(los[q], width - l1) != shift_right(his[q], width - l1)) {
-            stored = 4 | (lo_lcps[q] >= l1) | ((int64_t)(hi_lcps[q] >= l1) << 1);
+        if (l1 && shift_right(b->los[q], width - l1) != shift_right(b->his[q], width - l1)) {
+            stored = 4 | (b->lo_lcps[q] >= l1) | ((int64_t)(b->hi_lcps[q] >= l1) << 1);
             split = 1;
         }
         blocks[admitted] = stored;
         admitted++;
     }
-    uint64_t largest = 0;
+    uint64_t largest = 0, table_width = (uint64_t)b->table_width;
     for (int64_t r = 0; r < num_lens; r++) {
-        int64_t l2 = lens[r];
+        int64_t l2 = b->lens[r];
         /* the low l2 - l1 bits: a slot's position inside its l1-block */
         uint64_t low = l1 ? ~(~(uint64_t)0 << (l2 - l1)) : 0;
-        const double *row = table + r * table_width;
+        const double *row = b->table + r * b->table_width;
         int64_t count = split
-            ? row_values(lo, hi, lcp, blocks, admitted, l2, width - l2, low, max_probes,
-                         row, (uint64_t)table_width, values, &largest, 1)
-            : row_values(lo, hi, lcp, blocks, admitted, l2, width - l2, low, max_probes,
-                         row, (uint64_t)table_width, values, &largest, 0);
-        double sum = 0.0 + pairwise_sum(values, count);
-        out[r] = admitted ? ((double)(admitted - count) + sum) / (double)n : 0.0;
+            ? row_values(lo, hi, lcp, blocks, admitted, l2, width - l2, low, b->max_probes,
+                         row, table_width, b->values, &largest, 1)
+            : row_values(lo, hi, lcp, blocks, admitted, l2, width - l2, low, b->max_probes,
+                         row, table_width, b->values, &largest, 0);
+        finish_row(b, r, admitted, count);
     }
-    free(work);
-    free(values);
+    return largest > (uint64_t)INT64_MAX ? INT64_MAX : (int64_t)largest;
+}
+
+/* The byte kernel's view of one query: first_bits[q] = 8 * d, where d is
+ * the first byte at which lo and hi differ (stride if none), and the
+ * big-endian 64-bit windows of bytes [d, d + 8) of lo and hi (zero past
+ * the row).  Bound once per model: every l2-slot interval of the query
+ * is read from them (see cpfpr_byte_row). */
+void cpfpr_byte_windows(const uint8_t *lo_rows, const uint8_t *hi_rows, int64_t n,
+                        int64_t stride, int64_t *first_bits, uint64_t *lo_windows,
+                        uint64_t *hi_windows) {
+    for (int64_t q = 0; q < n; q++) {
+        const uint8_t *lo = lo_rows + q * stride, *hi = hi_rows + q * stride;
+        int64_t d = 0;
+        while (d < stride && lo[d] == hi[d])
+            d++;
+        uint64_t lo_window = 0, hi_window = 0;
+        for (int64_t j = d; j < d + 8; j++) {
+            lo_window = (lo_window << 8) | (j < stride ? lo[j] : 0);
+            hi_window = (hi_window << 8) | (j < stride ? hi[j] : 0);
+        }
+        first_bits[q] = 8 * d;
+        lo_windows[q] = lo_window;
+        hi_windows[q] = hi_window;
+    }
+}
+
+/* Expected FPRs of the Proteus designs (l1, lens[r], bits) over a byte
+ * model's n empty sample queries (L(q) and cpfpr_byte_windows' view of
+ * the padded bounds): the numpy reference cpfpr_byte_row in
+ * _numpy_backend.py, restated, with repro.keys.bytestr.byte_slot_bounds'
+ * slot intervals.
+ *
+ * The trie gate admits L(q) >= l1, and an admitted query probes every
+ * l2-slot of its interval (byte filters do not prune by l1-block).  With
+ * nb = ceil(l2 / 8), byte_slot_bounds takes the interval from the
+ * big-endian windows over the trailing eight bytes of the masked nb-byte
+ * prefixes of lo and hi, and clamps a query whose bounds differ above
+ * those eight bytes or that spans more than max_probes slots.  Bytes
+ * before d are equal in both bounds, so with t = l2 - 8 * d: t <= 0 gives
+ * one slot, t > 64 (d < nb - 8) a clamp, and otherwise the interval is
+ * the difference of the leading t bits of the two windows.  Certain
+ * (L(q) >= l2) and clamped queries count 1, the others 1 - table[r][k]
+ * for their k slots, summed as in cpfpr_row.  Returns the largest k met, or
+ * -2, writing nothing, unless 0 <= l1 < lens[r] <= width for every r. */
+int64_t cpfpr_byte_row(const cpfpr_rows *b, int64_t l1, int64_t num_lens) {
+    if (bad_lens(b, l1, num_lens))
+        return -2;
+    int64_t n = b->n;
+    int64_t *lcp = b->work, *bits = b->work + n;
+    uint64_t *lo = (uint64_t *)(b->work + 2 * n), *hi = (uint64_t *)(b->work + 3 * n);
+    int64_t admitted = 0;
+    for (int64_t q = 0; q < n; q++) {
+        if (b->lcps[q] < l1)
+            continue;
+        lcp[admitted] = b->lcps[q];
+        bits[admitted] = b->first_bits[q];
+        lo[admitted] = b->lo_windows[q];
+        hi[admitted] = b->hi_windows[q];
+        admitted++;
+    }
+    uint64_t largest = 0, table_width = (uint64_t)b->table_width, max_probes = b->max_probes;
+    double *values = b->values;
+    for (int64_t r = 0; r < num_lens; r++) {
+        int64_t l2 = b->lens[r];
+        const double *row = b->table + r * b->table_width;
+        int64_t count = 0;
+        for (int64_t i = 0; i < admitted; i++) {
+            int64_t t = l2 - bits[i];
+            int64_t shift = 64 - (t < 1 ? 1 : (t > 64 ? 64 : t));
+            uint64_t span = t > 0 ? (hi[i] >> shift) - (lo[i] >> shift) : 0;
+            uint64_t active = (uint64_t)((lcp[i] < l2) & (t <= 64) & (span < max_probes));
+            uint64_t k = (span + 1) & -active;
+            largest = k > largest ? k : largest;
+            values[count] = 1.0 - row[k < table_width ? k : 0];
+            count += (int64_t)active;
+        }
+        finish_row(b, r, admitted, count);
+    }
     return largest > (uint64_t)INT64_MAX ? INT64_MAX : (int64_t)largest;
 }

@@ -173,6 +173,74 @@ def cpfpr_row(los: np.ndarray, his: np.ndarray, lcps: np.ndarray,
     return cpfpr_row_fprs(keep, probes, uncertain & ~clamped, lcps.size)
 
 
+def bind_cpfpr_row(los, his, lcps, lo_lcps, hi_lcps, width, max_probes, prefix_counts):
+    """:func:`cpfpr_row` over one model's queries, as a ``(trie_depth, lens, num_bits)`` call."""
+
+    def row(trie_depth, lens, num_bits):
+        return cpfpr_row(
+            los, his, lcps, lo_lcps, hi_lcps, width, max_probes, trie_depth,
+            np.asarray(lens, dtype=np.int64), num_bits, prefix_counts,
+        )
+
+    return row
+
+
+def cpfpr_byte_row(lo_rows: np.ndarray, hi_rows: np.ndarray, lcps: np.ndarray,
+                   max_probes: int, trie_depth: int, lens: np.ndarray,
+                   num_bits: int, prefix_counts: np.ndarray,
+                   slots: dict | None = None) -> np.ndarray:
+    """Expected FPRs of the Proteus designs ``(trie_depth, l2, num_bits)``
+    over a byte-keyed CPFPR model.
+
+    One value per ``l2`` in ``lens``, over the model's empty sample
+    queries: bound rows ``lo_rows``/``hi_rows`` (``uint8``, zero-padded to
+    the ``8 * columns``-bit width) and ``lcps`` = ``L(q)``.  The trie gate
+    admits ``L(q) >= trie_depth``.  An admitted query is a certain false
+    positive at ``l2`` when ``L(q) >= l2`` or when
+    :func:`repro.keys.bytestr.byte_slot_bounds` clamps it; otherwise it
+    probes every ``l2``-slot of its interval, because the byte filter has
+    no per-``l1``-block pruning.  ``slots`` optionally memoises each
+    length's slot counts, so a binding reads them once for every trie
+    depth.  Lengths outside ``(trie_depth, width]`` raise ``ValueError``.
+    """
+    # Both modules import this package (through repro.kernels) at load time.
+    from repro.amq.bloom import bloom_fpr
+    from repro.keys.bytestr import byte_slot_bounds
+
+    width = 8 * lo_rows.shape[1]
+    if lens.size and not (0 <= trie_depth < lens.min() and lens.max() <= width):
+        raise ValueError(f"prefix lengths {lens.tolist()} must lie in ({trie_depth}, {width}]")
+    l1 = trie_depth
+    admitted = np.flatnonzero(lcps >= l1)  # the trie gate
+    if not admitted.size or not lens.size:
+        return np.zeros(lens.size)
+    slots = {} if slots is None else slots
+    for length in lens.tolist():
+        if length not in slots:  # per query: (number of slots, clamped)
+            _, _, span, clamp = byte_slot_bounds(lo_rows, hi_rows, length, max_probes)
+            slots[length] = (span + 1, clamp)
+    uncertain = lcps[admitted] < lens[:, None]
+    # The byte filter probes every slot once its gate passes.
+    rows = [slots[length] for length in lens.tolist()]
+    probes = np.stack([count[admitted] for count, _ in rows])
+    clamped = np.stack([clamp[admitted] for _, clamp in rows])
+    keep = np.array([1.0 - bloom_fpr(num_bits, count) for count in prefix_counts[lens].tolist()])
+    return cpfpr_row_fprs(keep, probes, uncertain & ~clamped, lcps.size)
+
+
+def bind_cpfpr_byte_row(lo_rows, hi_rows, lcps, max_probes, prefix_counts):
+    """:func:`cpfpr_byte_row` over one model's queries, its slot counts memoised."""
+    slots: dict = {}
+
+    def row(trie_depth, lens, num_bits):
+        return cpfpr_byte_row(
+            lo_rows, hi_rows, lcps, max_probes, trie_depth,
+            np.asarray(lens, dtype=np.int64), num_bits, prefix_counts, slots,
+        )
+
+    return row
+
+
 def cpfpr_row_fprs(keep: np.ndarray, probes: np.ndarray, active: np.ndarray,
                    num_empty: int) -> np.ndarray:
     """Finish a CPFPR row pass from its ``(l2 x query)`` probe counts.
@@ -182,8 +250,8 @@ def cpfpr_row_fprs(keep: np.ndarray, probes: np.ndarray, active: np.ndarray,
     gathered from one table, and every other admitted query counts 1.
     Each row's values are summed with their own 1-D ``.sum()`` in query
     order (numpy's pairwise summation rounds by length and order), and the
-    total is divided by ``num_empty``.  The byte-key row pass of
-    :class:`~repro.core.cpfpr.CPFPRModel` shares this step.
+    total is divided by ``num_empty``.  :func:`cpfpr_row` and
+    :func:`cpfpr_byte_row` share this step.
     """
     admitted = active.shape[1]
     counts = active.sum(axis=1)

@@ -61,7 +61,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve.shard import build_shard_trees, route_queries, shard_fences, split_key_set
 from repro.serve.shm import share_pickle, snapshot_tree
 from repro.serve.worker import probe_shard, worker_main
-from repro.workloads.batch import QueryBatch, coerce_keys
+from repro.workloads.batch import QueryBatch, coerce_keys, stored_query_batch
 from repro.workloads.bytekeys import ByteQueryBatch
 from repro.workloads.keyset import KeySet
 
@@ -322,9 +322,18 @@ class ShardedLookupService:
     # ------------------------------------------------------------------ #
 
     def _make_batch(self, los, his) -> QueryBatch:
-        """Validate raw bounds once, in the service's native representation."""
+        """Validate raw bounds once, in the representation the shards store.
+
+        Byte-string bounds against integer keys are read as the padded
+        big-endian integers of their bytes, through
+        :func:`~repro.workloads.batch.stored_query_batch`, as every tree
+        and filter reads them; integer bounds against byte keys are that
+        batch's own conversion.
+        """
         if self.max_length is not None:
             return ByteQueryBatch(los, his, self.max_length)
+        if len(los) and isinstance(los[0], (bytes, str, np.bytes_)):
+            return stored_query_batch(zip(los, his), self.width, False)
         return QueryBatch(los, his, self.width)
 
     def _died(self, shard_id: int) -> ServeError:

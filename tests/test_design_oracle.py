@@ -14,14 +14,18 @@ time.  The two must agree exactly:
   ``cpfpr.evaluations`` counts;
 * the closed-form gate and the searchsorted gate, query by query.
 
-Integer rows are served by the ``cpfpr_row`` kernel, so every test runs
-under each backend in ``kernels.available_backends()``: the compiled row
-pass must pick the same designs, bit for bit, as the numpy one.
+Rows are served by the ``cpfpr_row`` kernel for integer keys and the
+``cpfpr_byte_row`` kernel for byte keys, so every test runs under each
+backend in ``kernels.available_backends()``: the compiled row passes must
+pick the same designs, bit for bit, as the numpy ones.
 
 Workloads cover int64 key spaces of 8–64 bits (uniform and clustered
 keys; point, short, wide and full-space queries; ``max_probes`` 1, 2 and
 64; at width 64, stored offset-binary keys and bounds on both sides of
-``2**63``), 72- and 80-bit integers on the byte path, and byte-string keys.
+``2**63``), 72- and 80-bit integers on the byte path, byte-string keys of
+1–6 bytes, and keys of 9–16 bytes (YCSB's ``user`` + 10 digits among
+them) whose bounds share long prefixes, so slot intervals cross the
+byte filters' trailing-eight-byte window.
 
 The 2PBF search computes each layer's pass probabilities once per
 search; :func:`reference_two_pbf_design` is its per-candidate loop, and
@@ -313,6 +317,52 @@ def byte_workload(rng, count, queries):
     return keys, ByteQueryBatch.from_pairs(pairs, length)
 
 
+def user_key(number):
+    """YCSB's key for one id: ``user`` and 10 digits, 14 bytes."""
+    return b"user%010d" % number
+
+
+def long_byte_workload(rng, count, queries):
+    """Keys of 9-16 bytes, YCSB's ``user`` + 10 digits or a short stem with
+    a long tail, and bounds that share long prefixes with keys and with
+    each other: scans of 1-100 ids, near misses, and short ranges whose
+    carry makes the bounds differ bytes before their end, so their slot
+    intervals cross the trailing-eight-byte window."""
+    if rng.random() < 0.5:
+        ids = sorted(rng.sample(range(100_000), count))
+        keys = ByteKeySet([user_key(i) for i in ids])
+    else:
+        stem = bytes(rng.choice(b"ab\x00\xff") for _ in range(rng.randint(1, 4)))
+        size = rng.randint(9, 16)
+        tails = {
+            bytes(rng.choice(b"\x00\x01\xfe\xff") for _ in range(size - len(stem)))
+            for _ in range(count)
+        }
+        keys = ByteKeySet(sorted(stem + tail for tail in tails))
+        ids = None
+    length = keys.max_length
+    top = (1 << 8 * length) - 1
+    listed = keys.as_list()
+    pairs = []
+    for _ in range(queries):
+        kind = rng.randrange(3)
+        if kind == 0 and ids is not None:
+            start = rng.choice(ids) + rng.randint(-100, 100)
+            lo, hi = user_key(max(0, start)), user_key(max(0, start) + rng.randint(1, 100))
+        else:
+            key = int.from_bytes(listed[rng.randrange(len(listed))].ljust(length, b"\x00"), "big")
+            if kind == 1:  # a near miss just above or below a key
+                lo = min(top, key + rng.randint(1, 3)) if rng.random() < 0.5 else max(0, key - 40)
+                hi = min(top, lo + rng.randint(0, 30))
+            else:  # a carry across the low bytes: lo = x ff..ff, hi = (x + 1) 00..
+                tail = 8 * rng.randint(1, length)
+                lo = min(top, (key >> tail << tail) + (1 << tail) - 1 - rng.randint(0, 3))
+                hi = min(top, lo + rng.randint(1, 6))
+            lo, hi = (v.to_bytes(length, "big") for v in (lo, hi))
+        pairs.append((lo, hi))
+    return keys, ByteQueryBatch.from_pairs(pairs, length)
+
+
 @st.composite
 def int_cases(draw):
     width = draw(st.integers(8, 63))
@@ -343,6 +393,15 @@ def wide_cases(draw):
 def byte_cases(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     keys, batch = byte_workload(rng, draw(st.integers(1, 40)), draw(st.integers(0, 50)))
+    return keys, keys.width, batch, draw(st.sampled_from([1, 2, 64]))
+
+
+@st.composite
+def long_byte_cases(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    keys, batch = long_byte_workload(
+        rng, draw(st.integers(1, 30)), draw(st.integers(0, 40))
+    )
     return keys, keys.width, batch, draw(st.sampled_from([1, 2, 64]))
 
 
@@ -451,6 +510,12 @@ def test_byte_keys_match_per_candidate_evaluation(case, seed):
     check_case(case, seed)
 
 
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=long_byte_cases(), seed=st.integers(0, 2**16))
+def test_long_byte_keys_match_per_candidate_evaluation(case, seed):
+    check_case(case, seed)
+
+
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=st.one_of(int_cases(), byte_cases()))
 def test_two_pbf_search_matches_per_candidate_evaluation(case):
@@ -516,3 +581,22 @@ def churn_scale_designs():
     queries = [(k + 1, k + 1 + rng.randint(0, 64)) for k in rng.sample(keys, 300)]
     check_rows(CPFPRModel(keys, 48, queries), rng)
     check_designs(keys, 48, queries, 64)
+
+
+def test_ycsb_scale_designs_match():
+    # YCSB's shape at the scale one SST designs at: ~600 ``user`` + 10-digit
+    # keys under scans of 1-100 ids.
+    for backend in kernels.available_backends():
+        with kernels.use_backend(backend):
+            ycsb_scale_designs()
+
+
+def ycsb_scale_designs():
+    rng = random.Random(5)
+    keys = [user_key(i) for i in sorted(rng.sample(range(200_000), 600))]
+    queries = []
+    for _ in range(400):
+        start = rng.randint(0, 200_100)
+        queries.append((user_key(start), user_key(start + rng.randint(1, 100))))
+    check_rows(CPFPRModel(keys, 8 * 14, queries), rng)
+    check_designs(keys, 8 * 14, queries, 64)

@@ -470,6 +470,158 @@ def test_compiled_cpfpr_row_checks_what_it_indexes(backend):
         kernels.cpfpr_row(*short, backend=backend)
 
 
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_bound_rows_match_one_call_rows(backend):
+    # A binding reuses its buffers across calls: rows of several depths,
+    # more rows than any earlier call and a table rebuild (max_probes
+    # 1,000) must each equal a fresh one-call row, and an answer already
+    # returned must not change under a later call.
+    rng = np.random.default_rng(8)
+    los = rng.integers(0, 1 << 15, size=300)
+    his = los + rng.integers(0, 900, size=300)
+    lcps = rng.integers(0, 16, size=300)
+    args = _row_call(16, 0, [16], los, his, lcps, lcps, lcps, rng, 1_000)
+    queries, (width, max_probes), (num_bits, counts) = args[:5], args[5:7], args[9:]
+    binding = kernels.bind_cpfpr_row(*queries, width, max_probes, counts)
+    answers = []
+    for l1, lens in ((9, [16, 12]), (0, list(range(1, 17))), (3, [4, 16, 5]), (0, [16])):
+        got = binding(l1, lens, num_bits, backend)
+        answers.append((got, got.copy()))
+        want = kernels.cpfpr_row(
+            *queries, width, max_probes, l1, np.array(lens), num_bits, counts, backend="numpy"
+        )
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+    assert all(np.array_equal(got, kept) for got, kept in answers)
+
+
+def test_row_binding_dispatches_on_the_backend_in_force():
+    # A binding made outside use_backend still follows it, counting one
+    # dispatch per call on the backend that served it.
+    args = _small_row_call()
+    binding = kernels.bind_cpfpr_row(*args[:7], args[10])
+    registry = MetricsRegistry()
+    kernels.attach_metrics(registry)
+    try:
+        for backend in kernels.available_backends():
+            with kernels.use_backend(backend):
+                binding(0, [4, 16], 640)
+                binding(2, [9], 640)
+    finally:
+        kernels.attach_metrics(None)
+    counters = registry.to_dict()["counters"]
+    for backend in kernels.available_backends():
+        assert counters[f"kernels.dispatch.{backend}.cpfpr_row"] == 2
+
+
+# --------------------------------------------------------------------- #
+# cpfpr_byte_row: the row pass over byte keys                           #
+# --------------------------------------------------------------------- #
+
+
+@st.composite
+def byte_rows(draw):
+    """Bounds of 1-16 bytes, ``L(q)`` anywhere below the width: points,
+    short ranges, ranges whose carry makes the bounds differ bytes before
+    their end (a window clamp once the prefix reaches 8 bytes past the
+    first difference) and, where ``max_probes`` bounds every table, wide
+    and full-space ranges; any prefix lengths, byte-aligned or not."""
+    length = draw(st.integers(1, 16))
+    width = 8 * length
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    l1 = draw(st.sampled_from([0, draw(st.integers(0, width - 1))]))
+    max_probes = draw(st.sampled_from([1, 2, 64, 1_000, 1 << 40]))
+    count = draw(st.sampled_from([1, 7, 8, 9, 128, 129, 600]))
+    top = (1 << width) - 1
+    pairs = []
+    for _ in range(count):
+        # Wide and full-space ranges only where max_probes caps their slots.
+        kind = int(rng.integers(0, 5 if max_probes <= 1_000 else 3))
+        if kind == 3:
+            pairs.append((0, top))
+            continue
+        if kind == 2:
+            tail = 8 * int(rng.integers(1, length + 1))
+            ones = (1 << tail) - 1 - int(rng.integers(0, 4))  # ff..fX, so lo + span carries
+            lo = (int(rng.integers(0, 1 << 62)) << tail | ones) & top
+            span = int(rng.integers(0, 9))
+        else:
+            lo = int(rng.integers(0, 1 << 62)) << max(0, width - 62) & top
+            lo |= int(rng.integers(0, 1 << min(width, 62)))
+            if kind == 0:
+                span = 0
+            elif kind == 1:
+                span = int(rng.integers(0, 1_000))
+            else:
+                span = 1 << int(rng.integers(0, width))
+        pairs.append((lo, min(top, lo + span)))
+    rows = [
+        np.frombuffer(b"".join(v.to_bytes(length, "big") for v in side), dtype=np.uint8)
+        .reshape(count, length)
+        for side in zip(*pairs)
+    ]
+    if l1 and draw(st.booleans()):
+        lcps = rng.integers(0, l1, size=count)  # nothing passes the gate
+    else:
+        lcps = rng.integers(0, width, size=count)
+    counts = np.sort(rng.integers(0, 5_000, size=width + 1))
+    counts[0] = min(counts[0], 1)
+    num_bits = int(rng.choice([0, 8, 64, 6_144, 1 << 20, rng.integers(1, 1 << 16)]))
+    lens = np.array(_row_lens(draw, width, l1), dtype=np.int64)
+    return (*rows, lcps, max_probes, l1, lens, num_bits, counts)
+
+
+def _same_byte_rows(args, backend):
+    want = kernels.cpfpr_byte_row(*args, backend="numpy")
+    got = kernels.cpfpr_byte_row(*args, backend=backend)
+    assert got.dtype == want.dtype == np.float64
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
+@pytest.mark.parametrize("backend", COMPILED)
+@ROW_SETTINGS
+@given(args=byte_rows())
+def test_compiled_cpfpr_byte_row_matches_numpy(backend, args):
+    _same_byte_rows(args, backend)
+
+
+def _small_byte_row_call():
+    rng = np.random.default_rng(5)
+    lo = rng.integers(0, 256, size=(40, 3), dtype=np.uint8)
+    lo[:, 2] = np.minimum(lo[:, 2], 240)
+    hi = lo.copy()
+    hi[:, 2] += rng.integers(0, 16, size=40, dtype=np.uint8)
+    lcps = rng.integers(0, 24, size=40)
+    counts = np.sort(rng.integers(0, 5_000, size=25))
+    return [lo, hi, lcps, 64, 0, np.array([4, 9, 24], dtype=np.int64), 6_144, counts]
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_cpfpr_byte_row_edges(backend):
+    # Nothing passes a gate deeper than every L(q): every FPR is 0.
+    gated_out = _small_byte_row_call()
+    gated_out[4] = 23
+    gated_out[5] = np.array([24], dtype=np.int64)
+    gated_out[2] = np.minimum(gated_out[2], 22)
+    assert kernels.cpfpr_byte_row(*gated_out, backend=backend).tolist() == [0.0]
+    # A max_probes far above every span must not size a table by it.
+    huge = _small_byte_row_call()
+    huge[3] = 1 << 40
+    _same_byte_rows(tuple(huge), backend)
+    for l1, lens in ((0, [0, 4]), (4, [4, 9]), (0, [4, 25])):  # l2 in (l1, width]
+        bad = _small_byte_row_call()
+        bad[4], bad[5] = l1, np.array(lens, dtype=np.int64)
+        with pytest.raises(ValueError, match="prefix lengths"):
+            kernels.cpfpr_byte_row(*bad, backend=backend)
+
+
+@pytest.mark.parametrize("backend", COMPILED)
+def test_compiled_cpfpr_byte_row_checks_its_shapes(backend):
+    short = _small_byte_row_call()
+    short[1] = short[1][:-1]
+    with pytest.raises(ValueError, match="differ in shape"):
+        kernels.cpfpr_byte_row(*short, backend=backend)
+
+
 @pytest.mark.parametrize("backend", COMPILED)
 def test_compiled_bloom_keep_is_pythons_bloom_fpr(backend):
     # The compiled row pass restates bloom_fpr (hash count rule, exp, pow)
@@ -514,7 +666,7 @@ def test_kernel_bench_reports_parity_and_speedups():
     assert report["workload"]["rounds"] == 2
     assert set(report["benchmarks"]) == {
         "bloom_add", "bloom_contains", "bloom_contains_hashed", "bitvector_get_rank1",
-        "trie_levels", "cpfpr_row",
+        "trie_levels", "cpfpr_row", "cpfpr_byte_row",
     }
     for kernel_name, parity in report["parity"].items():
         assert all(parity.values()), kernel_name

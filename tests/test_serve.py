@@ -447,6 +447,42 @@ def test_service_matches_truth_byte_keys(mode):
     assert answers.tolist() == expected
 
 
+@pytest.mark.parametrize("mode", ["inline", "process"])
+def test_service_answers_bounds_of_the_other_representation(mode):
+    # Byte bounds against integer keys are their padded big-endian
+    # integers, and integer bounds against byte keys those integers'
+    # bytes: each answers as the same bounds in the keys' own form.
+    before = _shm_segments()
+    workload = Workload.generate(300, 100, 32, seed=5)
+    keys = workload.keys.as_list()
+    rng = random.Random(3)
+    pairs = [(key, key) for key in rng.sample(keys, 20)]
+    for _ in range(60):
+        lo = rng.randrange(1 << 32)
+        pairs.append((lo, min((1 << 32) - 1, lo + rng.randrange(1 << 24))))
+    expected = [_truth(keys, lo, hi) for lo, hi in pairs]
+    as_bytes = [(lo.to_bytes(4, "big"), hi.to_bytes(4, "big")) for lo, hi in pairs]
+    with ShardedLookupService.build(
+        workload.keys, num_shards=2, spec=FilterSpec("proteus", 12.0),
+        workload=workload, mode=mode,
+    ) as service:
+        for bounds in (pairs, as_bytes):
+            answers, _ = service.serve_batch(*map(list, zip(*bounds)))
+            assert answers.tolist() == expected
+    words = sorted({
+        bytes(rng.choice(b"abxy\x00") for _ in range(rng.randrange(1, 5))) for _ in range(300)
+    })
+    padded = [int.from_bytes(word.ljust(4, b"\x00"), "big") for word in words]
+    pairs = [(value, value) for value in rng.sample(padded, 20)]
+    pairs += [(value, value + rng.randrange(1 << 20)) for value in rng.sample(padded, 40)]
+    pairs += [(value + 1, value + 1) for value in rng.sample(padded, 20)]
+    expected = [_truth(padded, lo, hi) for lo, hi in pairs]
+    with ShardedLookupService.build(words, num_shards=2, sst_keys=64, mode=mode) as service:
+        answers, _ = service.serve_batch(*map(list, zip(*pairs)))
+        assert answers.tolist() == expected
+    assert _shm_segments() - before == set()
+
+
 def test_service_points_and_answer_batch():
     keys = _population(seed=17, size=800)
     with ShardedLookupService.build(
