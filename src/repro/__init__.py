@@ -11,11 +11,11 @@ The package is organised as a set of small, focused subpackages:
 ``repro.trie``
     Trie substrate: rank/select bit vectors, the physical
     LOUDS-Dense/Sparse + Fast Succinct Trie encoders (SuRF's one trie),
-    the sorted prefix indexes Proteus' trie layer queries (and their
-    succinct twin the size audit checks) and the succinct size models
-    used by SuRF and Algorithm 1.
+    the succinct prefix index the size audit holds to its sorted-array
+    reference, and the succinct size models used by SuRF and Algorithm 1.
 ``repro.filters``
-    Range filters: the common interface, the exact trie oracle, prefix Bloom
+    Range filters: the common interface, the exact trie oracle, the prefix
+    pass (the one range probe of Proteus' design space), prefix Bloom
     filters, SuRF and Rosetta.
 ``repro.core``
     The paper's contribution: the CPFPR model, Algorithm 1, and the protean

@@ -235,15 +235,6 @@ class BloomFilter(AMQ):
             self.bits.set_many(self._positions_from_hashes(h1, h2))
         self._inserted += int(mat.shape[0])
 
-    def contains_bytes_rows(self, mat: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`contains_bytes`: one boolean per row."""
-        if mat.shape[0] == 0:
-            return np.zeros(0, dtype=bool)
-        h1, h2 = self._hash_rows_pair(mat)
-        positions = self._positions_from_hashes(h1, h2)
-        probed = self.bits.get_many(positions.ravel())
-        return probed.reshape(positions.shape).all(axis=0)
-
     def contains_many(self, items: Iterable[int]) -> np.ndarray:
         """Vectorised :meth:`contains`: one boolean per item.
 

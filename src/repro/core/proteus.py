@@ -7,10 +7,9 @@ length ``l2``) design space under a bits-per-key budget (Algorithm 1), and
 instantiates the winning hybrid:
 
 * a uniform-depth trie holding every distinct ``l1``-bit key prefix,
-  queried as a :class:`~repro.trie.sorted_index.SortedPrefixIndex` and
-  *charged* at the modelled succinct size
-  (:func:`repro.trie.size_model.binary_trie_size_estimate`), the quantity
-  Algorithm 1 optimised — and
+  kept as the sorted array of those prefixes and *charged* at the modelled
+  succinct size (:func:`repro.trie.size_model.binary_trie_size_estimate`),
+  the quantity Algorithm 1 optimised — and
 * a Bloom filter over the distinct ``l2``-bit key prefixes, holding the rest
   of the budget.
 
@@ -23,17 +22,19 @@ reflects a real key prefix or a Bloom/trie over-approximation — never a
 dropped key — so the filter has **zero false negatives** by construction.
 
 Byte-string key sets (:class:`~repro.workloads.ByteKeySet`) build the same
-two layers over canonical prefix *bytes*: the trie becomes a
-:class:`~repro.trie.sorted_index.SortedBytePrefixIndex` and the Bloom layer
-hashes :func:`~repro.keys.bytestr.mask_rows` prefix rows.  One semantic
-difference: the byte path probes every covered ``l2``-slot once the trie
-gate passes, with no per-slot ``l1`` pruning — the CPFPR byte evaluator
-charges precisely that probe set, so the model still predicts the filter
-it designs.
+two layers over canonical prefix *bytes*: the trie is the sorted ``S``
+array of :func:`~repro.keys.bytestr.mask_rows` prefix rows and the Bloom
+layer hashes those rows.  One semantic difference: the byte path probes
+every covered ``l2``-slot once the trie gate passes, with no per-slot
+``l1`` pruning — the CPFPR byte evaluator charges precisely that probe
+set, so the model still predicts the filter it designs.
 
-A point query is the range ``[k, k]`` (:class:`~repro.filters.base.
-RangeFilter` defines the point and scalar probes once), so
-:meth:`Proteus.may_intersect_many` is the filter's one probe.
+Proteus is a :class:`~repro.filters.prefix_pass.PrefixFilter`: its probe,
+``may_intersect_many``, is the one range pass of the design space
+(:class:`~repro.filters.prefix_pass.PrefixPass`) over this filter alone,
+the pass an LSM level runs over all of its SSTs' filters.  A point query is
+the range ``[k, k]`` (:class:`~repro.filters.base.RangeFilter` defines the
+point and scalar probes once).
 """
 
 from __future__ import annotations
@@ -45,20 +46,14 @@ import numpy as np
 from repro.amq.bloom import BloomFilter
 from repro.core.cpfpr import DEFAULT_MAX_PROBES, CPFPRModel
 from repro.core.design import FilterDesign, design_proteus
-from repro.filters.base import (
-    RangeFilter,
-    check_spec_params,
-    ragged_ranges,
-    resolve_spec_inputs,
-)
-from repro.keys.bytestr import byte_slot_bounds, expand_slot_rows
+from repro.filters.base import check_spec_params, resolve_spec_inputs
+from repro.filters.prefix_pass import PrefixFilter, PrefixLayers
+from repro.keys.bytestr import rows_as_strings
 from repro.obs.metrics import timed
-from repro.trie.sorted_index import SortedBytePrefixIndex, SortedPrefixIndex
-from repro.workloads.batch import coerce_keys, slot_bounds
-from repro.workloads.bytekeys import ByteQueryBatch
+from repro.workloads.batch import coerce_keys
 
 
-class Proteus(RangeFilter):
+class Proteus(PrefixFilter):
     """The self-designing range filter (trie layer + Bloom layer)."""
 
     def __init__(
@@ -83,26 +78,20 @@ class Proteus(RangeFilter):
         self.num_keys = len(key_set)
         self.is_bytes = key_set.is_bytes
         l1, l2 = design.trie_depth, design.bloom_prefix_len
-        self._trie: SortedPrefixIndex | SortedBytePrefixIndex | None = None
+        self._trie: np.ndarray | None = None
         self._bloom: BloomFilter | None = None
-        if self.is_bytes:
-            if l1 > 0:
-                self._trie = SortedBytePrefixIndex(key_set.prefixes(l1), l1, width)
-            if l2 > 0:
-                rows = key_set.prefixes(l2)
-                self._bloom = BloomFilter(
-                    max(1, design.bloom_bits), max(1, int(rows.shape[0])), seed=seed
-                )
-                self._bloom.add_bytes_rows(rows)
-            return
         if l1 > 0:
-            self._trie = SortedPrefixIndex(key_set.prefixes(l1), l1, width)
+            prefixes = key_set.prefixes(l1)
+            self._trie = rows_as_strings(prefixes) if self.is_bytes else prefixes
         if l2 > 0:
             prefixes = key_set.prefixes(l2)
             self._bloom = BloomFilter(
-                max(1, design.bloom_bits), max(1, int(prefixes.size)), seed=seed
+                max(1, design.bloom_bits), max(1, len(prefixes)), seed=seed
             )
-            self._bloom.add_many(prefixes)
+            if self.is_bytes:
+                self._bloom.add_bytes_rows(prefixes)
+            else:
+                self._bloom.add_many(prefixes)
 
     @classmethod
     def from_spec(cls, spec, keys=None, workload=None, metrics=None) -> "Proteus":
@@ -141,76 +130,33 @@ class Proteus(RangeFilter):
         return self.design.expected_fpr
 
     @property
-    def trie_layer(self) -> SortedPrefixIndex | SortedBytePrefixIndex | None:
-        """The trie layer's prefix index (``None`` when ``trie_depth == 0``)."""
-        return self._trie
+    def trie_layer(self) -> np.ndarray | None:
+        """The trie layer: its sorted stored ``l1``-prefixes, read-only.
+
+        ``int64`` stored prefixes for integer keys, canonical prefix bytes
+        as an ``S`` array for byte keys; ``None`` when ``trie_depth == 0``.
+        """
+        if self._trie is None:
+            return None
+        view = self._trie.view()
+        view.flags.writeable = False
+        return view
 
     @property
     def bloom_layer(self) -> BloomFilter | None:
         """The Bloom layer (``None`` when ``bloom_prefix_len == 0``)."""
         return self._bloom
 
-    def _may_intersect_bytes(self, batch: ByteQueryBatch) -> np.ndarray:
-        """Byte-mode batch ranges: trie gate, then slot-window Bloom probes.
-
-        The gate is interval-level only; every covered ``l2``-slot of a gated
-        unclamped query is probed (no per-slot ``l1`` pruning), the CPFPR
-        byte evaluator's probe accounting.
-        """
-        n = len(batch)
-        if self.num_keys == 0:
-            return np.zeros(n, dtype=bool)
-        lo_m, hi_m = batch.lo_matrix, batch.hi_matrix
-        gate = (
-            self._trie.overlaps_matrix(lo_m, hi_m)
-            if self._trie is not None
-            else np.ones(n, dtype=bool)
+    @property
+    def prefix_layers(self) -> PrefixLayers:
+        """The trie and Bloom layers as the prefix pass reads them."""
+        return PrefixLayers(
+            self.design.trie_depth,
+            self.design.bloom_prefix_len,
+            self.trie_layer,
+            self._bloom,
+            self.max_probes,
         )
-        if self._bloom is None:
-            return gate
-        l2 = self.design.bloom_prefix_len
-        plo_rows, base, span, clamped = byte_slot_bounds(
-            lo_m, hi_m, l2, self.max_probes
-        )
-        out = gate & clamped  # clamped gated queries: conservative positive
-        rows = np.flatnonzero(gate & ~clamped)
-        if rows.size:
-            slot_rows, offsets = expand_slot_rows(plo_rows, base, span, l2, rows)
-            hits = self._bloom.contains_bytes_rows(slot_rows)
-            out[rows] = np.logical_or.reduceat(hits, offsets[:-1])
-        return out
-
-    def may_intersect_many(self, queries) -> np.ndarray:
-        """Trie gate, then the Bloom probes of each query's covered ``l2``-slots."""
-        batch = self._batch(queries)
-        if self.is_bytes:
-            return self._may_intersect_bytes(batch)
-        if self.num_keys == 0:
-            return np.zeros(len(batch), dtype=bool)
-        trie, bloom = self._trie, self._bloom
-        gate = (
-            trie.overlaps_many(batch.los, batch.his)
-            if trie is not None
-            else np.ones(len(batch), dtype=bool)
-        )
-        if bloom is None:
-            return gate
-        l1, l2 = self.design.trie_depth, self.design.bloom_prefix_len
-        plo, phi, clamped = slot_bounds(
-            batch.los, batch.his, self.width, l2, self.max_probes
-        )
-        out = gate & clamped  # clamped gated queries: conservative positive
-        todo = gate & ~clamped
-        if todo.any():
-            flat, seg_starts = ragged_ranges(plo[todo], phi[todo] - plo[todo] + 1)
-            hits = bloom.contains_many(flat)
-            if trie is not None:
-                # Only l2-slots extending a stored l1-prefix count; a Bloom
-                # positive on an uncovered slot is discarded (no key lies
-                # below it, so skipping it is exact).
-                hits &= trie.contains_many(flat >> np.int64(l2 - l1))
-            out[todo] = np.logical_or.reduceat(hits, seg_starts)
-        return out
 
     def size_in_bits(self) -> int:
         """Modelled trie footprint + actual Bloom bits (paper accounting)."""

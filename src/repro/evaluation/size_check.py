@@ -20,11 +20,11 @@ properties:
 * **zero false negatives**: SuRF answers True on every stored key and on
   every oracle-positive held-out query.
 * **parity**: the succinct ``FSTPrefixIndex`` answers *identically* to
-  the ``SortedPrefixIndex`` Proteus queries, both standalone and at the
-  trie depth Proteus designs, and SuRF's scalar range probes answer as its
-  batched ones.  A scalar probe is a one-row batch walk, so the SuRF term
-  only catches interference between rows; SuRF's answers are held to an
-  independent pointer-trie reference in ``tests/test_louds.py``.
+  the ``SortedPrefixIndex`` reference, both standalone and over the trie
+  layer Proteus designs and stores, and SuRF's scalar range probes answer
+  as its batched ones.  A scalar probe is a one-row batch walk, so the
+  SuRF term only catches interference between rows; SuRF's answers are
+  held to an independent pointer-trie reference in ``tests/test_louds.py``.
 
 Results go to a JSON report (the committed ``BENCH_pr5.json``):
 
@@ -164,7 +164,7 @@ def run_size_check(
                     records.append(record)
         # One end-to-end Proteus build per key distribution: its trie layer,
         # realised as a succinct trie at the designed depth, must answer
-        # exactly as the sorted-array layer the filter queries.
+        # exactly as a sorted-array index over the filter's stored layer.
         workload = Workload.generate(
             num_keys, num_queries, width, seed=seed,
             key_dist=key_dist, query_family="mixed",
@@ -181,7 +181,7 @@ def run_size_check(
         if depth:
             los, his = workload.queries.los, workload.queries.his
             succinct = FSTPrefixIndex.from_keys(workload.keys.keys, depth, width)
-            layer = proteus.trie_layer
+            layer = SortedPrefixIndex(proteus.trie_layer, depth, width)
             mismatched = succinct.overlaps_many(los, his) != layer.overlaps_many(los, his)
             record["measured_trie_bits"] = succinct.size_in_bits()
             record["parity_mismatches"] = int(mismatched.sum())

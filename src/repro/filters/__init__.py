@@ -6,6 +6,12 @@
   probes are defined on it once), plus size accounting.
 * :class:`~repro.filters.base.TrieOracle` — the exact ground truth used by
   the randomized test-suite.
+* :class:`~repro.filters.prefix_pass.PrefixPass` — the one range probe of
+  Proteus' design space (a trie of ``l1``-bit prefixes over a Bloom
+  filter of ``l2``-bit prefixes), for any number of filters each clipped
+  to its fences: every :class:`~repro.filters.prefix_pass.PrefixFilter`
+  (the prefix Bloom filters here, 1PBF and Proteus) answers through it
+  alone, and an LSM level through it for all of its SSTs.
 * :class:`~repro.filters.prefix_bloom.PrefixBloomFilter` — fixed-prefix
   Bloom range filter.
 * :class:`~repro.filters.prefix_bloom.PointBloomFilter` — plain whole-key

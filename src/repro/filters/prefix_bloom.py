@@ -10,7 +10,10 @@ model accounts for exactly this clamp.
 
 With ``prefix_len`` fixed a priori this filter is workload-oblivious; the
 protean filters in :mod:`repro.core` are this same structure with the prefix
-length *chosen* by Algorithm 1.
+length *chosen* by Algorithm 1.  It is the trie-less point of Proteus'
+design space, a :class:`~repro.filters.prefix_pass.PrefixFilter` with
+layers ``(0, prefix_len, None, its Bloom)``, so its probe is that design
+space's one range pass (:class:`~repro.filters.prefix_pass.PrefixPass`).
 """
 
 from __future__ import annotations
@@ -20,15 +23,10 @@ from typing import Iterable
 import numpy as np
 
 from repro.amq.bloom import BloomFilter
-from repro.filters.base import (
-    RangeFilter,
-    check_spec_params,
-    ragged_ranges,
-    resolve_spec_inputs,
-)
-from repro.keys.bytestr import byte_slot_bounds, expand_slot_rows
+from repro.filters.base import check_spec_params, resolve_spec_inputs
+from repro.filters.prefix_pass import PrefixFilter, PrefixLayers
 from repro.keys.lcp import bit_length_many
-from repro.workloads.batch import coerce_keys, slot_bounds
+from repro.workloads.batch import coerce_keys
 from repro.workloads.bytekeys import ByteQueryBatch
 
 #: Default clamp on Bloom probes per range query (mirrored by the CPFPR model).
@@ -57,7 +55,7 @@ def derived_prefix_len(width: int, workload=None) -> int:
     return max(1, width - span_bits)
 
 
-class PrefixBloomFilter(RangeFilter):
+class PrefixBloomFilter(PrefixFilter):
     """A Bloom filter over the ``prefix_len``-bit prefixes of the key set."""
 
     def __init__(
@@ -82,8 +80,8 @@ class PrefixBloomFilter(RangeFilter):
         prefixes = key_set.prefixes(prefix_len)
         self._bloom = BloomFilter(num_bits, max(1, len(prefixes)), seed=seed)
         if self.is_bytes:
-            # Canonical prefix-byte rows, hashed row-parallel; the probe
-            # path below hashes its slot rows to the same bytes.
+            # Canonical prefix-byte rows, hashed row-parallel; the prefix
+            # pass hashes its slot rows to the same bytes.
             self.num_prefixes = int(prefixes.shape[0])
             self._bloom.add_bytes_rows(prefixes)
         else:
@@ -113,40 +111,10 @@ class PrefixBloomFilter(RangeFilter):
             seed=int(params.get("seed", 0)),
         )
 
-    def _may_intersect_bytes(self, batch: ByteQueryBatch) -> np.ndarray:
-        """Byte-mode batch ranges: slot-window enumeration + bulk row probes."""
-        plo_rows, base, span, clamped = byte_slot_bounds(
-            batch.lo_matrix, batch.hi_matrix, self.prefix_len, self.max_probes
-        )
-        out = clamped.copy()
-        rows = np.flatnonzero(~clamped)
-        if rows.size:
-            slot_rows, offsets = expand_slot_rows(
-                plo_rows, base, span, self.prefix_len, rows
-            )
-            hits = self._bloom.contains_bytes_rows(slot_rows)
-            out[rows] = np.logical_or.reduceat(hits, offsets[:-1])
-        return out
-
-    def may_intersect_many(self, queries) -> np.ndarray:
-        """Probe every ``prefix_len``-slot each query covers, up to the clamp."""
-        batch = self._batch(queries)
-        if self.num_keys == 0:
-            return np.zeros(len(batch), dtype=bool)
-        if self.is_bytes:
-            return self._may_intersect_bytes(batch)
-        plo, phi, clamped = slot_bounds(
-            batch.los, batch.his, self.width, self.prefix_len, self.max_probes
-        )
-        out = clamped.copy()
-        todo = ~clamped
-        if todo.any():
-            # Queries past the probe clamp answer True without touching the
-            # Bloom filter; the rest probe every slot in their [plo, phi].
-            flat, seg_starts = ragged_ranges(plo[todo], phi[todo] - plo[todo] + 1)
-            hits = self._bloom.contains_many(flat)
-            out[todo] = np.logical_or.reduceat(hits, seg_starts)
-        return out
+    @property
+    def prefix_layers(self) -> PrefixLayers:
+        """No trie, and the Bloom layer over the ``prefix_len``-bit prefixes."""
+        return PrefixLayers(0, self.prefix_len, None, self._bloom, self.max_probes)
 
     def size_in_bits(self) -> int:
         return self._bloom.size_in_bits()

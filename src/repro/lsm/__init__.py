@@ -9,8 +9,9 @@ reads*.
   slice of its level's array) with min/max fences and an optional filter;
 * :class:`~repro.lsm.tree.LSMTree` — leveled geometry, per-SST filter
   construction through :mod:`repro.api`, and batched probe routing;
-* :class:`~repro.lsm.layout.LevelLayout` — one level's keys and Proteus
-  filters as flat arrays, so one pass answers every pair routed there;
+* :class:`~repro.lsm.layout.LevelLayout` — one level's keys and prefix
+  filters (Proteus, prefix and whole-key Bloom, 1PBF) as flat arrays, so
+  one pass answers every pair routed there;
 * :class:`~repro.lsm.cost.CostModel` / :class:`~repro.lsm.cost.ProbeResult`
   — the I/O pricing (block read charged only on a filter positive) and the
   per-query accounting, including the paper's false-positive-block-read

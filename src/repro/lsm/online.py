@@ -51,7 +51,7 @@ from repro.lsm.sstable import SSTable
 from repro.lsm.tree import DEFAULT_FANOUT, DEFAULT_SST_KEYS, LSMTree
 from repro.obs.metrics import timed
 from repro.obs.trace import ProbeTrace
-from repro.workloads.batch import QueryBatch, probe_key_array
+from repro.workloads.batch import QueryBatch, coerce_query_batch, probe_key_array
 
 __all__ = ["OnlineLSMTree"]
 
@@ -363,8 +363,13 @@ class OnlineLSMTree:
 
         Delegates to :meth:`LSMTree.probe` on a :meth:`snapshot`; the
         memtable is not consulted — it is resident memory, and the cost
-        model only prices SST block reads.
+        model only prices SST block reads.  A tree with no SSTs (before its
+        first flush, or after a compaction dropped every entry) reads no
+        block: the batch is validated and answered with zeros and no
+        levels.
         """
+        if not self.sstables():
+            return ProbeResult.zeros(len(coerce_query_batch(queries, self.width)), 0)
         return self.snapshot().probe(queries, trace=trace, sst_stats=sst_stats)
 
     def lookup_many(self, keys) -> np.ndarray:

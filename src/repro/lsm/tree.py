@@ -22,9 +22,10 @@ This is the paper's end-to-end RocksDB experiment as a simulation:
   routing: per level, two ``searchsorted`` calls locate each query's
   fence-surviving SST interval, and the level's
   :class:`~repro.lsm.layout.LevelLayout` answers every routed (query, SST)
-  pair in one vectorised pass — Proteus filters through fence-clipped trie
-  intervals and one Bloom kernel call, other families through one filter
-  call per routed SST group.  A level's SSTs must be sorted and disjoint;
+  pair in one vectorised pass — prefix filters (Proteus, prefix and
+  whole-key Bloom, 1PBF) through their own
+  :class:`~repro.filters.prefix_pass.PrefixPass` laid out with the SSTs'
+  fences, other families through one filter call per routed SST group.  A level's SSTs must be sorted and disjoint;
   the constructor rejects any other level.  Accounting follows
   :mod:`repro.lsm.cost`: a block read is charged only on a filter positive.
 """
@@ -243,10 +244,10 @@ class LSMTree:
         pairs are flattened and sorted by SST, and the level's
         :class:`~repro.lsm.layout.LevelLayout` answers all of them in one
         pass (:meth:`~repro.lsm.layout.LevelLayout.probe_pairs`): ground
-        truth from one search over the level's keys, Proteus answers from
-        one search over the level's trie intervals and one Bloom kernel
-        call.  SSTs with other filters keep one ``probe_many`` call per
-        routed group.  Every pair is classified once
+        truth from one search over the level's keys, prefix-filter answers
+        from one search over the level's trie intervals and one Bloom
+        kernel call.  SSTs with other filters keep one ``probe_many`` call
+        per routed group.  Every pair is classified once
         (:func:`~repro.lsm.cost.classify`); the per-query arrays, the
         per-level totals and the optional per-SST totals are all
         ``np.bincount`` histograms of those codes.

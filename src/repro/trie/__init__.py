@@ -2,8 +2,9 @@
 
 SuRF encodes its pruned trie as a Fast Succinct Trie (LOUDS-DS): the top
 levels use the LOUDS-Dense bitmap encoding and the remaining levels use
-LOUDS-Sparse.  Proteus queries its uniform-depth trie layer as a sorted
-prefix array and charges it the modelled size of a succinct trie.
+LOUDS-Sparse.  Proteus keeps its uniform-depth trie layer as a bare sorted
+prefix array, answered by :mod:`repro.filters.prefix_pass`, and charges it
+the modelled size of a succinct trie.
 
 The package provides:
 
@@ -14,10 +15,11 @@ The package provides:
   :class:`~repro.trie.fst.FastSuccinctTrie` — the physical succinct
   encodings, navigated purely by rank arithmetic, with measured
   ``size_in_bits``; SuRF stores its pruned trie this way.
-* :class:`~repro.trie.sorted_index.SortedPrefixIndex` — a sorted-array query
-  engine for uniform-depth prefix sets, Proteus' trie layer — and
-  :class:`~repro.trie.fst.FSTPrefixIndex`, the same set as a succinct trie,
-  which the size audit holds to the sorted array's answers.
+* :class:`~repro.trie.fst.FSTPrefixIndex` — a uniform-depth prefix set
+  (Proteus' trie layer) as a succinct trie — and
+  :class:`~repro.trie.sorted_index.SortedPrefixIndex`, the same set as a
+  sorted array: the reference the size audit and the trie tests hold the
+  succinct index's answers to.
 * :mod:`~repro.trie.size_model` — the ``trieMem(l)`` estimator from
   Algorithm 1 of the paper plus SuRF's LOUDS-DS size formulas, against
   which the physical encoders' measured sizes are pinned

@@ -1,14 +1,15 @@
-"""Sorted-array prefix index: Proteus' uniform-depth trie layer.
+"""Sorted-array prefix index: the reference for the succinct prefix index.
 
-Proteus stores every distinct ``l1``-bit prefix of the key set in a trie of
-uniform depth ``l1``.  Semantically that trie answers exactly two queries —
+A uniform-depth trie of ``l1``-bit prefixes answers exactly two queries —
 "is this ``l1``-prefix stored?" and "does any stored prefix fall inside a
 prefix interval?" — both of which a sorted array of prefixes answers in
 ``O(log n)`` per query with ``np.searchsorted``, a whole batch at a time.
-This module is that query engine; the succinct LOUDS encodings are a
-storage-layout concern and their footprint is modelled separately in
-:mod:`repro.trie.size_model` (see DESIGN notes in the module docstring
-there).
+:class:`SortedPrefixIndex` is that query engine.  It is the reference
+:class:`~repro.trie.fst.FSTPrefixIndex` (the same set as a succinct trie)
+is held to, in :mod:`repro.evaluation.size_check` and the trie tests;
+Proteus keeps its trie layer as the bare sorted prefix array and answers it
+through :mod:`repro.filters.prefix_pass`.  The footprint of the succinct
+encodings is modelled separately in :mod:`repro.trie.size_model`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.keys.bytestr import mask_rows, rows_as_strings
 from repro.workloads.batch import stored_offset
 
 
@@ -91,13 +91,6 @@ class SortedPrefixIndex:
         shift = np.int64(self.width - self.length)
         return self.count_in_range_many(los >> shift, his >> shift) > 0
 
-    @property
-    def prefix_array(self) -> np.ndarray:
-        """The stored prefixes as a sorted read-only ``int64`` array."""
-        view = self._arr.view()
-        view.flags.writeable = False
-        return view
-
     def size_in_bits(self) -> int:
         """Raw footprint of the sorted array itself (``n * length`` bits).
 
@@ -110,60 +103,5 @@ class SortedPrefixIndex:
         """Return a debugging summary."""
         return (
             f"SortedPrefixIndex(n={len(self)}, length={self.length}, "
-            f"width={self.width})"
-        )
-
-
-class SortedBytePrefixIndex:
-    """Byte-mode twin of :class:`SortedPrefixIndex` over canonical prefix bytes.
-
-    Stores the distinct ``length``-bit prefixes of a byte key set as a sorted
-    ``S{nb}`` array of their canonical byte encodings
-    (:func:`~repro.keys.bytestr.mask_rows` rows).  ``memcmp`` order on those
-    fixed-width strings equals prefix-integer order, so every query is a
-    ``searchsorted`` call or two — with no 63-bit width ceiling.
-    """
-
-    __slots__ = ("keys", "length", "width")
-
-    def __init__(self, prefix_rows: np.ndarray, length: int, width: int):
-        """Index canonical ``length``-bit prefix rows (sorted distinct uint8)."""
-        if not 0 < length <= width:
-            raise ValueError(f"prefix length {length} outside [1, {width}]")
-        self.length = length
-        self.width = width
-        self.keys = rows_as_strings(prefix_rows)
-
-    def __len__(self) -> int:
-        """Return the number of stored prefixes."""
-        return int(self.keys.size)
-
-    @property
-    def prefix_array(self) -> np.ndarray:
-        """The stored prefixes as a sorted read-only ``S{nb}`` array."""
-        view = self.keys.view()
-        view.flags.writeable = False
-        return view
-
-    def overlaps_matrix(self, lo_mat: np.ndarray, hi_mat: np.ndarray) -> np.ndarray:
-        """Whether a stored prefix interval meets each row's ``[lo, hi]``.
-
-        ``lo_mat`` and ``hi_mat`` are full-width uint8 key matrices.
-        """
-        lo_s = rows_as_strings(mask_rows(lo_mat, self.length))
-        hi_s = rows_as_strings(mask_rows(hi_mat, self.length))
-        i = np.searchsorted(self.keys, lo_s, side="left")
-        j = np.searchsorted(self.keys, hi_s, side="right")
-        return j > i
-
-    def size_in_bits(self) -> int:
-        """Raw footprint of the prefix array (``n * length`` bits, as charged
-        by :class:`SortedPrefixIndex`)."""
-        return len(self) * self.length
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        """Return a debugging summary."""
-        return (
-            f"SortedBytePrefixIndex(n={len(self)}, length={self.length}, "
             f"width={self.width})"
         )

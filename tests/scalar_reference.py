@@ -219,12 +219,12 @@ def _trie_prefixes(filt) -> list[int] | None:
     if trie is None:
         return None
     if not filt.is_bytes:
-        return trie.prefix_array.tolist()
+        return trie.tolist()
     l1 = filt.design.trie_depth
     num_bytes = (l1 + 7) // 8
     return sorted(
         int.from_bytes(item.ljust(num_bytes, b"\x00"), "big") >> (8 * num_bytes - l1)
-        for item in trie.prefix_array.tolist()
+        for item in trie.tolist()
     )
 
 

@@ -340,6 +340,46 @@ class TestFilterLifecycle:
         assert lifecycle.num_monitors == 0
 
 
+class TestProbeWithoutSSTs:
+    """``probe`` answers a tree that holds no SST, as ``lookup_many`` does."""
+
+    @staticmethod
+    def before_first_flush():
+        rng = random.Random(5)
+        design = QueryBatch.from_pairs(uniform_queries(rng, 64, WIDTH, 1000), WIDTH)
+        tree = OnlineLSMTree(WIDTH, FilterSpec("proteus", 12.0), design, sst_keys=64)
+        for key in range(10, 110, 10):
+            tree.put(key)
+        return tree
+
+    @staticmethod
+    def after_everything_compacted_away():
+        tree = OnlineLSMTree(16, sst_keys=4, fanout=2, level0_runs=1, memtable_capacity=2)
+        tree.put(5)
+        tree.put(9)
+        tree.delete(5)
+        tree.delete(9)
+        assert tree.num_entries == 0 and len(tree.memtable) == 0
+        return tree
+
+    @pytest.mark.parametrize("state", ["before_first_flush", "after_everything_compacted_away"])
+    def test_probe_reads_nothing(self, state):
+        tree = getattr(self, state)()
+        assert tree.sstables() == []
+        queries = [(5, 5), (0, 100), (9, 12)]
+        result = tree.probe(queries, sst_stats=(stats := {}))
+        assert result.num_queries == 3 and result.per_level == []
+        assert result.blocks_read.tolist() == [0, 0, 0]
+        assert result.missed_reads.tolist() == [0, 0, 0]
+        assert stats == {}
+        verdict = FilterLifecycle(tree).observe_epoch(queries, stats)
+        assert verdict["monitored_ssts"] == 0
+        with pytest.raises(ValueError, match="empty query range"):
+            tree.probe([(7, 3)])
+        with pytest.raises(ValueError, match="no SSTs"):
+            tree.snapshot()
+
+
 TIMELINE_ARGS = dict(
     num_epochs=4,
     writes_per_epoch=256,
